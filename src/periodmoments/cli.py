@@ -62,6 +62,8 @@ def _forms_cache():
     def get(k):
         if k not in cache:
             cache[k] = hecke_eigenforms(k)
+        if not cache[k]:
+            raise RangeError("no cusp forms at weight %d" % k)
         return cache[k]
 
     return get
@@ -79,7 +81,10 @@ def run_moment(args, rng):
     weights = [k for k in range(k_lo, args.k_max + 1, 2) if cusp_dim(k) >= 1]
     if not weights:
         raise RangeError("no weights with cusp forms in [%d, %d]" % (args.k_min, args.k_max))
-    rows_data = moment_sweep(weights, forms_by_k={k: _FORMS(k) for k in weights}, eps=args.eps)
+    # largest weight first: its horizon is the largest, so the shared
+    # Miller products are built once and every smaller weight slices them
+    forms_by_k = {k: _FORMS(k) for k in sorted(weights, reverse=True)}
+    rows_data = moment_sweep(weights, forms_by_k=forms_by_k, eps=args.eps)
     header = ["k", "dim", "S_k", "S_k_str", "norm_fE", "bessel_slack", "slope_so_far"]
     rows = [
         [r["k"], r["dim"], r["S_k"], report.hp_str(r["S_k"]), r["norm_fE"],

@@ -17,6 +17,7 @@ so that downstream norm and moment integrals stay O(1) across weights.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -35,12 +36,16 @@ __all__ = [
     "charpoly",
     "Eigenform",
     "hecke_eigenforms",
+    "eigenform_horizon",
     "eval_cusp_form_f64",
     "DEFAULT_WEIGHTS",
 ]
 
 # even weights with dim S_k >= 1 up to 40; 14 enters nothing (dim 0)
 DEFAULT_WEIGHTS = (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
+
+# points per block in eval_cusp_form_f64
+EVAL_BLOCK = 4096
 
 
 def cusp_dim(k: int) -> int:
@@ -72,59 +77,56 @@ def e6_qexp(n_terms: int):
     return [1] + [-504 * sig[n] for n in range(1, n_terms + 1)]
 
 
+def _slot_bytes(prod_bound: int) -> int:
+    """Kronecker slot width in whole bytes for product coefficients
+    bounded by prod_bound in absolute value (sign bit plus one spare)."""
+    return (max(8, prod_bound.bit_length() + 2) + 7) // 8
+
+
+def _pack(coeffs, m: int) -> int:
+    # sum_i c_i 2^{8 m i} as one signed integer: positive and negative
+    # parts are laid out as little-endian slots, so the cost is linear
+    pos = bytearray(m * len(coeffs))
+    neg = bytearray(m * len(coeffs))
+    for i, c in enumerate(coeffs):
+        if c > 0:
+            pos[m * i : m * (i + 1)] = c.to_bytes(m, "little")
+        elif c < 0:
+            neg[m * i : m * (i + 1)] = (-c).to_bytes(m, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def poly_mul_trunc(a, b, n_terms: int):
     """Truncated product of integer q-expansions via Kronecker substitution.
 
-    Packs both series into single big integers base 2^B, multiplies once,
-    unpacks.  B is sized so packed digits (including the negative parts)
-    never interfere.
+    Packs each series into one signed big integer base 2^{8m}, multiplies
+    once, unpacks.  The slot width m (whole bytes) exceeds the bit length
+    of every product coefficient by two, so slots never interfere; adding
+    2^{8m-1} to each low slot makes every unpacked digit non-negative.
+    Packing and unpacking go through to_bytes/from_bytes, linear in the
+    packed size.
     """
     n = n_terms + 1
     a = a[:n]
     b = b[:n]
     bound_a = max((abs(c) for c in a), default=0)
     bound_b = max((abs(c) for c in b), default=0)
-    prod_bound = bound_a * bound_b * n + 1
-    B = max(8, prod_bound.bit_length() + 2)
-
-    def pack(coeffs):
-        pos = 0
-        neg = 0
-        for i, c in enumerate(coeffs):
-            if c >= 0:
-                pos |= c << (B * i)
-            else:
-                neg |= (-c) << (B * i)
-        return pos, neg
-
-    ap, an = pack(a)
-    bp, bn = pack(b)
-    pos_part = ap * bp + an * bn
-    neg_part = ap * bn + an * bp
-    mask = (1 << B) - 1
-    out = []
-    for i in range(n):
-        shift = B * i
-        out.append(((pos_part >> shift) & mask) - ((neg_part >> shift) & mask))
-    return out
-
-
-def _poly_pow_trunc(a, e: int, n_terms: int):
-    result = [1] + [0] * n_terms
-    base = list(a[: n_terms + 1])
-    while e:
-        if e & 1:
-            result = poly_mul_trunc(result, base, n_terms)
-        e >>= 1
-        if e:
-            base = poly_mul_trunc(base, base, n_terms)
-    return result
+    if bound_a == 0 or bound_b == 0:
+        return [0] * n
+    m = _slot_bytes(bound_a * bound_b * n + 1)
+    prod = _pack(a, m) * _pack(b, m)
+    offset = int.from_bytes((bytes(m - 1) + b"\x80") * n, "little")
+    raw = ((prod + offset) & ((1 << (8 * m * n)) - 1)).to_bytes(m * n, "little")
+    half = 1 << (8 * m - 1)
+    return [int.from_bytes(raw[m * i : m * (i + 1)], "little") - half for i in range(n)]
 
 
 def delta_qexp(n_terms: int):
     """Discriminant cusp form: (E4^3 - E6^2) / 1728, integer coefficients."""
-    e4c = _poly_pow_trunc(e4_qexp(n_terms), 3, n_terms)
-    e6c = _poly_pow_trunc(e6_qexp(n_terms), 2, n_terms)
+    e4 = e4_qexp(n_terms)
+    e4c = poly_mul_trunc(poly_mul_trunc(e4, e4, n_terms), e4, n_terms)
+    e6 = e6_qexp(n_terms)
+    e6c = poly_mul_trunc(e6, e6, n_terms)
     out = []
     for x, y in zip(e4c, e6c):
         q, r = divmod(x - y, 1728)
@@ -134,28 +136,62 @@ def delta_qexp(n_terms: int):
     return out
 
 
+class _MillerProducts:
+    """Delta E4^a E6^b, truncated at one horizon: the largest requested so far.
+
+    A truncated product's first n coefficients depend only on the first n
+    coefficients of its factors, so a smaller horizon is an exact slice
+    and only a larger request rebuilds.  Each entry costs one product: it
+    chains one factor E6 (b > 0) or E4 onto an earlier entry.  Nothing is
+    built until the first request.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.n_terms = -1
+        self._entries = {}
+
+    def get(self, a: int, b: int, n_terms: int):
+        if n_terms > self.n_terms:
+            self.n_terms = n_terms
+            self._e4 = e4_qexp(n_terms)
+            self._e6 = e6_qexp(n_terms)
+            self._entries = {(0, 0): delta_qexp(n_terms)}
+        return self._entry(a, b)[: n_terms + 1]
+
+    def _entry(self, a: int, b: int):
+        if (a, b) not in self._entries:
+            if b:
+                prev, factor = self._entry(a, b - 1), self._e6
+            else:
+                prev, factor = self._entry(a - 1, 0), self._e4
+            self._entries[a, b] = poly_mul_trunc(prev, factor, self.n_terms)
+        return self._entries[a, b]
+
+
+_MILLER_PRODUCTS = _MillerProducts()
+
+
 def miller_basis(k: int, n_terms: int):
     """Echelonized integral basis of S_k: g_i(j) = delta_ij for j <= dim.
 
-    Spanning set Delta * E4^a E6^b over 4a + 6b = k - 12, then full
-    Gauss-Jordan over Q on coefficient columns 1..dim.
+    Spanning set Delta * E4^a E6^b over 4a + 6b = k - 12 (shared across
+    weights, see _MillerProducts), then full Gauss-Jordan over Q on
+    coefficient columns 1..dim.
     """
     d = cusp_dim(k)
     if d == 0:
         return []
     if n_terms < d + 10:
         raise ValueError("n_terms must be at least dim + 10")
-    delta = delta_qexp(n_terms)
-    e4c = e4_qexp(n_terms)
-    e6c = e6_qexp(n_terms)
     rows = []
     for b in range((k - 12) // 6 + 1):
         rem = k - 12 - 6 * b
         if rem < 0 or rem % 4:
             continue
-        a = rem // 4
-        prod = poly_mul_trunc(delta, _poly_pow_trunc(e4c, a, n_terms), n_terms)
-        prod = poly_mul_trunc(prod, _poly_pow_trunc(e6c, b, n_terms), n_terms)
+        prod = _MILLER_PRODUCTS.get(rem // 4, b, n_terms)
         rows.append([Fraction(c) for c in prod])
     if len(rows) != d:
         raise ArithmeticError("spanning set size %d != dim %d at k=%d" % (len(rows), d, k))
@@ -253,6 +289,13 @@ class Eigenform:
     def horizon(self) -> int:
         return len(self.a) - 1
 
+    @cached_property
+    def lam_f64(self) -> np.ndarray:
+        """lam[n] as float64, converted once per form (read-only)."""
+        out = np.array([float(v) for v in self.lam])
+        out.flags.writeable = False
+        return out
+
 
 def _polyroots_real(coeffs_fr, dps):
     # coeffs_fr: monic Fraction list, highest degree first
@@ -287,6 +330,11 @@ def _eigvec_from_matrix(cmat_mpf, lam_val, d, dps):
         return [mpf(1)] + [sol[i] for i in range(d - 1)]
 
 
+def eigenform_horizon(k: int) -> int:
+    """Default q-expansion horizon of hecke_eigenforms at weight k."""
+    return max(2000, 60 * k)
+
+
 def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue.
 
@@ -297,7 +345,7 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
     if d == 0:
         return []
     if horizon is None:
-        horizon = max(2000, 60 * k)
+        horizon = eigenform_horizon(k)
     basis = miller_basis(k, horizon)
     cmat = hecke_matrix(k, 2, basis=basis)
     cp = charpoly(cmat)
@@ -333,6 +381,8 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
         basis_mpf = [
             [mpf(c.numerator) / mpf(c.denominator) for c in row] for row in basis
         ]
+        half = mpf(k - 1) / 2
+        n_half = [mpf(1)] + [mpf(n) ** half for n in range(1, horizon + 1)]
         forms = []
         for idx, lam_val in enumerate(vals):
             v = _eigvec_from_matrix(cmat_mpf, lam_val, d, dps)
@@ -340,9 +390,8 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
             for n in range(1, horizon + 1):
                 a[n] = sum(v[i] * basis_mpf[i][n] for i in range(d))
             lam_list = [mpf(0)] * (horizon + 1)
-            half = mpf(k - 1) / 2
             for n in range(1, horizon + 1):
-                lam_list[n] = a[n] / mpf(n) ** half
+                lam_list[n] = a[n] / n_half[n]
             forms.append(
                 Eigenform(
                     weight=k,
@@ -378,14 +427,21 @@ def eval_cusp_form_f64(form: Eigenform, x, y):
             % (form.horizon, y_min, n_eval)
         )
     ns = np.arange(1, n_eval + 1, dtype=float)
-    lam = np.array([float(form.lam[n]) for n in range(1, n_eval + 1)])
+    lam = form.lam_f64[1 : n_eval + 1]
     sign = np.where(lam >= 0, 1.0, -1.0)
     with np.errstate(divide="ignore"):
         log_abs_lam = np.where(lam != 0.0, np.log(np.abs(np.where(lam == 0, 1.0, lam))), -np.inf)
     log_c = log_abs_lam + 0.5 * (k - 1) * np.log(4 * np.pi * ns) - 0.5 * gammaln(k)
-    xx = x[..., None]
-    yy = y[..., None]
-    log_mag = log_c - 2 * np.pi * ns * yy
-    phase = 2 * np.pi * ns * xx
-    terms = sign * np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase))
-    return terms.sum(axis=-1)
+    # points in blocks: the (points, terms) temporaries stay a few MB, and
+    # each point's sum over n is the same as in one pass
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape, dtype=complex)
+    xf, yf, of = x.reshape(-1), y.reshape(-1), out.reshape(-1)
+    for i in range(0, of.size, EVAL_BLOCK):
+        xx = xf[i : i + EVAL_BLOCK, None]
+        yy = yf[i : i + EVAL_BLOCK, None]
+        log_mag = log_c - 2 * np.pi * ns * yy
+        phase = 2 * np.pi * ns * xx
+        terms = sign * np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase))
+        of[i : i + EVAL_BLOCK] = terms.sum(axis=-1)
+    return out

@@ -47,7 +47,7 @@ from scipy.special import gammaln
 from . import special
 from .eisenstein_gl2 import completed_eisenstein_f64
 from .modforms import Eigenform, eval_cusp_form_f64, hecke_eigenforms
-from .precision import working_dps
+from .precision import RangeError, working_dps
 from .rankin_selberg import RankinSelbergPair
 
 __all__ = [
@@ -69,26 +69,20 @@ LUNE_Y_POINTS = 48
 REG_EPS = 0.1
 
 
-@dataclass
-class PeterssonEngine:
-    """Quadrature nodes/weights for weight-k Petersson integrals.
+_NODE_SETS = {}
 
-    Weights fold in the measure factor y^{k-2}; Ymax grows with k so the
-    mass peak of |f|^2 y^k near y ~ k/4pi stays interior.  refine scales
-    every node count for convergence probes.
+
+def _node_set(ymax: float, refine: int):
+    """(x, y, w0, estar memo) for the strip below ymax and the lune.
+
+    w0 carries dx dy without the measure factor.  Every engine with the
+    same ymax and refine (all k <= 22 have ymax = 10) shares these arrays
+    and the memo of E*(., s) on them, which depends only on the nodes and s.
     """
-
-    k: int
-    refine: int = 1
-    x: np.ndarray = field(init=False, repr=False)
-    y: np.ndarray = field(init=False, repr=False)
-    w: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        k, r = self.k, self.refine
-        ymax = max(10.0, (k + 40.0) / (2 * math.pi))
-        nx, ny = STRIP_X_POINTS * r, STRIP_Y_POINTS * r
-        mx, my = LUNE_X_POINTS * r, LUNE_Y_POINTS * r
+    key = (ymax, refine)
+    if key not in _NODE_SETS:
+        nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
+        mx, my = LUNE_X_POINTS * refine, LUNE_Y_POINTS * refine
         # strip
         xs = -0.5 + (np.arange(nx) + 0.5) / nx
         wx = np.full(nx, 1.0 / nx)
@@ -109,13 +103,55 @@ class PeterssonEngine:
             cols_x.append(np.full(my, xv))
             cols_y.append(mid + half * gl_y)
             cols_w.append(gl_wy * half * xwv)
-        self.x = np.concatenate([X1.ravel()] + cols_x)
-        self.y = np.concatenate([Y1.ravel()] + cols_y)
-        self.w = np.concatenate([W1.ravel()] + cols_w) * self.y ** (k - 2)
+        arrays = [np.concatenate(parts) for parts in
+                  ([X1.ravel()] + cols_x, [Y1.ravel()] + cols_y, [W1.ravel()] + cols_w)]
+        for a in arrays:
+            a.flags.writeable = False
+        _NODE_SETS[key] = (*arrays, {})
+    return _NODE_SETS[key]
+
+
+@dataclass
+class PeterssonEngine:
+    """Quadrature nodes/weights for weight-k Petersson integrals.
+
+    Weights fold in the measure factor y^{k-2}; Ymax grows with k so the
+    mass peak of |f|^2 y^k near y ~ k/4pi stays interior.  refine scales
+    every node count for convergence probes.  Weights that overflow
+    float64 (k >~ 190) raise RangeError.
+    """
+
+    k: int
+    refine: int = 1
+    x: np.ndarray = field(init=False, repr=False)
+    y: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
+    _estar: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = self.k
+        ymax = max(10.0, (k + 40.0) / (2 * math.pi))
+        self.x, self.y, w0, self._estar = _node_set(ymax, self.refine)
+        with np.errstate(over="ignore"):
+            self.w = w0 * self.y ** (k - 2)
+        if not np.all(np.isfinite(self.w)):
+            raise RangeError(
+                "Petersson weights y^(k-2) overflow float64 at k=%d (ymax %.3g)" % (k, ymax)
+            )
 
     def integrate(self, values: np.ndarray) -> complex:
         """Weighted sum over the nodes; values evaluated at (self.x, self.y)."""
         return complex(np.sum(values * self.w))
+
+    def estar(self, s: float) -> np.ndarray:
+        """E*(., s) at the nodes for real s; evaluated once per node set
+        and s (see _node_set), read-only."""
+        s = float(s)
+        if s not in self._estar:
+            ev = completed_eisenstein_f64(self.x, self.y, s)
+            ev.flags.writeable = False
+            self._estar[s] = ev
+        return self._estar[s]
 
 
 _ENGINES = {}
@@ -128,13 +164,19 @@ def _engine(k: int, refine: int = 1) -> PeterssonEngine:
     return _ENGINES[key]
 
 
-def _inner_on(eng: PeterssonEngine, f, g, multiplier) -> complex:
+def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
+    # one operation order for every <f h, g> from grid values, so callers
+    # that reuse f, g or h on the nodes get bit-identical sums
+    vals = fv * np.conjugate(gv)
+    if hv is not None:
+        vals = vals * hv
+    return eng.integrate(vals)
+
+
+def _inner_on(eng: PeterssonEngine, f, g, hv=None) -> complex:
     fv = eval_cusp_form_f64(f, eng.x, eng.y)
     gv = fv if g is f else eval_cusp_form_f64(g, eng.x, eng.y)
-    vals = fv * np.conjugate(gv)
-    if multiplier is not None:
-        vals = vals * multiplier(eng.x, eng.y)
-    return eng.integrate(vals)
+    return _pairing(eng, fv, gv, hv)
 
 
 def inner_product(
@@ -153,10 +195,15 @@ def inner_product(
         g = f
     if f.weight != g.weight:
         raise ValueError("forms must share a weight")
-    coarse = _inner_on(_engine(f.weight, refine), f, g, multiplier)
+
+    def on(eng):
+        hv = None if multiplier is None else multiplier(eng.x, eng.y)
+        return _inner_on(eng, f, g, hv)
+
+    coarse = on(_engine(f.weight, refine))
     if not with_error:
         return coarse
-    fine = _inner_on(_engine(f.weight, 2 * refine), f, g, multiplier)
+    fine = on(_engine(f.weight, 2 * refine))
     return fine, abs(fine - coarse)
 
 
@@ -172,9 +219,10 @@ def _gamma_k_over_gamma_half(k: int) -> float:
 
 def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
     """Quadrature <f E*(., s), g> against Lambda*(f x g, s) from the AFE."""
-    quad = inner_product(
-        f, g, multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, s), refine=refine
-    ).real
+    if f.weight != g.weight:
+        raise ValueError("forms must share a weight")
+    eng = _engine(f.weight, refine)
+    quad = _inner_on(eng, f, g, eng.estar(s)).real
     afe = RankinSelbergPair(f, g).completed_l_normalized(s).real
     rel = abs(quad - afe) / max(abs(afe), 1e-300)
     return {"quadrature": quad, "afe": afe, "rel_err": rel}
@@ -183,8 +231,10 @@ def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
 def norm_f_estar(f: Eigenform, s: float = 0.5, refine: int = 1) -> float:
     """||f E*(., s)||^2 = int |f|^2 E*(z,s)^2 y^{k-2} dx dy (real s)."""
     eng = _engine(f.weight, refine)
-    fv = eval_cusp_form_f64(f, eng.x, eng.y)
-    ev = completed_eisenstein_f64(eng.x, eng.y, s)
+    return _norm_f_estar_on(eng, eval_cusp_form_f64(f, eng.x, eng.y), eng.estar(s))
+
+
+def _norm_f_estar_on(eng: PeterssonEngine, fv, ev) -> float:
     return eng.integrate(np.abs(fv) ** 2 * ev**2).real
 
 
@@ -211,8 +261,8 @@ def regularized_bound(f: Eigenform, eps: float = REG_EPS) -> dict:
         / zeta2
     )
     eng = _engine(k)
-    e_star_half = completed_eisenstein_f64(eng.x, eng.y, 0.5)
-    e_plain = completed_eisenstein_f64(eng.x, eng.y, 1.0 + eps) / lam_norm
+    e_star_half = eng.estar(0.5)
+    e_plain = eng.estar(1.0 + eps) / lam_norm
     c_fit = float(np.max(e_star_half**2 / e_plain))
     return {
         "eps": eps,
@@ -227,13 +277,17 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
 
     Reference form f: smallest T_2 eigenvalue (construction order).  Norms
     <g,g> come from the theta route; the Bessel ceiling from quadrature.
-    Every link of the chain in the module docstring is reported.
+    Every link of the chain in the module docstring is reported.  f, each
+    g and E*(., 1/2) are evaluated on the nodes once.
     """
     if forms is None:
         forms = hecke_eigenforms(k)
     if not forms:
         raise ValueError("no cusp forms at weight %d" % k)
     f = forms[0]
+    eng = _engine(k)
+    fv = eval_cusp_form_f64(f, eng.x, eng.y)
+    e_half = eng.estar(0.5)
     rescale = _gamma_k_over_gamma_half(k)
     s_k = 0.0
     bessel_sum = 0.0
@@ -245,9 +299,8 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
         norm_g = RankinSelbergPair(g).norm_theta()
         s_k += l_afe**2
         bessel_sum += lam_star**2 / norm_g
-        quad = inner_product(
-            f, g, multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.5)
-        ).real
+        gv = fv if g is f else eval_cusp_form_f64(g, eng.x, eng.y)
+        quad = _pairing(eng, fv, gv, e_half).real
         central.append(
             {
                 "g_index": g.index,
@@ -256,7 +309,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
                 "norm_g": norm_g,
             }
         )
-    ceiling = norm_f_estar(f, 0.5)
+    ceiling = _norm_f_estar_on(eng, fv, e_half)
     reg = regularized_bound(f, eps=eps)
     backbone_tail = RankinSelbergPair(f).completed_l_normalized(1.0 + eps).real
     return {

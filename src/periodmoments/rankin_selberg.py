@@ -132,8 +132,8 @@ class RankinSelbergPair:
         self.g = g
         self.k = f.weight
         n_max = min(f.horizon, g.horizon)
-        lf = np.array([float(v) for v in f.lam[: n_max + 1]])
-        lg = np.array([float(v) for v in g.lam[: n_max + 1]])
+        lf = f.lam_f64[: n_max + 1]
+        lg = g.lam_f64[: n_max + 1]
         self._pair_coeff = lf * lg  # lam_f(m) lam_g(m), index m
         self._c_cache = {}
 

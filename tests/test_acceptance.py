@@ -26,6 +26,7 @@ CLI's own checks keep.
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 import time
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import periodmoments
 from periodmoments import cli, spectral
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64, residue_at_one
 from periodmoments.epstein import gln_completed_eisenstein_f64
@@ -358,6 +360,10 @@ DETERMINISM_RUNS = [
 
 
 def test_cli_determinism(tmp_path):
+    # the children import the package from where this process found it
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(periodmoments.__file__)))
+    path = [pkg_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for i, argv in enumerate(DETERMINISM_RUNS):
         outs = []
         for run_idx in (0, 1):
@@ -365,7 +371,7 @@ def test_cli_determinism(tmp_path):
             cmd = [sys.executable, "-m", "periodmoments.cli"] + argv + [
                 "--seed", "0", "--output", str(csv_p),
                 "--summary", str(tmp_path / ("%d_%d.json" % (i, run_idx)))]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode in (0, 1), (argv, proc.stderr)
             outs.append(csv_p.read_bytes())
         assert outs[0] == outs[1], "CSV bytes differ for %s" % argv[0]

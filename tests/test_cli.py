@@ -97,6 +97,23 @@ def test_empty_weight_range_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_unfold_check_empty_weight_exits_2(tmp_path):
+    # dim S_14 = 0: no pair to check is a configuration error, not a PASS
+    rc = run(["unfold-check", "--k", "14",
+              "--output", str(tmp_path / "u.csv"),
+              "--summary", str(tmp_path / "u.json")])
+    assert rc == 2
+    assert not (tmp_path / "u.csv").exists()
+
+
+def test_norm_crosscheck_empty_weight_exits_2(tmp_path):
+    rc = run(["norm-crosscheck", "--k", "13",
+              "--output", str(tmp_path / "n.csv"),
+              "--summary", str(tmp_path / "n.json")])
+    assert rc == 2
+    assert not (tmp_path / "n.csv").exists()
+
+
 def test_failing_check_exits_1(tmp_path):
     # the n=2 central-point scan carries a log(det) factor the eps=0.05
     # power cannot absorb below det ~ e^20, so the slope check fails

@@ -8,12 +8,14 @@ Oracles:
     x^2 - 1080 x - 20468736, eigenvalues 540 +- 12 sqrt(144169).
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from periodmoments import modforms
 from periodmoments.modforms import (
     DEFAULT_WEIGHTS,
     charpoly,
@@ -21,6 +23,7 @@ from periodmoments.modforms import (
     delta_qexp,
     e4_qexp,
     e6_qexp,
+    eigenform_horizon,
     eval_cusp_form_f64,
     hecke_eigenforms,
     hecke_matrix,
@@ -61,16 +64,57 @@ def test_sigma_series_heads():
     assert e6_qexp(3) == [1, -504, -16632, -122976]
 
 
+def schoolbook(a, b, n_terms):
+    want = [0] * (n_terms + 1)
+    for i, x in enumerate(a[: n_terms + 1]):
+        for j, y in enumerate(b[: n_terms + 1 - i]):
+            want[i + j] += x * y
+    return want
+
+
 def test_poly_mul_trunc_signed():
     a = [3, -2, 0, 7]
     b = [-1, 5, 4]
-    # direct convolution
-    want = [0] * 4
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < 4:
-                want[i + j] += x * y
-    assert poly_mul_trunc(a, b, 3) == want
+    assert poly_mul_trunc(a, b, 3) == schoolbook(a, b, 3)
+
+
+def test_poly_mul_trunc_matches_schoolbook():
+    # seeded signed inputs: zeros, inputs shorter than n_terms + 1, and
+    # coefficients at 2^(8m) - 1 and 2^(8m) for the byte slot width m the
+    # inputs without them would get
+    rng = random.Random(20090101)
+    for trial in range(200):
+        n_terms = rng.randint(0, 24)
+        la, lb = rng.randint(0, n_terms + 4), rng.randint(0, n_terms + 4)
+        bits = rng.choice((1, 7, 8, 31, 64, 200))
+        a = [rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(la)]
+        b = [rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(lb)]
+        assert poly_mul_trunc(a, b, n_terms) == schoolbook(a, b, n_terms)
+        assert poly_mul_trunc(a, a, n_terms) == schoolbook(a, a, n_terms)
+        if a and b:
+            bound = max(map(abs, a)) * max(map(abs, b)) * (n_terms + 1) + 1
+            m = modforms._slot_bytes(bound)
+            for i, c in enumerate((2 ** (8 * m) - 1, 2 ** (8 * m), -(2 ** (8 * m)))):
+                a2 = list(a)
+                a2[rng.randrange(len(a2))] = c
+                b2 = list(b)
+                b2[rng.randrange(len(b2))] = -c if i else c
+                assert poly_mul_trunc(a2, b2, n_terms) == schoolbook(a2, b2, n_terms)
+    for n_terms in (0, 1, 5):
+        assert poly_mul_trunc([], [1, 2], n_terms) == [0] * (n_terms + 1)
+        assert poly_mul_trunc([0, 0], [5, -7, 9], n_terms) == [0] * (n_terms + 1)
+
+
+def test_poly_mul_trunc_full_slot():
+    # a = b = [c]*n makes coefficient n-1 of the product n c^2, the bound
+    # the slot width is sized from; c at byte boundaries fills the slots
+    for c in (1, 255, 256, 2**16 - 1, 2**16, 2**64 - 1, 2**64):
+        for n_terms in (0, 3, 15, 16):
+            a = [c] * (n_terms + 1)
+            neg = [-c] * (n_terms + 1)
+            assert poly_mul_trunc(a, a, n_terms)[-1] == (n_terms + 1) * c * c
+            assert poly_mul_trunc(a, neg, n_terms) == schoolbook(a, neg, n_terms)
+            assert poly_mul_trunc(neg, neg, n_terms) == schoolbook(neg, neg, n_terms)
 
 
 def test_delta_matches_eta_product():
@@ -176,6 +220,19 @@ def test_eval_automorphy():
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def test_eval_blocks_match_one_pass(monkeypatch):
+    # blocks over points must not change any value, shape or broadcast
+    f = hecke_eigenforms(24, horizon=400)[1]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, (3, 2 * modforms.EVAL_BLOCK + 17))
+    y = rng.uniform(0.9, 6.0, (1, x.shape[1]))
+    blocked = eval_cusp_form_f64(f, x, y)
+    monkeypatch.setattr(modforms, "EVAL_BLOCK", x.size)
+    one_pass = eval_cusp_form_f64(f, x, y)
+    assert blocked.shape == x.shape
+    assert np.array_equal(blocked, one_pass)
+
+
 def test_eval_periodicity_and_domain():
     f = hecke_eigenforms(12, horizon=400)[0]
     a = eval_cusp_form_f64(f, np.array([0.2]), np.array([1.1]))[0]
@@ -186,6 +243,57 @@ def test_eval_periodicity_and_domain():
     with pytest.raises(ValueError):
         # horizon 400 cannot reach y ~ 1e-3
         eval_cusp_form_f64(f, np.array([0.0]), np.array([1e-3]))
+
+
+def test_miller_products_match_schoolbook():
+    n = 60
+    e4, e6 = e4_qexp(n), e6_qexp(n)
+    modforms._MILLER_PRODUCTS.clear()
+    for a, b in [(0, 0), (3, 0), (0, 2), (2, 3)]:
+        want = delta_qexp(n)
+        for factor, e in ((e4, a), (e6, b)):
+            for _ in range(e):
+                want = schoolbook(want, factor, n)
+        assert modforms._MILLER_PRODUCTS.get(a, b, n) == want
+
+
+def test_miller_basis_independent_of_request_order():
+    # the shared product table holds one horizon; smaller ones slice it
+    requests = [(36, 40), (24, 90), (40, 150), (28, 150), (36, 220)]
+    cold = {}
+    for k, n in requests:
+        modforms._MILLER_PRODUCTS.clear()
+        cold[k, n] = miller_basis(k, n)
+    for order in (requests, requests[::-1], sorted(requests, key=lambda r: r[1])):
+        modforms._MILLER_PRODUCTS.clear()
+        for k, n in order:
+            assert miller_basis(k, n) == cold[k, n], (order, k, n)
+
+
+def test_miller_products_built_once_largest_first(monkeypatch):
+    # count guard, no timing: every default weight at its eigenform
+    # horizon, largest first, from a cold table
+    calls = []
+    real = modforms.poly_mul_trunc
+
+    def counted(a, b, n_terms):
+        calls.append(n_terms)
+        return real(a, b, n_terms)
+
+    monkeypatch.setattr(modforms, "poly_mul_trunc", counted)
+    modforms._MILLER_PRODUCTS.clear()
+    for k in sorted(DEFAULT_WEIGHTS, reverse=True):
+        assert len(miller_basis(k, eigenform_horizon(k))) == cusp_dim(k)
+    assert len(calls) <= 30
+    assert set(calls) == {eigenform_horizon(max(DEFAULT_WEIGHTS))}
+
+
+def test_lam_f64_is_float_of_lam():
+    f = hecke_eigenforms(24, horizon=60)[1]
+    lam = f.lam_f64
+    assert lam is f.lam_f64  # converted once
+    assert lam.dtype == np.float64 and not lam.flags.writeable
+    assert lam.tolist() == [float(v) for v in f.lam]
 
 
 def test_miller_basis_guards():

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from periodmoments import moment
+from periodmoments.eisenstein_gl2 import completed_eisenstein_f64
 from periodmoments.modforms import hecke_eigenforms
 from periodmoments.moment import (
     PeterssonEngine,
@@ -21,6 +23,7 @@ from periodmoments.moment import (
     regularized_bound,
     unfold_check,
 )
+from periodmoments.precision import RangeError
 from periodmoments.rankin_selberg import RankinSelbergPair
 
 # Central value L(f x f, 1/2) at k=12, verified through two independent
@@ -144,3 +147,40 @@ def test_sweep_slope_bookkeeping(delta):
 def test_weight_mismatch_rejected(delta, forms24):
     with pytest.raises(ValueError):
         inner_product(delta, forms24[0])
+
+
+def test_engine_weight_overflow_guard():
+    # y^(k-2) at Ymax = (k+40)/2pi leaves float64 near k ~ 190
+    with pytest.raises(RangeError):
+        PeterssonEngine(200)
+    eng = PeterssonEngine(150)
+    assert np.all(np.isfinite(eng.w)) and np.all(eng.w >= 0)
+
+
+def test_estar_memo_matches_direct_evaluation(delta):
+    eng = PeterssonEngine(12)
+    ev = eng.estar(0.5)
+    assert eng.estar(0.5) is ev
+    assert not ev.flags.writeable
+    assert np.array_equal(ev, completed_eisenstein_f64(eng.x, eng.y, 0.5))
+    assert np.array_equal(eng.estar(1.1), completed_eisenstein_f64(eng.x, eng.y, 1.1))
+    # k <= 22 share Ymax = 10, so their nodes and E* memo; k = 24 does not
+    assert PeterssonEngine(22).estar(0.5) is ev
+    assert PeterssonEngine(24).y.max() > eng.y.max()
+
+
+def test_moment_row_reuse_is_bit_identical(forms24):
+    # moment_row evaluates f, g and E*(., 1/2) once on the nodes; every
+    # sum must equal the one the per-call route gives
+    row = moment_row(24, forms=forms24)
+    f = forms24[0]
+    for g, cv in zip(forms24, row["central_values"]):
+        quad = inner_product(
+            f, g, multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.5)
+        ).real
+        assert cv["L_period"] == quad * moment._gamma_k_over_gamma_half(24)
+    assert row["norm_fE"] == norm_f_estar(f, 0.5)
+    d = unfold_check(f, forms24[1], 0.75)
+    assert d["quadrature"] == inner_product(
+        f, forms24[1], multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.75)
+    ).real
