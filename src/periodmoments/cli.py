@@ -395,7 +395,11 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    prec = default_precision()
+    try:
+        prec = default_precision()
+    except ValueError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
     import mpmath as mp
 
     mp.mp.dps = prec.working_digits
@@ -403,7 +407,11 @@ def main(argv=None):
 
     # --config supplies defaults; explicit flags still win
     if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            print("config error: --config needs a file path", file=sys.stderr)
+            return 2
+        cfg_path = argv[at]
         try:
             with open(cfg_path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)

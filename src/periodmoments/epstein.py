@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaln
 
 from .precision import PoleError, working_dps
 from .special import gamma_r, upper_gamma_f64, upper_incomplete_gamma
@@ -114,14 +114,50 @@ def dual_y(y):
 # lattice enumeration
 # ----------------------------------------------------------------------
 
+def _box_limits(Minv_diag, bound):
+    # a_i^2 <= bound * (M^-1)_ii holds for every a with Q(a) <= bound
+    return [int(math.floor(math.sqrt(bound * max(v, 0.0)))) for v in Minv_diag]
+
+
 def _lattice_points_f64(Minv_diag, bound):
-    # integer a != 0 with a_i^2 <= bound * (M^-1)_ii; returns int array
-    lims = [int(math.floor(math.sqrt(bound * max(v, 0.0)))) for v in Minv_diag]
-    ranges = [np.arange(-L, L + 1) for L in lims]
+    # integer a != 0 in the box of _box_limits; returns int array
+    ranges = [np.arange(-L, L + 1) for L in _box_limits(Minv_diag, bound)]
     grids = np.meshgrid(*ranges, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     keep = np.any(pts != 0, axis=1)
     return pts[keep]
+
+
+def _half_box_forms(M, lims):
+    """Q(a) = a^T M a over the lex-positive a in the box |a_i| <= lims[i].
+
+    In the box's lexicographic order -a sits at the index mirrored about
+    the center, so the lex-positive points are exactly the second half of
+    the box: the slab a_1 > 0 and the second half of the slab a_1 = 0.
+    Axes with lims[i] = 0 hold a_i = 0 only and are dropped first; that
+    leaves the lexicographic order unchanged.  Q is built by broadcasting
+    over the box axes, innermost first:
+    Q = a_i (M_ii a_i + 2 sum_{j>i} M_ij a_j) + Q(a_{i+1}, ..., a_n).
+    """
+    live = [i for i, L in enumerate(lims) if L > 0]
+    if not live:
+        return np.zeros(0)
+    M = M[np.ix_(live, live)]
+    n = len(live)
+    ranges = [np.arange(-lims[i], lims[i] + 1.0) for i in live]
+    ranges[0] = ranges[0][lims[live[0]]:]
+    # axis i as shape (len, 1, ..., 1) over the trailing axes i+1..n-1
+    axes = [r.reshape((-1,) + (1,) * (n - 1 - i)) for i, r in enumerate(ranges)]
+    Q = M[n - 1, n - 1] * axes[n - 1] ** 2
+    for i in range(n - 2, -1, -1):
+        lin = sum(M[i, j] * axes[j] for j in range(i + 1, n))
+        # in place: outer is the only temporary of the box's size
+        outer = M[i, i] * axes[i] + 2.0 * lin
+        outer *= axes[i]
+        outer += Q
+        Q = outer
+    slab = Q.size // len(ranges[0])
+    return Q.ravel()[(slab + 1) // 2:]
 
 
 def _theta_sum_mp(M_rows, pts, rho, t0, budget):
@@ -197,12 +233,6 @@ def epstein_z(M, rho, split=None):
     return xi / (mp.pi ** (-rho) * mp.gamma(rho))
 
 
-def _upper_gamma_f64_any(a, x):
-    if a > 0:
-        return gammaincc(a, x) * math.exp(gammaln(a))
-    return upper_gamma_f64(a, x)
-
-
 def epstein_xi_f64(M, rho, split=None):
     """Double-precision xi(M, rho) for real rho off the poles."""
     M = np.asarray(M, dtype=float)
@@ -218,12 +248,13 @@ def epstein_xi_f64(M, rho, split=None):
     budget = 42.0
 
     def half_sum(mat, mat_inv_diag, r, tt):
-        pts = _lattice_points_f64(mat_inv_diag, budget / (math.pi * tt)).astype(float)
-        Q = np.einsum("ij,jk,ik->i", pts, mat, pts)
-        xv = math.pi * Q * tt
+        # Q(a) = Q(-a): the lex-positive half of the lattice carries 1/2 the sum
+        Q = _half_box_forms(mat, _box_limits(mat_inv_diag, budget / (math.pi * tt)))
+        xv = math.pi * Q
+        xv *= tt
         keep = xv <= budget
         Q, xv = Q[keep], xv[keep]
-        return 0.5 * float(np.sum((math.pi * Q) ** (-r) * _upper_gamma_f64_any(r, xv)))
+        return float(np.sum((math.pi * Q) ** (-r) * upper_gamma_f64(r, xv)))
 
     s1 = half_sum(M, np.diag(Minv), rho, t0)
     s2 = half_sum(Minv, np.diag(M), n / 2 - rho, 1.0 / t0)

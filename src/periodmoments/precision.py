@@ -81,7 +81,10 @@ def default_precision() -> Precision:
     digits = DEFAULT_WORKING_DIGITS
     raw = os.environ.get(ENV_PRECISION)
     if raw:
-        digits = max(15, int(raw))
+        try:
+            digits = max(15, int(raw))
+        except ValueError:
+            raise ValueError("%s must be an integer, got %r" % (ENV_PRECISION, raw)) from None
     # Keep the invariant: tolerances track the digit budget at half depth.
     tol = 10.0 ** (-(digits // 2))
     return Precision(working_digits=digits, target_abs_tol=tol, target_rel_tol=tol)

@@ -44,6 +44,7 @@ a two-sided ratio (ball mass vs the product proxy
 prod (1 + |nu_j+...+nu_k|), conductor proxy = that product squared).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,6 +190,12 @@ def _proxy(params: SpectralParams) -> float:
     return out
 
 
+@functools.cache
+def _ball_rule_1d():
+    """Gauss-Legendre nodes and weights for the n=2 ball, built on first use."""
+    return np.polynomial.legendre.leggauss(BALL_GRID_1D)
+
+
 def _density_grid_n3(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return _g_tanh_arr(3 * t1) * _g_tanh_arr(3 * t2) * _g_tanh_arr(3 * (t1 + t2))
 
@@ -216,7 +223,7 @@ def plancherel_ball(
     if params.n == 2:
         a = center[0]
         if scheme == "quadrature":
-            gn, gw = np.polynomial.legendre.leggauss(BALL_GRID_1D)
+            gn, gw = _ball_rule_1d()
             t = a + radius * gn
             integral = float(np.sum(gw * _g_tanh_arr(2 * t)) * radius)
         elif scheme == "mc":
@@ -234,7 +241,9 @@ def plancherel_ball(
             step = 2 * radius / m
             g1 = a1 - radius + (np.arange(m) + 0.5) * step
             g2 = a2 - radius + (np.arange(m) + 0.5) * step
-            T1, T2 = np.meshgrid(g1, g2, indexing="ij")
+            # open grids: each G factor is evaluated on its own axis and
+            # broadcast, in the same product order as on the full mesh
+            T1, T2 = np.meshgrid(g1, g2, indexing="ij", sparse=True)
             inside = (T1 - a1) ** 2 + (T2 - a2) ** 2 <= radius**2
             vals = _density_grid_n3(T1, T2) * inside
             integral = float(np.sum(vals) * step * step)
@@ -276,36 +285,54 @@ def _check_y_range(ys):
             raise RangeError("y outside [%g, %g]" % (Y_MIN, Y_MAX))
 
 
+# The Mellin-Barnes nodes u and the Hankel factor H_ij = 1/Gamma_R(u_i + u_j)
+# do not depend on alpha: built once per process, on first use.
 _MB_CACHE = {}
 
 
+def _mb_nodes():
+    """Node vector u and Hankel matrix H_ij = exp(-log Gamma_R(u_i + u_j))."""
+    if not _MB_CACHE:
+        t = np.arange(-MB_T, MB_T + MB_H / 2, MB_H)
+        tsum = np.arange(-2 * MB_T, 2 * MB_T + MB_H / 2, MB_H)
+        lgh = special.log_gamma_r_f64(1 + 1j * tsum)
+        idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
+        _MB_CACHE["u"] = 0.5 + 1j * t
+        _MB_CACHE["hankel"] = np.exp(-lgh[idx])
+    return _MB_CACHE["u"], _MB_CACHE["hankel"]
+
+
 def _mb_kernel(alpha):
-    """Mellin-Barnes node vector u and kernel matrix C for given alpha."""
-    key = tuple(round(a.imag, 12) for a in alpha)
-    if key in _MB_CACHE:
-        return _MB_CACHE[key]
-    t = np.arange(-MB_T, MB_T + MB_H / 2, MB_H)
-    u = 0.5 + 1j * t
+    """Mellin-Barnes node vector u and kernel matrix C for given alpha.
+
+    C_ij = exp(a_i) H_ij exp(b_j) with a_i = sum_k log Gamma_R(u_i - alpha_k)
+    and b_j = sum_k log Gamma_R(u_j + alpha_k); only a and b depend on alpha.
+    """
+    u, hankel = _mb_nodes()
     a = np.zeros_like(u)
     b = np.zeros_like(u)
     for al in alpha:
         a = a + special.log_gamma_r_f64(u - al)
         b = b + special.log_gamma_r_f64(u + al)
-    tsum = np.arange(-2 * MB_T, 2 * MB_T + MB_H / 2, MB_H)
-    lgh = special.log_gamma_r_f64(1 + 1j * tsum)
-    idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
-    kernel = np.exp(a[:, None] + b[None, :] - lgh[idx])
-    _MB_CACHE[key] = (u, kernel)
-    return u, kernel
+    return u, np.exp(a)[:, None] * hankel * np.exp(b)[None, :]
+
+
+def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
+    """e1 = y1^(-u) as (len(y1), len(u)) and e2 = y2^(-u) as (len(u), len(y2))."""
+    u, _ = _mb_nodes()
+    e1 = np.exp(-np.log(y1)[:, None] * u[None, :])
+    e2 = np.exp(-np.log(y2)[None, :] * u[:, None])
+    return e1, e2
 
 
 def _whittaker3_completed_grid(
-    params: SpectralParams, y1: np.ndarray, y2: np.ndarray
+    params: SpectralParams, y1: np.ndarray, y2: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> np.ndarray:
-    """W*_nu on the product grid y1 x y2, shape (len(y1), len(y2))."""
-    u, kernel = _mb_kernel(params.alpha)
-    e1 = np.exp(-np.log(y1)[:, None] * u[None, :])
-    e2 = np.exp(-np.log(y2)[None, :] * u[:, None])
+    """W*_nu on the product grid y1 x y2, shape (len(y1), len(y2)).
+
+    e1, e2 are _mb_exponentials(y1, y2), which callers share across nu.
+    """
+    _, kernel = _mb_kernel(params.alpha)
     w = e1 @ kernel @ e2
     pref = 2.0**-1.5 * MB_H**2 / (4 * math.pi**2)
     return pref * np.outer(y1, y2) * w
@@ -344,9 +371,8 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
                 out = out / special.gamma_r(1 + 2 * params.nu[0])
             return out
     if params.n == 3:
-        w = _whittaker3_completed_grid(
-            params, np.array([ys[0]]), np.array([ys[1]])
-        )[0, 0]
+        y1, y2 = np.array([ys[0]]), np.array([ys[1]])
+        w = _whittaker3_completed_grid(params, y1, y2, *_mb_exponentials(y1, y2))[0, 0]
         if normalization == "normalized":
             w = complex(w) / complex(_gamma_normalizer(params))
         return complex(w)
@@ -384,14 +410,26 @@ def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
     return float(np.sum(vals) * STADE2_H)
 
 
+# s -> (l1, l2, y1, y2, e1, e2): the n=3 Stade grid depends only on s, so
+# every (nu, mu) pair at that s shares its Mellin-Barnes exponentials
+_STADE3_GRIDS = {}
+
+
+def _stade3_grid(s: float):
+    if s not in _STADE3_GRIDS:
+        l1_lo = -max(20.0, 20.0 / s)
+        l2_lo = -max(20.0, 40.0 / s)
+        l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
+        l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
+        y1, y2 = np.exp(l1), np.exp(l2)
+        _STADE3_GRIDS[s] = (l1, l2, y1, y2) + _mb_exponentials(y1, y2)
+    return _STADE3_GRIDS[s]
+
+
 def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
-    l1_lo = -max(20.0, 20.0 / s)
-    l2_lo = -max(20.0, 40.0 / s)
-    l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-    l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-    y1, y2 = np.exp(l1), np.exp(l2)
-    wn = _whittaker3_completed_grid(nu, y1, y2)
-    wm = _whittaker3_completed_grid(mu, y1, y2)
+    l1, l2, y1, y2, e1, e2 = _stade3_grid(s)
+    wn = _whittaker3_completed_grid(nu, y1, y2, e1, e2)
+    wm = _whittaker3_completed_grid(mu, y1, y2, e1, e2)
     w1 = np.exp((2 * s - 2) * l1)
     w2 = np.exp((s - 2) * l2)
     return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * STADE3_H**2)

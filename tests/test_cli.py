@@ -150,3 +150,18 @@ def test_residue_csv_has_hp_string(tmp_path):
     hp = lines[1].split(",")[3]
     assert len(hp.replace("-", "").replace(".", "").split("e")[0]) >= 20
     assert float(hp) == pytest.approx(0.9549296585513720146, rel=1e-12)
+
+
+def test_config_without_path_exits_2(capsys):
+    assert run(["epstein-fe", "--config"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_integer_precision_exits_2(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("PERIOD_MOMENTS_PRECISION", "forty")
+    rc = run(["epstein-fe", "--n", "2", "--samples", "1",
+              "--output", str(tmp_path / "e.csv"),
+              "--summary", str(tmp_path / "e.json")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()

@@ -18,6 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from periodmoments.eisenstein_gl2 import completed_eisenstein
 from periodmoments.epstein import (
+    _box_limits,
     det_from_y,
     dual_y,
     epstein_xi,
@@ -30,7 +31,7 @@ from periodmoments.epstein import (
     z_from_y,
 )
 from periodmoments.precision import PoleError, working_dps
-from periodmoments.special import dirichlet_beta, zeta
+from periodmoments.special import dirichlet_beta, upper_gamma_f64, zeta
 
 
 def test_square_lattice_counts():
@@ -77,6 +78,61 @@ def test_functional_equation_f64_n3_n4():
         lhs = epstein_xi_f64(M, rho, split=1.0)
         rhs = epstein_xi_f64(Minv, n / 2 - rho) / math.sqrt(np.linalg.det(M))
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+def _xi_f64_full_box(M, rho, split=None):
+    # reference: the whole box enumerated as points, Q by einsum, and half
+    # the sum over a != 0 (the form epstein_xi_f64 had before its sum moved
+    # to the lex-positive half lattice)
+    n = M.shape[0]
+    det = float(np.linalg.det(M))
+    Minv = np.linalg.inv(M)
+    t0 = det ** (-1.0 / n) if split is None else float(split)
+    budget = 42.0
+
+    def half_sum(mat, mat_inv_diag, r, tt):
+        bound = budget / (math.pi * tt)
+        lims = [int(math.floor(math.sqrt(bound * max(v, 0.0)))) for v in mat_inv_diag]
+        grids = np.meshgrid(*[np.arange(-L, L + 1) for L in lims], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        pts = pts[np.any(pts != 0, axis=1)].astype(float)
+        Q = np.einsum("ij,jk,ik->i", pts, mat, pts)
+        xv = math.pi * Q * tt
+        keep = xv <= budget
+        Q, xv = Q[keep], xv[keep]
+        return 0.5 * float(np.sum((math.pi * Q) ** (-r) * upper_gamma_f64(r, xv)))
+
+    s1 = half_sum(M, np.diag(Minv), rho, t0)
+    s2 = half_sum(Minv, np.diag(M), n / 2 - rho, 1.0 / t0)
+    polar = 0.5 * (det**-0.5 * t0 ** (rho - n / 2) / (rho - n / 2) - t0**rho / rho)
+    return s1 + det**-0.5 * s2 + polar
+
+
+def test_half_lattice_sum_matches_full_box():
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (2, 3, 4):
+        A = rng.normal(size=(n, n))
+        cases.append((A @ A.T + 0.25 * np.eye(n), (None, 1.0)))
+    # skewed Siegel-set forms as lemma1 draws them; split = 1 would need
+    # boxes of 1e6..1e9 points here, so the off-balance split is 2 t0
+    for y in ([20.0], [30.0, 2.0], [8.0, 40.0, 1.5]):
+        n = len(y) + 1
+        x = np.eye(n)
+        x[np.triu_indices(n, k=1)] = rng.uniform(0.0, 1.0, n * (n - 1) // 2)
+        z = z_from_y(y, x=x)
+        M = z @ z.T
+        t0 = np.linalg.det(M) ** (-1.0 / n)
+        # these boxes have axes of width 0
+        assert 0 in _box_limits(np.diag(np.linalg.inv(M)), 42.0 / (math.pi * t0))
+        cases.append((M, (None, 2.0 * t0)))
+    for M, splits in cases:
+        n = M.shape[0]
+        for split in splits:
+            for rho in (0.4, n / 4, n / 2 - 0.3):
+                got = epstein_xi_f64(M, rho, split=split)
+                want = _xi_f64_full_box(M, rho, split=split)
+                assert abs(got - want) <= 1e-13 * abs(want), (n, split, rho)
 
 
 def test_split_independence():

@@ -115,6 +115,39 @@ def test_plancherel_ball_absolute_normalization():
     assert abs(b3["integral"] - ref3) <= 1e-3 * ref3
 
 
+def test_ball_density_n3_open_grid_is_bit_identical():
+    # the quadrature evaluates G(3 t1) and G(3 t2) on their axes and only
+    # G(3 (t1 + t2)) on the grid; the full mesh is the reference
+    a1, a2, radius = 0.3, -0.7, 1.0
+    m = sp.BALL_GRID_2D
+    step = 2 * radius / m
+    g1 = a1 - radius + (np.arange(m) + 0.5) * step
+    g2 = a2 - radius + (np.arange(m) + 0.5) * step
+    T1, T2 = np.meshgrid(g1, g2, indexing="ij")
+    full = sp._density_grid_n3(T1, T2)
+    assert np.array_equal(
+        sp._density_grid_n3(*np.meshgrid(g1, g2, indexing="ij", sparse=True)), full)
+    inside = (T1 - a1) ** 2 + (T2 - a2) ** 2 <= radius**2
+    want = float(np.sum(full * inside) * step * step)
+    got = sp.plancherel_ball(sp.spectral_params(3, [1j * a1, 1j * a2]), radius=radius)
+    assert got["integral"] == want
+
+
+def test_ball_rule_built_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    sp._ball_rule_1d.cache_clear()
+    for t in (0.0, 0.5, -1.7, 3.0):
+        sp.plancherel_ball(sp.spectral_params(2, [1j * t]), radius=1.0)
+    assert calls == [sp.BALL_GRID_1D]
+
+
 def test_plancherel_ball_validation():
     p = sp.spectral_params(2, [1j])
     with pytest.raises(RangeError):
@@ -215,12 +248,42 @@ def test_whittaker_decay_doubling():
         assert dbl <= 0.05 * base
 
 
-def test_mb_kernel_cache_reuse():
-    p = sp.spectral_params(3, [0.21j, 0.37j])
-    sp.whittaker(p, [1.0, 1.0])
-    n_entries = len(sp._MB_CACHE)
-    sp.whittaker(p, [0.5, 2.0])
-    assert len(sp._MB_CACHE) == n_entries
+def test_mb_kernel_factored_matches_direct():
+    # C = exp(a)[:, None] * H * exp(b)[None, :] against the one-exponential
+    # form exp(a_i + b_j - log Gamma_R(u_i + u_j)) built here from scratch
+    t = np.arange(-sp.MB_T, sp.MB_T + sp.MB_H / 2, sp.MB_H)
+    u = 0.5 + 1j * t
+    tsum = np.arange(-2 * sp.MB_T, 2 * sp.MB_T + sp.MB_H / 2, sp.MB_H)
+    lgh = sp.special.log_gamma_r_f64(1 + 1j * tsum)
+    idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
+    for nu in ([0j, 0j], [0.21j, 0.37j], [-0.9j, 0.4j], [1.0j, -1.0j]):
+        alpha = sp.spectral_params(3, nu).alpha
+        a = sum(sp.special.log_gamma_r_f64(u - al) for al in alpha)
+        b = sum(sp.special.log_gamma_r_f64(u + al) for al in alpha)
+        direct = np.exp(a[:, None] + b[None, :] - lgh[idx])
+        got_u, kernel = sp._mb_kernel(alpha)
+        assert np.array_equal(got_u, u)
+        assert np.max(np.abs(kernel - direct) / np.abs(direct)) <= 1e-13
+
+
+def test_mb_caches_keyed_by_what_they_depend_on(monkeypatch):
+    # the alpha-independent Mellin-Barnes data is held once, never per
+    # alpha, and the n=3 Stade exponentials once per s
+    monkeypatch.setattr(sp, "_MB_CACHE", {})
+    monkeypatch.setattr(sp, "_STADE3_GRIDS", {})
+    rng = np.random.default_rng(4)
+    s_values = (1.0, 1.5)
+    for i in range(20):
+        nu = sp.spectral_params(3, 1j * rng.uniform(-1, 1, 2))
+        mu = sp.spectral_params(3, 1j * rng.uniform(-1, 1, 2))
+        r = sp.stade_check(nu, mu, s_values[i % 2])
+        assert r["rel_err"] <= 1e-4
+    assert sorted(sp._MB_CACHE) == ["hankel", "u"]
+    assert sorted(sp._STADE3_GRIDS) == list(s_values)
+    # whittaker's 1x1 path shares the nodes and adds no entry
+    sp.whittaker(sp.spectral_params(3, [0.21j, 0.37j]), [0.5, 2.0])
+    assert sorted(sp._MB_CACHE) == ["hankel", "u"]
+    assert sorted(sp._STADE3_GRIDS) == list(s_values)
 
 
 def test_stade_n2_random_pairs():
