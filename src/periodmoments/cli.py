@@ -7,7 +7,8 @@ Determinism: all sampling goes through numpy's default_rng seeded from
 --seed; identical parameters and seed reproduce the CSV byte for byte
 (wall-clock time is reported only in the JSON).  PERIOD_MOMENTS_PRECISION
 overrides the default working digits; --config FILE.json supplies
-defaults that explicit flags override.
+values that pass through the same parser as the flags (unknown keys and
+invalid values exit 2), and explicit flags override them.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from . import report, spectral
-from .eisenstein_gl2 import completed_eisenstein_f64, residue_at_one
+from .eisenstein_gl2 import residue_at_one
 from .epstein import (
     det_from_y,
     dual_y,
@@ -30,7 +31,7 @@ from .epstein import (
 )
 from .modforms import cusp_dim, hecke_eigenforms
 from .moment import moment_sweep, norm_quadrature, unfold_check
-from .precision import PoleError, RangeError, default_precision, working_dps
+from .precision import PoleError, RangeError, working_digits, working_dps
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
 
@@ -247,6 +248,8 @@ def run_epstein_fe(args, rng):
 
 def run_lemma1(args, rng):
     n = args.n
+    if args.samples < 2:
+        raise RangeError("lemma1 fits a slope and needs at least 2 samples")
     header = (["n"] + ["y%d" % (i + 1) for i in range(n - 1)]
               + ["det_z", "det_ztilde", "E_star", "E_star_str", "ratio"])
     rows = []
@@ -332,6 +335,14 @@ EXPERIMENTS = {
 # argument plumbing
 
 
+def positive_int(text):
+    """argparse type of the sample and center counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("--output", default=None, help="CSV path (default <experiment>.csv)")
@@ -343,6 +354,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="periodmoments",
         description="numerical experiments for period integrals and Rankin-Selberg moments",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     subparsers = {}
@@ -360,24 +372,24 @@ def build_parser():
 
     p = sub.add_parser("stade", help="Stade formula residuals")
     p.add_argument("--n", type=int, choices=(2, 3), default=2)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=positive_int, default=20)
     p.add_argument("--s", type=float, nargs="+", default=None)
     subparsers["stade"] = p
 
     p = sub.add_parser("plancherel", help="spectral ball mass vs product proxy")
     p.add_argument("--n", type=int, choices=(2, 3), default=2)
-    p.add_argument("--centers", type=int, default=20)
+    p.add_argument("--centers", type=positive_int, default=20)
     p.add_argument("--radius", type=float, default=1.0)
     subparsers["plancherel"] = p
 
     p = sub.add_parser("epstein-fe", help="Epstein zeta functional equation residuals")
     p.add_argument("--n", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=positive_int, default=10)
     subparsers["epstein-fe"] = p
 
     p = sub.add_parser("lemma1", help="completed Eisenstein central-value bound on the Siegel set")
     p.add_argument("--n", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive_int, default=200)
     p.add_argument("--eps", type=float, default=0.05)
     subparsers["lemma1"] = p
 
@@ -390,41 +402,49 @@ def build_parser():
 
     for p in subparsers.values():
         _add_common(p)
+        # argument errors reach main(), which reports them as config errors
+        p.exit_on_error = False
     return parser, subparsers
+
+
+def _config_tokens(path, known):
+    """Flag tokens for a JSON config: k_min becomes --k-min, a list one flag
+    with several values.  `known` holds the subcommand's option dests."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("top level must be a JSON object")
+    tokens = []
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError("unknown config key %r" % key)
+        values = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in values):
+            raise ValueError("config key %r needs a number, a string or a list of them" % key)
+        tokens.append("--" + dest.replace("_", "-"))
+        tokens.extend(str(v) for v in values)
+    return tokens
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, _ = build_parser()
     try:
-        prec = default_precision()
-    except ValueError as exc:
+        digits = working_digits()
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values go through the parser as flags placed before
+            # the explicit ones, so explicit flags still win
+            known = set(vars(args)) - {"experiment"}
+            tokens = _config_tokens(args.config, known)
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     import mpmath as mp
 
-    mp.mp.dps = prec.working_digits
-    parser, subparsers = build_parser()
-
-    # --config supplies defaults; explicit flags still win
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        if at == len(argv):
-            print("config error: --config needs a file path", file=sys.stderr)
-            return 2
-        cfg_path = argv[at]
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print("config error: %s" % exc, file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print("config error: top level must be a JSON object", file=sys.stderr)
-            return 2
-        for p in subparsers.values():
-            p.set_defaults(**{k.replace("-", "_"): v for k, v in cfg.items()})
-
-    args = parser.parse_args(argv)
+    mp.mp.dps = digits
     rng = np.random.default_rng(args.seed)
     runner = EXPERIMENTS[args.experiment]
 

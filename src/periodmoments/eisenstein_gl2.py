@@ -72,14 +72,13 @@ def _n_terms_mp(y):
     return max(8, int(mp.ceil(((mp.dps + 6) * mp.log(10) + 8) / (2 * mp.pi * y))))
 
 
-def completed_eisenstein(z, s, n_terms=None):
+def completed_eisenstein(z, s):
     """E*(z, s) at working precision; z upper half plane, s != 0, 1."""
     x, y = _split_z(z)
     s = mp.mpmathify(s)
     if abs(s) < CENTER_SNAP or abs(s - 1) < CENTER_SNAP:
         raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
-    if n_terms is None:
-        n_terms = _n_terms_mp(y)
+    n_terms = _n_terms_mp(y)
     if abs(s - mpf(1) / 2) <= CENTER_SNAP:
         const = mp.sqrt(y) * (mp.log(y) + mp.euler - mp.log(4 * mp.pi))
         tail = mp.mpf(0)
@@ -97,13 +96,13 @@ def completed_eisenstein(z, s, n_terms=None):
     return const + 4 * mp.sqrt(y) * tail
 
 
-def eisenstein(z, s, n_terms=None):
+def eisenstein(z, s):
     """E(z, s) = E*(z, s) / lam(2s); identically zero on the center line."""
     s = mp.mpmathify(s)
     if abs(s - mpf(1) / 2) <= CENTER_SNAP:
         # lam(2s) pole at s=1/2 while E* stays finite
         return mp.mpf(0)
-    return completed_eisenstein(z, s, n_terms=n_terms) / lam(2 * s)
+    return completed_eisenstein(z, s) / lam(2 * s)
 
 
 def _n_terms_f64(y_min):
@@ -111,7 +110,7 @@ def _n_terms_f64(y_min):
     return max(8, int(45.0 / (2 * math.pi * y_min)) + 1)
 
 
-def completed_eisenstein_f64(x, y, s, n_terms=None):
+def completed_eisenstein_f64(x, y, s):
     """Vectorized double-precision E*(z, s) for real s (quadrature grids).
 
     x, y broadcastable arrays, y > 0.  Constant-term lambdas are computed
@@ -124,9 +123,7 @@ def completed_eisenstein_f64(x, y, s, n_terms=None):
     s = float(s)
     if abs(s) < CENTER_SNAP or abs(s - 1.0) < CENTER_SNAP:
         raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
-    y_min = float(np.min(y))
-    if n_terms is None:
-        n_terms = _n_terms_f64(y_min)
+    n_terms = _n_terms_f64(float(np.min(y)))
     ns = np.arange(1, n_terms + 1, dtype=float)
     yy = y[..., None]
     xx = x[..., None]
@@ -147,15 +144,15 @@ def completed_eisenstein_f64(x, y, s, n_terms=None):
     return const + 4 * np.sqrt(y) * (ns ** (s - 0.5) * sig * kvals * cosx).sum(axis=-1)
 
 
-def residue_at_one(z, h=None, completed=False):
+def residue_at_one(z, completed=False):
     """Residue of E (default) or E* at s = 1 by symmetric Richardson.
 
-    r(h) = h E(z, 1+h); the average of +-h kills the odd Taylor terms and
-    one Richardson step removes h^2.  Exact values: 1/2 for E*, 3/pi for E.
+    r(h) = h E(z, 1+h) at h = 1e-3; the average of +-h kills the odd Taylor
+    terms and one Richardson step removes h^2.  Exact values: 1/2 for E*,
+    3/pi for E.
     """
     with working_dps(40):
-        if h is None:
-            h = mpf("1e-3")
+        h = mpf("1e-3")
         f = completed_eisenstein if completed else eisenstein
 
         def sym(step):

@@ -36,7 +36,7 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.special import gammaln
 
-from .precision import PoleError, working_dps
+from .precision import PoleError
 from .special import gamma_r, upper_gamma_f64, upper_incomplete_gamma
 
 __all__ = [

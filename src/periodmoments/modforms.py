@@ -47,6 +47,9 @@ DEFAULT_WEIGHTS = (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
 # points per block in eval_cusp_form_f64
 EVAL_BLOCK = 4096
 
+# decimal digits for the Hecke roots and eigenvectors in hecke_eigenforms
+HECKE_DPS = 60
+
 
 def cusp_dim(k: int) -> int:
     """dim S_k(SL_2(Z)) for integer weight k."""
@@ -297,25 +300,25 @@ class Eigenform:
         return out
 
 
-def _polyroots_real(coeffs_fr, dps):
+def _polyroots_real(coeffs_fr):
     # coeffs_fr: monic Fraction list, highest degree first
-    with working_dps(dps):
+    with working_dps(HECKE_DPS):
         cs = [mpf(c.numerator) / mpf(c.denominator) for c in coeffs_fr]
         roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
         out = []
         for r in roots:
-            if abs(mp.im(r)) > mpf(10) ** (-dps // 2) * (1 + abs(r)):
+            if abs(mp.im(r)) > mpf(10) ** (-HECKE_DPS // 2) * (1 + abs(r)):
                 raise NonConvergenceError("nonreal Hecke root %s" % r)
             out.append(mp.re(r))
         return sorted(out)
 
 
-def _eigvec_from_matrix(cmat_mpf, lam_val, d, dps):
+def _eigvec_from_matrix(cmat_mpf, lam_val, d):
     # solve C^T v = lam v with v_1 = 1; rows of (C^T - lam I)
     # give an overdetermined consistent system for v_2..v_d
     if d == 1:
         return [mpf(1)]
-    with working_dps(dps):
+    with working_dps(HECKE_DPS):
         A = mp.matrix(d, d)
         for i in range(d):
             for j in range(d):
@@ -335,7 +338,7 @@ def eigenform_horizon(k: int) -> int:
     return max(2000, 60 * k)
 
 
-def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
+def hecke_eigenforms(k: int, horizon: int = None):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue.
 
     Repeated T_2 eigenvalues fall back to T_2 + T_3 (simultaneous
@@ -349,8 +352,8 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
     basis = miller_basis(k, horizon)
     cmat = hecke_matrix(k, 2, basis=basis)
     cp = charpoly(cmat)
-    with working_dps(dps):
-        roots = _polyroots_real(cp, dps)
+    with working_dps(HECKE_DPS):
+        roots = _polyroots_real(cp)
         scale = 1 + max(abs(r) for r in roots)
         sep = min(
             (abs(roots[i + 1] - roots[i]) for i in range(len(roots) - 1)),
@@ -358,19 +361,19 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
         )
         use = cmat
         vals = roots
-        if sep < scale * mpf(10) ** (-dps // 3):
+        if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
             # T_2 spectrum too close to call: separate with T_2 + T_3
             cmat3 = hecke_matrix(k, 3, basis=basis)
             use = [
                 [cmat[i][j] + cmat3[i][j] for j in range(d)] for i in range(d)
             ]
-            vals = _polyroots_real(charpoly(use), dps)
+            vals = _polyroots_real(charpoly(use))
             scale = 1 + max(abs(r) for r in vals)
             sep = min(
                 (abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)),
                 default=mpf(1),
             )
-            if sep < scale * mpf(10) ** (-dps // 3):
+            if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
                 raise NonConvergenceError(
                     "T_2 and T_2+T_3 spectra both degenerate at k=%d" % k
                 )
@@ -385,7 +388,7 @@ def hecke_eigenforms(k: int, horizon: int = None, dps: int = 60):
         n_half = [mpf(1)] + [mpf(n) ** half for n in range(1, horizon + 1)]
         forms = []
         for idx, lam_val in enumerate(vals):
-            v = _eigvec_from_matrix(cmat_mpf, lam_val, d, dps)
+            v = _eigvec_from_matrix(cmat_mpf, lam_val, d)
             a = [mpf(0)] * (horizon + 1)
             for n in range(1, horizon + 1):
                 a[n] = sum(v[i] * basis_mpf[i][n] for i in range(d))

@@ -33,7 +33,6 @@ accumulation that yields all n cutoffs in one pass.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, kve, loggamma
@@ -109,12 +108,6 @@ def _mellin_suffix_table(k: int, w: complex, n_max: int, pad: int = 240):
     return out_shift, out_val
 
 
-@dataclass
-class _ResidueData:
-    value: float
-    split: float
-
-
 class RankinSelbergPair:
     """Convolution L-function of two eigenforms of the same weight.
 
@@ -182,11 +175,6 @@ class RankinSelbergPair:
         """Max |R(t0) - R(t0_ref)| over split points, absolute scale."""
         vals = [self.residue_theta(t) for t in t0s]
         return max(vals) - min(vals)
-
-    def res_l(self) -> float:
-        """res_{s=1} L(s) = 4 pi^2 R / Gamma(k)."""
-        R = self.residue_theta()
-        return 4 * math.pi**2 * R * math.exp(-gammaln(self.k))
 
     def norm_theta(self) -> float:
         """<f, f> = 2 R / Gamma(k) in the arithmetically normalized

@@ -14,6 +14,9 @@ import mpmath as mp
 
 __all__ = ["fmt_cell", "hp_str", "write_csv", "check", "all_pass", "write_json"]
 
+# significant digits of the decimal-string twin of an mp value
+HP_DIGITS = 25
+
 
 def fmt_cell(v) -> str:
     if v is None:
@@ -31,10 +34,10 @@ def fmt_cell(v) -> str:
     return "%.17g" % float(v)
 
 
-def hp_str(v, digits: int = 25) -> str:
+def hp_str(v) -> str:
     """Decimal string at extended precision for mp values, %.17g otherwise."""
     if isinstance(v, (mp.mpf, mp.mpc)):
-        return mp.nstr(v, digits)
+        return mp.nstr(v, HP_DIGITS)
     if isinstance(v, complex):
         return fmt_cell(v)
     return "%.17g" % float(v)

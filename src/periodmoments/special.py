@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 from mpmath import mp
-from scipy.special import gammaincc, gammaln, kv, kve, loggamma
+from scipy.special import gammaincc, gammaln, loggamma
 
 from .precision import NonConvergenceError, PoleError, RangeError
 
@@ -151,20 +151,6 @@ def log_gamma_r_f64(z):
     """log gamma_r(z) for complex numpy input (principal branch)."""
     z = np.asarray(z, dtype=complex)
     return -(z / 2) * math.log(math.pi) + loggamma(z / 2)
-
-
-def k_real_order_f64(order, x):
-    """K_order(x) for real order, vectorized (scipy)."""
-    return kv(order, x)
-
-
-def log_k_f64(order, x):
-    """log K_order(x) for real order >= 0 and x > 0, overflow-safe.
-
-    kve = K * e^x keeps the exponential out of the dynamic range.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.log(kve(order, x)) - x
 
 
 def kit_f64(t, x):

@@ -62,7 +62,6 @@ __all__ = [
     "plancherel_g_gamma",
     "plancherel_density",
     "plancherel_ball",
-    "conductor_proxy",
     "whittaker",
     "stade_check",
     "stade_rhs_simple",
@@ -205,7 +204,6 @@ def plancherel_ball(
     radius: float = 1.0,
     scheme: str = "quadrature",
     seed: int = 0,
-    samples: int = BALL_MC_SAMPLES,
 ) -> dict:
     """Spectral mass of the Euclidean ball ||mu - nu|| <= radius.
 
@@ -228,10 +226,10 @@ def plancherel_ball(
             integral = float(np.sum(gw * _g_tanh_arr(2 * t)) * radius)
         elif scheme == "mc":
             rng = np.random.default_rng(seed)
-            t = rng.uniform(a - radius, a + radius, samples)
+            t = rng.uniform(a - radius, a + radius, BALL_MC_SAMPLES)
             vals = _g_tanh_arr(2 * t)
             integral = float(np.mean(vals) * 2 * radius)
-            stderr = float(np.std(vals) * 2 * radius / math.sqrt(samples))
+            stderr = float(np.std(vals) * 2 * radius / math.sqrt(BALL_MC_SAMPLES))
         else:
             raise ValueError("scheme must be 'quadrature' or 'mc'")
     else:
@@ -249,13 +247,13 @@ def plancherel_ball(
             integral = float(np.sum(vals) * step * step)
         elif scheme == "mc":
             rng = np.random.default_rng(seed)
-            t1 = rng.uniform(a1 - radius, a1 + radius, samples)
-            t2 = rng.uniform(a2 - radius, a2 + radius, samples)
+            t1 = rng.uniform(a1 - radius, a1 + radius, BALL_MC_SAMPLES)
+            t2 = rng.uniform(a2 - radius, a2 + radius, BALL_MC_SAMPLES)
             inside = (t1 - a1) ** 2 + (t2 - a2) ** 2 <= radius**2
             vals = _density_grid_n3(t1, t2) * inside
             area = (2 * radius) ** 2
             integral = float(np.mean(vals) * area)
-            stderr = float(np.std(vals) * area / math.sqrt(samples))
+            stderr = float(np.std(vals) * area / math.sqrt(BALL_MC_SAMPLES))
         else:
             raise ValueError("scheme must be 'quadrature' or 'mc'")
     proxy = _proxy(params)
@@ -266,13 +264,6 @@ def plancherel_ball(
         "scheme": scheme,
         "stderr": stderr,
     }
-
-
-def conductor_proxy(f_params: SpectralParams, g_params: SpectralParams) -> float:
-    """Analytic-conductor proxy prod(1+|nu_j+...+nu_k|)^2 at the f-parameters."""
-    if f_params.n != g_params.n:
-        raise RangeError("parameters must share n")
-    return _proxy(f_params) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,52 @@ def test_non_integer_precision_exits_2(monkeypatch, capsys, tmp_path):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 3}))
+    out = tmp_path / "e.csv"
+    rc = run(["epstein-fe", "--config=%s" % cfg,
+              "--output", str(out), "--summary", str(tmp_path / "e.json")])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 4  # header + 3 rows from config
+
+
+def test_config_list_is_one_flag_with_several_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 1, "s": [1.0, 1.5]}))
+    out = tmp_path / "s.csv"
+    rc = run(["stade", "--config", str(cfg),
+              "--output", str(out), "--summary", str(tmp_path / "s.json")])
+    assert rc == 0
+    assert [r.split(",")[3] for r in out.read_text().splitlines()[1:]] == ["1", "1.5"]
+
+
+@pytest.mark.parametrize("cfg", [{"n": 7}, {"samples": "many"}, {"samples": 0},
+                                 {"bogus": 1}, {"samp": 2}, {"summary": None}])
+def test_config_values_validated_like_flags(tmp_path, capsys, cfg):
+    # choices, types, counts and option names apply to config values too
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = run(["stade", "--config", str(path),
+              "--output", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stade", "--samples", "0"],
+    ["epstein-fe", "--samples", "0"],
+    ["plancherel", "--centers", "0"],
+    ["lemma1", "--samples", "0"],
+    ["lemma1", "--samples", "-3"],
+    ["lemma1", "--samples", "1"],
+])
+def test_empty_or_degenerate_counts_exit_2(tmp_path, argv):
+    out = tmp_path / "o.csv"
+    rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert not out.exists()
+

@@ -9,7 +9,6 @@ Dirichlet sum deep in the convergence region (independent route).
 
 import math
 
-import numpy as np
 import pytest
 from mpmath import mp, mpf
 

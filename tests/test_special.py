@@ -5,8 +5,6 @@ Frozen reference values were produced by an independent oracle script
 under test was written.
 """
 
-import math
-
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
@@ -17,11 +15,9 @@ from periodmoments.special import (
     bessel_k_ex,
     dirichlet_beta,
     gamma_r,
-    k_real_order_f64,
     kit_f64,
     lam,
     log_gamma_r_f64,
-    log_k_f64,
     upper_gamma_f64,
     upper_incomplete_gamma,
     zeta,
@@ -140,14 +136,6 @@ def test_log_gamma_r_f64():
         ours = log_gamma_r_f64(z)
         ref = complex(mp.log(mp.pi) * (-mp.mpmathify(z) / 2) + mp.loggamma(mp.mpmathify(z) / 2))
         assert abs(ours - ref) < 1e-12 * max(1.0, abs(ref))
-
-
-def test_k_real_order_f64_and_log():
-    ref = float(mpf(K0_AT_1))
-    assert abs(k_real_order_f64(0.0, 1.0) - ref) < 1e-14
-    assert abs(math.exp(log_k_f64(11.0, 1.3)) - float(mp.besselk(11, mpf("1.3")))) < 1e-11 * float(
-        mp.besselk(11, mpf("1.3"))
-    )
 
 
 def test_kit_f64_grid():

@@ -158,16 +158,6 @@ def test_plancherel_ball_validation():
         sp.plancherel_ball(p, scheme="midpoint")
 
 
-def test_conductor_proxy():
-    zero = sp.spectral_params(3, [0j, 0j])
-    assert sp.conductor_proxy(zero, zero) == 1.0
-    p = sp.spectral_params(3, [2j, 5j])
-    b = sp.plancherel_ball(p, radius=1.0)
-    assert sp.conductor_proxy(p, p) == pytest.approx(b["proxy"] ** 2, rel=1e-14)
-    with pytest.raises(RangeError):
-        sp.conductor_proxy(p, sp.spectral_params(2, [1j]))
-
-
 def test_whittaker_gl2_origin_frozen():
     p = sp.spectral_params(2, [0j])
     w_norm = sp.whittaker(p, [1.0], normalization="normalized")
