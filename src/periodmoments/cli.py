@@ -30,8 +30,8 @@ from .epstein import (
     gln_completed_eisenstein_f64,
 )
 from .modforms import cusp_dim, hecke_eigenforms
-from .moment import moment_sweep, norm_quadrature, unfold_check
-from .precision import PoleError, RangeError, working_digits, working_dps
+from .moment import moment_sweep, norm_quadrature, unfold_rows
+from .precision import NonConvergenceError, PoleError, RangeError, working_digits, working_dps
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
 
@@ -102,16 +102,12 @@ def run_moment(args, rng):
 
 
 def run_unfold_check(args, rng):
-    forms = _FORMS(args.k)
     rows = []
     worst = 0.0
-    for i, f in enumerate(forms):
-        for j, g in enumerate(forms):
-            for s in args.s:
-                d = unfold_check(f, g, s)
-                worst = max(worst, d["rel_err"])
-                rows.append([args.k, i, j, s, d["quadrature"],
-                             report.hp_str(d["quadrature"]), d["afe"], d["rel_err"]])
+    for d in unfold_rows(_FORMS(args.k), args.s):
+        worst = max(worst, d["rel_err"])
+        rows.append([args.k, d["i"], d["j"], d["s"], d["quadrature"],
+                     report.hp_str(d["quadrature"]), d["afe"], d["rel_err"]])
     header = ["k", "i", "j", "s", "quadrature", "quadrature_str", "afe", "rel_err"]
     checks = [report.check("max_rel_err", worst, UNFOLD_TOL, worst <= UNFOLD_TOL)]
     return header, rows, checks, {"k": args.k, "s": args.s}
@@ -343,6 +339,15 @@ def positive_int(text):
     return value
 
 
+def positive_float(text):
+    """argparse type of moment's eps: a finite float > 0 (eps <= 0 puts
+    the regularized bound on or past the pole of L(f x f, s) at s = 1)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number above 0, got %r" % text)
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("--output", default=None, help="CSV path (default <experiment>.csv)")
@@ -362,7 +367,7 @@ def build_parser():
     p = sub.add_parser("moment", help="second-moment sweep over even weights")
     p.add_argument("--k-min", type=int, default=12)
     p.add_argument("--k-max", type=int, default=40)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=positive_float, default=0.1)
     subparsers["moment"] = p
 
     p = sub.add_parser("unfold-check", help="two-route unfolding agreement at one weight")
@@ -454,6 +459,11 @@ def main(argv=None):
     except (RangeError, PoleError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
+    except NonConvergenceError as exc:
+        # a numerical failure: exit 1, with what the scheme had reached
+        print("numerical failure: %s (best=%s, last_delta=%s)"
+              % (exc, exc.best, exc.last_delta), file=sys.stderr)
+        return 1
     wall = time.time() - t0
 
     out_csv = args.output or ("%s.csv" % args.experiment)

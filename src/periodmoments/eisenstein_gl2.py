@@ -30,6 +30,7 @@ __all__ = [
     "completed_eisenstein",
     "eisenstein",
     "completed_eisenstein_f64",
+    "completed_eisenstein_grid_f64",
     "residue_at_one",
     "CENTER_SNAP",
 ]
@@ -110,29 +111,18 @@ def _n_terms_f64(y_min):
     return max(8, int(45.0 / (2 * math.pi * y_min)) + 1)
 
 
-def completed_eisenstein_f64(x, y, s):
-    """Vectorized double-precision E*(z, s) for real s (quadrature grids).
-
-    x, y broadcastable arrays, y > 0.  Constant-term lambdas are computed
-    once at working precision and demoted to float.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("upper half plane requires y > 0")
-    s = float(s)
-    if abs(s) < CENTER_SNAP or abs(s - 1.0) < CENTER_SNAP:
-        raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
-    n_terms = _n_terms_f64(float(np.min(y)))
+def _eisenstein_radial(y, s: float, n_terms: int):
+    """Radial table of E*(., s): (const(y), coef_n K_{s-1/2}(2 pi n y)),
+    shapes y.shape and y.shape + (n_terms,), with coef_n = d(n) at the
+    center and n^{s-1/2} sigma_{1-2s}(n) elsewhere.  Constant-term lambdas
+    are computed once at working precision and demoted to float."""
     ns = np.arange(1, n_terms + 1, dtype=float)
     yy = y[..., None]
-    xx = x[..., None]
-    cosx = np.cos(2 * np.pi * ns * xx)
     if abs(s - 0.5) <= CENTER_SNAP:
         dn = np.array([len(_divisors(n)) for n in range(1, n_terms + 1)], dtype=float)
         kvals = kv(0.0, 2 * np.pi * ns * yy)
         const = np.sqrt(y) * (np.log(y) + float(mp.euler) - math.log(4 * math.pi))
-        return const + 4 * np.sqrt(y) * (dn * kvals * cosx).sum(axis=-1)
+        return const, dn * kvals
     with working_dps(30):
         c1 = float(lam(2 * mpf(s)))
         c2 = float(lam(2 - 2 * mpf(s)))
@@ -141,7 +131,55 @@ def completed_eisenstein_f64(x, y, s):
     )
     kvals = kv(s - 0.5, 2 * np.pi * ns * yy)
     const = c1 * y**s + c2 * y ** (1.0 - s)
-    return const + 4 * np.sqrt(y) * (ns ** (s - 0.5) * sig * kvals * cosx).sum(axis=-1)
+    return const, ns ** (s - 0.5) * sig * kvals
+
+
+def _eisenstein_angular(x, n_terms: int):
+    """Angular table of E*: cos(2 pi n x), shape x.shape + (n_terms,)."""
+    ns = np.arange(1, n_terms + 1, dtype=float)
+    return np.cos(2 * np.pi * ns * x[..., None])
+
+
+def _check_domain(y, s):
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("upper half plane requires y > 0")
+    s = float(s)
+    if abs(s) < CENTER_SNAP or abs(s - 1.0) < CENTER_SNAP:
+        raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
+    return y, s
+
+
+def completed_eisenstein_f64(x, y, s):
+    """Vectorized double-precision E*(z, s) for real s (quadrature grids).
+
+    x, y broadcastable arrays, y > 0; the series is truncated at the
+    smallest y given.
+    """
+    x = np.asarray(x, dtype=float)
+    y, s = _check_domain(y, s)
+    n_terms = _n_terms_f64(float(np.min(y)))
+    const, radial = _eisenstein_radial(y, s, n_terms)
+    return const + 4 * np.sqrt(y) * (radial * _eisenstein_angular(x, n_terms)).sum(axis=-1)
+
+
+def completed_eisenstein_grid_f64(xs, ys, s, y_min: float):
+    """E*(., s) on the tensor grid of 1-D axes: out[i, j] = E*(xs[i] + i ys[j], s).
+
+    The Fourier series is separable, so the Bessel functions are evaluated
+    on len(ys) heights and the cosines on len(xs) abscissae.  The series
+    is truncated at y_min rather than at min(ys), so a grid that is part
+    of a larger node set uses that set's term count; each value is then
+    the same sum, in the same order, as completed_eisenstein_f64 gives.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys, s = _check_domain(ys, s)
+    if not 0 < y_min <= float(np.min(ys)):
+        raise ValueError("y_min must be positive and at most min(ys)")
+    n_terms = _n_terms_f64(float(y_min))
+    const, radial = _eisenstein_radial(ys, s, n_terms)
+    angular = _eisenstein_angular(xs, n_terms)
+    return const + 4 * np.sqrt(ys) * (radial * angular[:, None, :]).sum(axis=-1)
 
 
 def residue_at_one(z, completed=False):

@@ -38,6 +38,7 @@ __all__ = [
     "hecke_eigenforms",
     "eigenform_horizon",
     "eval_cusp_form_f64",
+    "eval_cusp_form_grid_f64",
     "DEFAULT_WEIGHTS",
 ]
 
@@ -304,7 +305,13 @@ def _polyroots_real(coeffs_fr):
     # coeffs_fr: monic Fraction list, highest degree first
     with working_dps(HECKE_DPS):
         cs = [mpf(c.numerator) / mpf(c.denominator) for c in coeffs_fr]
-        roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
+        try:
+            roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
+        except mp.NoConvergence as exc:
+            # mpmath keeps neither the last iterate nor its step
+            raise NonConvergenceError(
+                "Hecke polynomial of degree %d: %s" % (len(cs) - 1, exc)
+            ) from exc
         out = []
         for r in roots:
             if abs(mp.im(r)) > mpf(10) ** (-HECKE_DPS // 2) * (1 + abs(r)):
@@ -410,19 +417,14 @@ def hecke_eigenforms(k: int, horizon: int = None):
         return forms
 
 
-def eval_cusp_form_f64(form: Eigenform, x, y):
-    """f(x+iy) = sum lam(n) (4 pi n)^{(k-1)/2} Gamma(k)^{-1/2} e(n(x+iy)).
+def _cusp_series(form: Eigenform, y_min: float):
+    """Coefficient step of the float64 evaluators: (ns, log|c_n|, sign c_n)
+    for n = 1..n_eval, where c_n = lam(n) (4 pi n)^{(k-1)/2} Gamma(k)^{-1/2}.
 
-    Vectorized double precision over broadcastable x, y arrays; terms
-    assembled in log space so large weights stay in range.  Truncation
-    where exp(-2 pi n y_min) has decayed ~1e-18 under the peak term.
+    Truncation where exp(-2 pi n y_min) has decayed ~1e-18 under the peak
+    term, so y_min must be the smallest height the terms will meet.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("evaluation requires y > 0")
     k = form.weight
-    y_min = float(np.min(y))
     n_eval = max(24, int((k + 170.0) / (2 * np.pi * y_min)) + 1)
     if n_eval > form.horizon:
         raise ValueError(
@@ -435,16 +437,72 @@ def eval_cusp_form_f64(form: Eigenform, x, y):
     with np.errstate(divide="ignore"):
         log_abs_lam = np.where(lam != 0.0, np.log(np.abs(np.where(lam == 0, 1.0, lam))), -np.inf)
     log_c = log_abs_lam + 0.5 * (k - 1) * np.log(4 * np.pi * ns) - 0.5 * gammaln(k)
+    return ns, log_c, sign
+
+
+def _cusp_radial(series, y):
+    """sign_n exp(log|c_n| - 2 pi n y), shape y.shape + (n_eval,): the
+    log-space assembly that keeps large weights in range."""
+    ns, log_c, sign = series
+    return sign * np.exp(log_c - 2 * np.pi * ns * y[..., None])
+
+
+def _cusp_phases(series, x):
+    """e(n x), shape x.shape + (n_eval,)."""
+    phase = 2 * np.pi * series[0] * x[..., None]
+    return np.cos(phase) + 1j * np.sin(phase)
+
+
+def _heights(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("evaluation requires y > 0")
+    return y
+
+
+def eval_cusp_form_f64(form: Eigenform, x, y):
+    """f(x+iy) = sum lam(n) (4 pi n)^{(k-1)/2} Gamma(k)^{-1/2} e(n(x+iy)).
+
+    Vectorized double precision over broadcastable x, y arrays; terms
+    assembled in log space (_cusp_radial), truncated at the smallest y
+    given (_cusp_series).
+    """
+    x = np.asarray(x, dtype=float)
+    y = _heights(y)
+    series = _cusp_series(form, float(np.min(y)))
     # points in blocks: the (points, terms) temporaries stay a few MB, and
     # each point's sum over n is the same as in one pass
     x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape, dtype=complex)
     xf, yf, of = x.reshape(-1), y.reshape(-1), out.reshape(-1)
     for i in range(0, of.size, EVAL_BLOCK):
-        xx = xf[i : i + EVAL_BLOCK, None]
-        yy = yf[i : i + EVAL_BLOCK, None]
-        log_mag = log_c - 2 * np.pi * ns * yy
-        phase = 2 * np.pi * ns * xx
-        terms = sign * np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase))
-        of[i : i + EVAL_BLOCK] = terms.sum(axis=-1)
+        blk = slice(i, i + EVAL_BLOCK)
+        terms = _cusp_radial(series, yf[blk]) * _cusp_phases(series, xf[blk])
+        of[blk] = terms.sum(axis=-1)
+    return out
+
+
+def eval_cusp_form_grid_f64(form: Eigenform, xs, ys, y_min: float):
+    """f on the tensor grid of 1-D axes: out[i, j] = f(xs[i] + i ys[j]).
+
+    The series is separable: each term is a radial factor in y times a
+    phase in x, so the grid costs len(ys) + len(xs) transcendental
+    evaluations per term instead of len(xs) len(ys).  The terms are those
+    of eval_cusp_form_f64, truncated at y_min rather than at min(ys), so
+    a grid that is part of a larger node set uses that set's term count;
+    each value is then the same sum, in the same order, as pointwise
+    evaluation gives.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = _heights(ys)
+    if not 0 < y_min <= float(np.min(ys)):
+        raise ValueError("y_min must be positive and at most min(ys)")
+    series = _cusp_series(form, float(y_min))
+    radial = _cusp_radial(series, ys)
+    phases = _cusp_phases(series, xs)
+    out = np.empty((xs.size, ys.size), dtype=complex)
+    # rows of x in blocks of about EVAL_BLOCK points, as pointwise
+    rows = max(1, EVAL_BLOCK // ys.size)
+    for i in range(0, xs.size, rows):
+        out[i : i + rows] = (radial * phases[i : i + rows, None, :]).sum(axis=-1)
     return out

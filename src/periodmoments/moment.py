@@ -13,6 +13,13 @@ the lune between the unit circle and that line:
 <F, G>_k = int F(z) conj(G(z)) y^{k-2} dx dy.  Ymax = max(10, (k+40)/2pi)
 keeps the tail of the cusp-form factor below 1e-30.
 
+Cusp forms and E*(., s) are separable on the strip (radial factor in y
+times a phase in x per Fourier term), so they are evaluated there as
+tensor products of a 1-D table per axis, and pointwise only on the lune;
+the values equal pointwise evaluation bit for bit.  Form values are not
+memoized: moment_row and unfold_rows evaluate each form once per weight
+and pair the arrays they keep.
+
 Unfolding identity driving the cross-checks: for eigenforms f, g and the
 completed degenerate series E*,
 
@@ -45,8 +52,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import special
-from .eisenstein_gl2 import completed_eisenstein_f64
-from .modforms import Eigenform, eval_cusp_form_f64, hecke_eigenforms
+from .eisenstein_gl2 import completed_eisenstein_f64, completed_eisenstein_grid_f64
+from .modforms import Eigenform, eval_cusp_form_f64, eval_cusp_form_grid_f64, hecke_eigenforms
 from .precision import RangeError, working_dps
 from .rankin_selberg import RankinSelbergPair
 
@@ -55,6 +62,7 @@ __all__ = [
     "inner_product",
     "norm_quadrature",
     "unfold_check",
+    "unfold_rows",
     "norm_f_estar",
     "regularized_bound",
     "moment_row",
@@ -69,16 +77,34 @@ LUNE_Y_POINTS = 48
 REG_EPS = 0.1
 
 
+@dataclass(frozen=True)
+class _NodeSet:
+    """Nodes of one (ymax, refine): the strip as the tensor grid xs x ys,
+    the lune as a list of points, and their concatenation x, y (strip
+    node (i, j) at i * len(ys) + j, then the lune) with weights w0 = dx dy
+    without the measure factor.  y_min is the smallest height of the set,
+    a lune node's: both grids truncate their series there, so the strip
+    uses as many terms as pointwise evaluation of all nodes would.
+    estar memoizes E*(., s) on the nodes, which depends only on them and s.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    lune_x: np.ndarray
+    lune_y: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w0: np.ndarray
+    y_min: float
+    estar: dict
+
+
 _NODE_SETS = {}
 
 
-def _node_set(ymax: float, refine: int):
-    """(x, y, w0, estar memo) for the strip below ymax and the lune.
-
-    w0 carries dx dy without the measure factor.  Every engine with the
-    same ymax and refine (all k <= 22 have ymax = 10) shares these arrays
-    and the memo of E*(., s) on them, which depends only on the nodes and s.
-    """
+def _node_set(ymax: float, refine: int) -> _NodeSet:
+    """The nodes for the strip below ymax and the lune; every engine with
+    the same ymax and refine (all k <= 22 have ymax = 10) shares them."""
     key = (ymax, refine)
     if key not in _NODE_SETS:
         nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
@@ -103,11 +129,12 @@ def _node_set(ymax: float, refine: int):
             cols_x.append(np.full(my, xv))
             cols_y.append(mid + half * gl_y)
             cols_w.append(gl_wy * half * xwv)
-        arrays = [np.concatenate(parts) for parts in
-                  ([X1.ravel()] + cols_x, [Y1.ravel()] + cols_y, [W1.ravel()] + cols_w)]
+        lune = [np.concatenate(parts) for parts in (cols_x, cols_y, cols_w)]
+        x, y, w0 = [np.concatenate([a.ravel(), b]) for a, b in zip((X1, Y1, W1), lune)]
+        arrays = (xs, ys, lune[0], lune[1], x, y, w0)
         for a in arrays:
             a.flags.writeable = False
-        _NODE_SETS[key] = (*arrays, {})
+        _NODE_SETS[key] = _NodeSet(*arrays, y_min=float(np.min(y)), estar={})
     return _NODE_SETS[key]
 
 
@@ -126,14 +153,15 @@ class PeterssonEngine:
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
-    _estar: dict = field(init=False, repr=False)
+    _nodes: _NodeSet = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.k
         ymax = max(10.0, (k + 40.0) / (2 * math.pi))
-        self.x, self.y, w0, self._estar = _node_set(ymax, self.refine)
+        self._nodes = _node_set(ymax, self.refine)
+        self.x, self.y = self._nodes.x, self._nodes.y
         with np.errstate(over="ignore"):
-            self.w = w0 * self.y ** (k - 2)
+            self.w = self._nodes.w0 * self.y ** (k - 2)
         if not np.all(np.isfinite(self.w)):
             raise RangeError(
                 "Petersson weights y^(k-2) overflow float64 at k=%d (ymax %.3g)" % (k, ymax)
@@ -143,15 +171,27 @@ class PeterssonEngine:
         """Weighted sum over the nodes; values evaluated at (self.x, self.y)."""
         return complex(np.sum(values * self.w))
 
+    def form_values(self, form: Eigenform) -> np.ndarray:
+        """The cusp form at the nodes: a tensor product on the strip,
+        pointwise on the lune, the same values as
+        eval_cusp_form_f64(form, self.x, self.y).  Not memoized: callers
+        that need a form more than once keep the array."""
+        n = self._nodes
+        strip = eval_cusp_form_grid_f64(form, n.xs, n.ys, n.y_min)
+        return np.concatenate([strip.ravel(), eval_cusp_form_f64(form, n.lune_x, n.lune_y)])
+
     def estar(self, s: float) -> np.ndarray:
-        """E*(., s) at the nodes for real s; evaluated once per node set
-        and s (see _node_set), read-only."""
+        """E*(., s) at the nodes for real s, a tensor product on the strip
+        and pointwise on the lune; evaluated once per node set and s (see
+        _NodeSet), read-only."""
         s = float(s)
-        if s not in self._estar:
-            ev = completed_eisenstein_f64(self.x, self.y, s)
+        n = self._nodes
+        if s not in n.estar:
+            strip = completed_eisenstein_grid_f64(n.xs, n.ys, s, n.y_min)
+            ev = np.concatenate([strip.ravel(), completed_eisenstein_f64(n.lune_x, n.lune_y, s)])
             ev.flags.writeable = False
-            self._estar[s] = ev
-        return self._estar[s]
+            n.estar[s] = ev
+        return n.estar[s]
 
 
 _ENGINES = {}
@@ -174,8 +214,8 @@ def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
 
 
 def _inner_on(eng: PeterssonEngine, f, g, hv=None) -> complex:
-    fv = eval_cusp_form_f64(f, eng.x, eng.y)
-    gv = fv if g is f else eval_cusp_form_f64(g, eng.x, eng.y)
+    fv = eng.form_values(f)
+    gv = fv if g is f else eng.form_values(g)
     return _pairing(eng, fv, gv, hv)
 
 
@@ -217,21 +257,49 @@ def _gamma_k_over_gamma_half(k: int) -> float:
     return math.exp(gammaln(k) - gammaln(k - 0.5)) * 2 * math.pi / math.sqrt(math.pi)
 
 
-def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
-    """Quadrature <f E*(., s), g> against Lambda*(f x g, s) from the AFE."""
-    if f.weight != g.weight:
-        raise ValueError("forms must share a weight")
-    eng = _engine(f.weight, refine)
-    quad = _inner_on(eng, f, g, eng.estar(s)).real
-    afe = RankinSelbergPair(f, g).completed_l_normalized(s).real
+def _unfold_on(eng: PeterssonEngine, pair: RankinSelbergPair, fv, gv, s: float) -> dict:
+    quad = _pairing(eng, fv, gv, eng.estar(s)).real
+    afe = pair.completed_l_normalized(s).real
     rel = abs(quad - afe) / max(abs(afe), 1e-300)
     return {"quadrature": quad, "afe": afe, "rel_err": rel}
+
+
+def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
+    """Quadrature <f E*(., s), g> against Lambda*(f x g, s) from the AFE."""
+    pair = RankinSelbergPair(f, g)
+    eng = _engine(f.weight, refine)
+    fv = eng.form_values(f)
+    gv = fv if g is f else eng.form_values(g)
+    return _unfold_on(eng, pair, fv, gv, s)
+
+
+def unfold_rows(forms, s_values) -> list:
+    """unfold_check for every ordered pair (f_i, f_j) of forms of one
+    weight and every s, in that order, each entry tagged with i, j and s.
+
+    Each form is evaluated on the nodes once, each pair's AFE data is
+    built once, and every sum has unfold_check's operation order, so the
+    entries equal unfold_check's bit for bit.
+    """
+    if not forms:
+        raise ValueError("no cusp forms to pair")
+    eng = _engine(forms[0].weight)
+    values = [eng.form_values(f) for f in forms]
+    rows = []
+    for i, f in enumerate(forms):
+        for j, g in enumerate(forms):
+            pair = RankinSelbergPair(f, g)
+            for s in s_values:
+                row = {"i": i, "j": j, "s": s}
+                row.update(_unfold_on(eng, pair, values[i], values[j], s))
+                rows.append(row)
+    return rows
 
 
 def norm_f_estar(f: Eigenform, s: float = 0.5, refine: int = 1) -> float:
     """||f E*(., s)||^2 = int |f|^2 E*(z,s)^2 y^{k-2} dx dy (real s)."""
     eng = _engine(f.weight, refine)
-    return _norm_f_estar_on(eng, eval_cusp_form_f64(f, eng.x, eng.y), eng.estar(s))
+    return _norm_f_estar_on(eng, eng.form_values(f), eng.estar(s))
 
 
 def _norm_f_estar_on(eng: PeterssonEngine, fv, ev) -> float:
@@ -286,7 +354,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
         raise ValueError("no cusp forms at weight %d" % k)
     f = forms[0]
     eng = _engine(k)
-    fv = eval_cusp_form_f64(f, eng.x, eng.y)
+    fv = eng.form_values(f)
     e_half = eng.estar(0.5)
     rescale = _gamma_k_over_gamma_half(k)
     s_k = 0.0
@@ -299,7 +367,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
         norm_g = RankinSelbergPair(g).norm_theta()
         s_k += l_afe**2
         bessel_sum += lam_star**2 / norm_g
-        gv = fv if g is f else eval_cusp_form_f64(g, eng.x, eng.y)
+        gv = fv if g is f else eng.form_values(g)
         quad = _pairing(eng, fv, gv, e_half).real
         central.append(
             {

@@ -33,11 +33,13 @@ accumulation that yields all n cutoffs in one pass.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, kve, loggamma
 
 from .modforms import Eigenform
+from .precision import PoleError
 
 __all__ = ["RankinSelbergPair", "kappa_log", "gamma_factor_log"]
 
@@ -60,6 +62,22 @@ def gamma_factor_log(k: int, s):
     """log gamma(s) = -2s log(2 pi) + log Gamma(s+k-1) + log Gamma(s)."""
     s = complex(s)
     return -2 * s * math.log(2 * math.pi) + loggamma(s + k - 1) + loggamma(s)
+
+
+_MELLIN_TABLES = {}
+
+
+def _mellin_table(k: int, w: complex, n_max: int):
+    """_mellin_suffix_table(k, w, n_max), built once per process and
+    (k, w, n_max): it depends on nothing else, and every pair of weight k
+    reads the same table at the same s (both halves of the AFE at s = 1/2)."""
+    key = (k, complex(w), n_max)
+    if key not in _MELLIN_TABLES:
+        table = _mellin_suffix_table(k, w, n_max)
+        for a in table:
+            a.flags.writeable = False
+        _MELLIN_TABLES[key] = table
+    return _MELLIN_TABLES[key]
 
 
 def _mellin_suffix_table(k: int, w: complex, n_max: int, pad: int = 240):
@@ -171,6 +189,11 @@ class RankinSelbergPair:
             raise ValueError("need a split t0 > 0 bounded away from 1")
         return (self.theta_profile(1.0 / t0) - t0 * self.theta_profile(t0)) / (t0 - 1.0)
 
+    @cached_property
+    def _residue(self) -> float:
+        # R at the default split, computed once per pair
+        return self.residue_theta()
+
     def residue_consistency(self, t0s=(1.6, 2.0, 3.0)) -> float:
         """Max |R(t0) - R(t0_ref)| over split points, absolute scale."""
         vals = [self.residue_theta(t) for t in t0s]
@@ -179,8 +202,7 @@ class RankinSelbergPair:
     def norm_theta(self) -> float:
         """<f, f> = 2 R / Gamma(k) in the arithmetically normalized
         evaluation convention (diagonal pairs)."""
-        R = self.residue_theta()
-        return 2.0 * R * math.exp(-gammaln(self.k))
+        return 2.0 * self._residue * math.exp(-gammaln(self.k))
 
     # ---------------- completed L via the balanced AFE ----------------
 
@@ -191,21 +213,20 @@ class RankinSelbergPair:
         """Lambda(s) for s away from 0 and 1 (exact AFE, balanced split)."""
         s = complex(s)
         if min(abs(s), abs(s - 1)) < 1e-8:
-            raise ValueError("Lambda has poles at s = 0 and s = 1")
+            raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
         n = self._afe_n_cutoff()
         c = self.c_table(n)
         ns = np.arange(1, n + 1, dtype=float)
         total = 0.0 + 0.0j
         for w in (s, 1 - s):
-            shift, val = _mellin_suffix_table(self.k, w, n)
+            shift, val = _mellin_table(self.k, w, n)
             log_pref = (
                 (3 - self.k) * math.log(2.0)
                 - w * np.log(16 * math.pi**2 * ns)
                 + shift
             )
             total += np.sum(c[1:] * np.exp(log_pref) * val)
-        R = self.residue_theta()
-        total += R * (1.0 / (s - 1.0) - 1.0 / s)
+        total += self._residue * (1.0 / (s - 1.0) - 1.0 / s)
         if s.imag == 0:
             # real s: Lambda is real by symmetry and real coefficients
             return complex(total.real, 0.0)

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from mpmath import mp
 
-from periodmoments import cli
+from periodmoments import cli, modforms
 
 SUBCOMMANDS = [
     "moment",
@@ -214,3 +215,37 @@ def test_empty_or_degenerate_counts_exit_2(tmp_path, argv):
     assert rc == 2
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["unfold-check", "--k", "12", "--s", "1e-9"],
+    ["unfold-check", "--k", "12", "--s", "1.00000001"],
+    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "0"],
+    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "-1"],
+])
+def test_poles_exit_2(tmp_path, capsys, argv):
+    # s on a pole of Lambda(f x g, s), or eps that puts the regularized
+    # bound there, is a configuration error, not a traceback
+    out = tmp_path / "o.csv"
+    rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+    # mpmath's NoConvergence from the Hecke root finder reaches the CLI as
+    # NonConvergenceError: exit 1 and one stderr line, no traceback
+    def stuck(*args, **kwargs):
+        raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(modforms.mp, "polyroots", stuck)
+    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
+    out = tmp_path / "n.csv"
+    rc = run(["norm-crosscheck", "--k", "12",
+              "--output", str(out), "--summary", str(tmp_path / "n.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "maxsteps=200" in err[0] and "best=" in err[0] and "last_delta=" in err[0]
+    assert not out.exists()

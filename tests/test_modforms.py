@@ -30,7 +30,7 @@ from periodmoments.modforms import (
     miller_basis,
     poly_mul_trunc,
 )
-from periodmoments.precision import working_dps
+from periodmoments.precision import NonConvergenceError, working_dps
 
 TAU = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
 
@@ -300,3 +300,14 @@ def test_miller_basis_guards():
     with pytest.raises(ValueError):
         miller_basis(24, 5)
     assert miller_basis(14, 30) == []
+
+
+def test_polyroots_nonconvergence_is_wrapped(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(modforms.mp, "polyroots", stuck)
+    with pytest.raises(NonConvergenceError) as exc:
+        hecke_eigenforms(24)
+    assert "degree 2" in str(exc.value)
+    assert isinstance(exc.value.__cause__, mp.NoConvergence)

@@ -6,13 +6,14 @@ checks pit that quadrature against the AFE machinery.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from periodmoments import moment
+from periodmoments import eisenstein_gl2, modforms, moment
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64
-from periodmoments.modforms import hecke_eigenforms
+from periodmoments.modforms import eval_cusp_form_f64, hecke_eigenforms
 from periodmoments.moment import (
     PeterssonEngine,
     inner_product,
@@ -22,6 +23,7 @@ from periodmoments.moment import (
     norm_quadrature,
     regularized_bound,
     unfold_check,
+    unfold_rows,
 )
 from periodmoments.precision import RangeError
 from periodmoments.rankin_selberg import RankinSelbergPair
@@ -184,3 +186,87 @@ def test_moment_row_reuse_is_bit_identical(forms24):
     assert d["quadrature"] == inner_product(
         f, forms24[1], multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.75)
     ).real
+
+
+@pytest.fixture(scope="module")
+def forms40():
+    return hecke_eigenforms(40)
+
+
+def _max_rel(a, b):
+    # error relative to the largest value on the node set
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("k", [12, 40])
+def test_form_values_match_pointwise(k, refine, forms40):
+    # strip by tensor product, lune pointwise: the same values as
+    # pointwise evaluation of every node, in the node order
+    forms = forms40 if k == 40 else hecke_eigenforms(k)
+    eng = PeterssonEngine(k, refine)
+    n_strip = len(eng._nodes.xs) * len(eng._nodes.ys)
+    for f in forms:
+        got = eng.form_values(f)
+        want = eval_cusp_form_f64(f, eng.x, eng.y)
+        assert got.shape == want.shape
+        assert _max_rel(got[:n_strip], want[:n_strip]) <= 1e-13
+        assert _max_rel(got[n_strip:], want[n_strip:]) <= 1e-13
+
+
+@pytest.mark.parametrize("k, refine", [(12, 2), (40, 1)])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.1, 1.25])
+def test_estar_grid_matches_pointwise(k, refine, s):
+    eng = PeterssonEngine(k, refine)
+    assert _max_rel(eng.estar(s), completed_eisenstein_f64(eng.x, eng.y, s)) <= 1e-13
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_grid_and_pointwise_choose_the_same_truncation(monkeypatch, forms40, refine):
+    # the strip's series is truncated at the node set's smallest height
+    # (a lune node's), not at the strip's own, exactly as pointwise
+    # evaluation of all nodes truncates it
+    n_eval, n_terms = [], []
+    series = modforms._cusp_series
+    monkeypatch.setattr(modforms, "_cusp_series",
+                        lambda f, y_min: n_eval.append(len(series(f, y_min)[0])) or series(f, y_min))
+    radial = eisenstein_gl2._eisenstein_radial
+    monkeypatch.setattr(eisenstein_gl2, "_eisenstein_radial",
+                        lambda y, s, n: n_terms.append(n) or radial(y, s, n))
+    eng = PeterssonEngine(40, refine)
+    eng.form_values(forms40[0])
+    eng.estar(0.6180339887)  # an s no other test puts in the memo
+    assert len(n_eval) == 2 and len(n_terms) == 2  # strip and lune
+    eval_cusp_form_f64(forms40[0], eng.x, eng.y)
+    completed_eisenstein_f64(eng.x, eng.y, 0.6180339887)
+    assert len(set(n_eval)) == 1 and len(set(n_terms)) == 1
+    assert min(eng._nodes.ys) > 1.0 > eng._nodes.y_min == float(np.min(eng.y))
+
+
+def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
+    # one strip grid and one lune evaluation per form, one AFE pair per
+    # (i, j); every entry equals the single-pair route bit for bit
+    grids, lunes, pairs = Counter(), Counter(), Counter()
+    grid = moment.eval_cusp_form_grid_f64
+    lune = moment.eval_cusp_form_f64
+    monkeypatch.setattr(moment, "eval_cusp_form_grid_f64",
+                        lambda f, *a: grids.update([f.index]) or grid(f, *a))
+    monkeypatch.setattr(moment, "eval_cusp_form_f64",
+                        lambda f, *a: lunes.update([f.index]) or lune(f, *a))
+
+    class CountedPair(RankinSelbergPair):
+        def __init__(self, f, g=None):
+            pairs.update([(f.index, g.index)])
+            super().__init__(f, g)
+
+    monkeypatch.setattr(moment, "RankinSelbergPair", CountedPair)
+    s_values = [0.5, 0.75, 1.25]
+    rows = unfold_rows(forms24, s_values)
+    assert grids == lunes == Counter({0: 1, 1: 1})
+    assert pairs == Counter({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert [(r["i"], r["j"], r["s"]) for r in rows] == [
+        (i, j, s) for i in range(2) for j in range(2) for s in s_values]
+    for r in rows:
+        d = unfold_check(forms24[r["i"]], forms24[r["j"]], r["s"])
+        assert {key: r[key] for key in d} == d
+        assert r["rel_err"] < 1e-4

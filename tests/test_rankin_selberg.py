@@ -12,8 +12,9 @@ import math
 import pytest
 from mpmath import mp, mpf
 
+from periodmoments import rankin_selberg
 from periodmoments.modforms import hecke_eigenforms
-from periodmoments.precision import working_dps
+from periodmoments.precision import PoleError, working_dps
 from periodmoments.rankin_selberg import (
     RankinSelbergPair,
     gamma_factor_log,
@@ -108,9 +109,9 @@ def test_pole_behavior(delta_pair):
     h = 1e-6
     approx = h * delta_pair.completed_l(1.0 + h).real
     assert abs(approx - R) < 1e-4 * abs(R)
-    with pytest.raises(ValueError):
+    with pytest.raises(PoleError):
         delta_pair.completed_l(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PoleError):
         delta_pair.completed_l(0.0)
 
 
@@ -156,3 +157,29 @@ def test_guards(delta_pair, k24_forms):
         delta_pair.residue_theta(1.0)
     with pytest.raises(ValueError):
         delta_pair.c_table(10**7)
+
+
+def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
+    # the suffix table depends only on (k, w, n) and R only on the pair:
+    # a cold pair and a warm one give the same value bit for bit
+    f, g = k24_forms
+    built = []
+    table = rankin_selberg._mellin_suffix_table
+    monkeypatch.setattr(rankin_selberg, "_MELLIN_TABLES", {})
+    monkeypatch.setattr(rankin_selberg, "_mellin_suffix_table",
+                        lambda k, w, n: built.append(w) or table(k, w, n))
+    residues = []
+    theta = RankinSelbergPair.residue_theta
+    monkeypatch.setattr(RankinSelbergPair, "residue_theta",
+                        lambda self, *a: residues.append(self) or theta(self, *a))
+    cold = RankinSelbergPair(f, g)
+    values = [cold.completed_l(s) for s in (0.5, 0.75, 0.25)]
+    assert built == [0.5, 0.75, 0.25]  # w = s and 1 - s share a table at 1/2
+    warm = RankinSelbergPair(f, g)
+    assert [warm.completed_l(s) for s in (0.5, 0.75, 0.25)] == values
+    assert len(built) == 3
+    assert residues == [cold, warm]
+    diag = RankinSelbergPair(f)
+    diag.norm_theta()
+    diag.completed_l(0.5)
+    assert residues == [cold, warm, diag]
