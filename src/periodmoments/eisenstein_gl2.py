@@ -18,6 +18,7 @@ and vanishes identically at s = 1/2 (scattering -1).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
@@ -111,11 +112,18 @@ def _n_terms_f64(y_min):
     return max(8, int(45.0 / (2 * math.pi * y_min)) + 1)
 
 
+@lru_cache(maxsize=None)
+def _constant_lams(s: float):
+    # (lam(2s), lam(2-2s)) at 30 digits, demoted to float; once per s
+    with working_dps(30):
+        return float(lam(2 * mpf(s))), float(lam(2 - 2 * mpf(s)))
+
+
 def _eisenstein_radial(y, s: float, n_terms: int):
     """Radial table of E*(., s): (const(y), coef_n K_{s-1/2}(2 pi n y)),
     shapes y.shape and y.shape + (n_terms,), with coef_n = d(n) at the
-    center and n^{s-1/2} sigma_{1-2s}(n) elsewhere.  Constant-term lambdas
-    are computed once at working precision and demoted to float."""
+    center and n^{s-1/2} sigma_{1-2s}(n) elsewhere.  The constant-term
+    lambdas come from _constant_lams, computed once per process and s."""
     ns = np.arange(1, n_terms + 1, dtype=float)
     yy = y[..., None]
     if abs(s - 0.5) <= CENTER_SNAP:
@@ -123,9 +131,7 @@ def _eisenstein_radial(y, s: float, n_terms: int):
         kvals = kv(0.0, 2 * np.pi * ns * yy)
         const = np.sqrt(y) * (np.log(y) + float(mp.euler) - math.log(4 * math.pi))
         return const, dn * kvals
-    with working_dps(30):
-        c1 = float(lam(2 * mpf(s)))
-        c2 = float(lam(2 - 2 * mpf(s)))
+    c1, c2 = _constant_lams(s)
     sig = np.array(
         [sum(d ** (1.0 - 2 * s) for d in _divisors(n)) for n in range(1, n_terms + 1)]
     )
@@ -154,7 +160,9 @@ def completed_eisenstein_f64(x, y, s):
     """Vectorized double-precision E*(z, s) for real s (quadrature grids).
 
     x, y broadcastable arrays, y > 0; the series is truncated at the
-    smallest y given.
+    smallest y given.  The cosines are computed on x and the Bessel
+    functions on y before they broadcast, so points on columns of constant
+    x (x of shape (m, 1), y of shape (m, p)) cost one cosine per column.
     """
     x = np.asarray(x, dtype=float)
     y, s = _check_domain(y, s)

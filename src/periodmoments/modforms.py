@@ -1,10 +1,12 @@
 """Exact holomorphic cusp forms for the full modular group.
 
-Everything up to the Hecke eigenbasis is integer/rational arithmetic:
-q-expansions of E4, E6, Delta, the Miller (echelon) basis of S_k, and
-Hecke matrices with exact characteristic polynomials.  Eigenvalues and
-eigenvector expansions are then extracted in high-precision floating
-point.  Coefficients are Hecke-normalized at the end:
+Everything up to the Hecke eigenbasis is exact: the q-expansions of E4,
+E6, Delta and the Miller (echelon) basis of S_k are integer arithmetic,
+the characteristic polynomials of the Hecke matrices rational.
+Eigenvalues and eigenvector expansions are then extracted in
+high-precision floating point, up to the horizon that the readers of
+lam(n) need (eigenform_horizon).  Coefficients are Hecke-normalized at
+the end:
 
     lam(n) = a(n) / n^{(k-1)/2},   a(1) = 1.
 
@@ -15,6 +17,7 @@ The double-precision evaluator uses the arithmetically normalized shape
 so that downstream norm and moment integrals stay O(1) across weights.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +40,8 @@ __all__ = [
     "Eigenform",
     "hecke_eigenforms",
     "eigenform_horizon",
+    "theta_cutoff",
+    "afe_cutoff",
     "eval_cusp_form_f64",
     "eval_cusp_form_grid_f64",
     "DEFAULT_WEIGHTS",
@@ -141,13 +146,13 @@ def delta_qexp(n_terms: int):
 
 
 class _MillerProducts:
-    """Delta E4^a E6^b, truncated at one horizon: the largest requested so far.
+    """Delta^j E4^a E6^b, truncated at one horizon: the largest requested so far.
 
     A truncated product's first n coefficients depend only on the first n
     coefficients of its factors, so a smaller horizon is an exact slice
     and only a larger request rebuilds.  Each entry costs one product: it
-    chains one factor E6 (b > 0) or E4 onto an earlier entry.  Nothing is
-    built until the first request.
+    chains one factor E6 (b > 0), E4 (a > 0) or Delta onto an earlier
+    entry.  Nothing is built until the first request.
     """
 
     def __init__(self):
@@ -157,22 +162,24 @@ class _MillerProducts:
         self.n_terms = -1
         self._entries = {}
 
-    def get(self, a: int, b: int, n_terms: int):
+    def get(self, j: int, a: int, b: int, n_terms: int):
         if n_terms > self.n_terms:
             self.n_terms = n_terms
             self._e4 = e4_qexp(n_terms)
             self._e6 = e6_qexp(n_terms)
-            self._entries = {(0, 0): delta_qexp(n_terms)}
-        return self._entry(a, b)[: n_terms + 1]
+            self._entries = {(1, 0, 0): delta_qexp(n_terms)}
+        return self._entry(j, a, b)[: n_terms + 1]
 
-    def _entry(self, a: int, b: int):
-        if (a, b) not in self._entries:
+    def _entry(self, j: int, a: int, b: int):
+        if (j, a, b) not in self._entries:
             if b:
-                prev, factor = self._entry(a, b - 1), self._e6
+                prev, factor = self._entry(j, a, b - 1), self._e6
+            elif a:
+                prev, factor = self._entry(j, a - 1, 0), self._e4
             else:
-                prev, factor = self._entry(a - 1, 0), self._e4
-            self._entries[a, b] = poly_mul_trunc(prev, factor, self.n_terms)
-        return self._entries[a, b]
+                prev, factor = self._entry(j - 1, 0, 0), self._entries[1, 0, 0]
+            self._entries[j, a, b] = poly_mul_trunc(prev, factor, self.n_terms)
+        return self._entries[j, a, b]
 
 
 _MILLER_PRODUCTS = _MillerProducts()
@@ -181,9 +188,12 @@ _MILLER_PRODUCTS = _MillerProducts()
 def miller_basis(k: int, n_terms: int):
     """Echelonized integral basis of S_k: g_i(j) = delta_ij for j <= dim.
 
-    Spanning set Delta * E4^a E6^b over 4a + 6b = k - 12 (shared across
-    weights, see _MillerProducts), then full Gauss-Jordan over Q on
-    coefficient columns 1..dim.
+    Spanning set Delta^j E4^a E6^b with 12j + 4a + 6b = k, j = 1..dim and
+    b in {0, 1} (shared across weights, see _MillerProducts).  Row j is
+    q^j + O(q^{j+1}) with integer coefficients, so the set is
+    unitriangular on columns 1..dim and back substitution with integer
+    multipliers gives the reduced echelon form (W. Stein, Modular Forms:
+    A Computational Approach, 2.3).
     """
     d = cusp_dim(k)
     if d == 0:
@@ -191,27 +201,18 @@ def miller_basis(k: int, n_terms: int):
     if n_terms < d + 10:
         raise ValueError("n_terms must be at least dim + 10")
     rows = []
-    for b in range((k - 12) // 6 + 1):
-        rem = k - 12 - 6 * b
-        if rem < 0 or rem % 4:
-            continue
-        prod = _MILLER_PRODUCTS.get(rem // 4, b, n_terms)
-        rows.append([Fraction(c) for c in prod])
-    if len(rows) != d:
-        raise ArithmeticError("spanning set size %d != dim %d at k=%d" % (len(rows), d, k))
-    # Gauss-Jordan with pivot columns 1..d
-    for i in range(d):
-        col = i + 1
-        piv = next((r for r in range(i, d) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular spanning set at k=%d" % k)
-        rows[i], rows[piv] = rows[piv], rows[i]
-        inv = 1 / rows[i][col]
-        rows[i] = [c * inv for c in rows[i]]
-        for r in range(d):
-            if r != i and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [cr - factor * ci for cr, ci in zip(rows[r], rows[i])]
+    for j in range(1, d + 1):
+        b = (k - 12 * j) % 4 // 2
+        row = _MILLER_PRODUCTS.get(j, (k - 12 * j - 6 * b) // 4, b, n_terms)
+        if row[: j + 1] != [0] * j + [1]:
+            raise ArithmeticError("Miller row %d at k=%d is not q^%d + O(q^%d)" % (j, k, j, j + 1))
+        rows.append(row)
+    # clear columns i+2..d of row i with the rows below it, already reduced
+    for i in range(d - 2, -1, -1):
+        for r in range(i + 1, d):
+            c = rows[i][r + 1]
+            if c:
+                rows[i] = [ci - c * cr for ci, cr in zip(rows[i], rows[r])]
     return rows
 
 
@@ -340,16 +341,67 @@ def _eigvec_from_matrix(cmat_mpf, lam_val, d):
         return [mpf(1)] + [sol[i] for i in range(d - 1)]
 
 
+# The production readers of lam(n) and the last index each reads.  The
+# Rankin-Selberg theta profile Phi(t) and the balanced AFE sum c(n) against
+# the kernel kappa(n t); the float64 evaluators sum the q-expansion.
+
+# largest theta split t0 that production reads (residue_consistency's
+# default splits end here); Phi(1/t0) reads the most coefficients
+MAX_THETA_SPLIT = 3.0
+
+# lowest height of the fundamental domain: every Petersson node lies above
+FUNDAMENTAL_Y_MIN = math.sqrt(3.0) / 2
+
+
+def _kappa_cutoff(k: int, efolds: float, t: float) -> int:
+    # kappa(n t) has died ~e^{-efolds} under its own scale past the cutoff
+    return max(8, int(math.ceil(((k + efolds) / (4 * math.pi)) ** 2 / t)) + 1)
+
+
+def theta_cutoff(k: int, t: float) -> int:
+    """Last n that the weight-k theta profile Phi(t) = sum c(n) kappa(n t) reads."""
+    return _kappa_cutoff(k, 140.0, t)
+
+
+def afe_cutoff(k: int) -> int:
+    """Last n that the weight-k balanced AFE reads."""
+    return _kappa_cutoff(k, 130.0, 1.0)
+
+
+def _cusp_n_eval(k: int, y_min: float) -> int:
+    # terms of the q-expansion down to height y_min: exp(-2 pi n y_min)
+    # has decayed ~1e-18 under the peak term
+    return max(24, int((k + 170.0) / (2 * np.pi * y_min)) + 1)
+
+
 def eigenform_horizon(k: int) -> int:
-    """Default q-expansion horizon of hecke_eigenforms at weight k."""
-    return max(2000, 60 * k)
+    """Default q-expansion horizon of hecke_eigenforms at weight k: the last
+    index that a production reader of lam(n) reaches.
+
+    The readers are the theta profile at t = 1/MAX_THETA_SPLIT (the R of
+    residue_theta and of residue_consistency's default splits), the
+    balanced AFE, and the float64 evaluators down to FUNDAMENTAL_Y_MIN,
+    where every Petersson node lies.  The theta profile reads the most,
+    about 3((k+140)/4pi)^2: 440 at k = 12, 617 at k = 40.  lam(n) does
+    not depend on the horizon, so longer sums (l_direct deep in Re s > 1,
+    splits past MAX_THETA_SPLIT, heights below FUNDAMENTAL_Y_MIN) pass
+    hecke_eigenforms a larger horizon and read the same values.
+    """
+    return max(
+        theta_cutoff(k, 1.0 / MAX_THETA_SPLIT),
+        afe_cutoff(k),
+        _cusp_n_eval(k, FUNDAMENTAL_Y_MIN),
+    )
 
 
 def hecke_eigenforms(k: int, horizon: int = None):
-    """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue.
+    """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue,
+    with a(n) and lam(n) for n <= horizon (default eigenform_horizon(k)).
 
-    Repeated T_2 eigenvalues fall back to T_2 + T_3 (simultaneous
-    eigenbasis); a repeated spectrum there too raises.
+    Each coefficient is the same at any horizon that includes it: the
+    echelon basis is unique and the eigenvectors come from the Hecke
+    matrices alone.  Repeated T_2 eigenvalues fall back to T_2 + T_3
+    (simultaneous eigenbasis); a repeated spectrum there too raises.
     """
     d = cusp_dim(k)
     if d == 0:
@@ -384,13 +436,8 @@ def hecke_eigenforms(k: int, horizon: int = None):
                 raise NonConvergenceError(
                     "T_2 and T_2+T_3 spectra both degenerate at k=%d" % k
                 )
-        cmat_mpf = [
-            [mpf(use[i][j].numerator) / mpf(use[i][j].denominator) for j in range(d)]
-            for i in range(d)
-        ]
-        basis_mpf = [
-            [mpf(c.numerator) / mpf(c.denominator) for c in row] for row in basis
-        ]
+        cmat_mpf = [[mpf(c) for c in row] for row in use]
+        basis_mpf = [[mpf(c) for c in row] for row in basis]
         half = mpf(k - 1) / 2
         n_half = [mpf(1)] + [mpf(n) ** half for n in range(1, horizon + 1)]
         forms = []
@@ -425,7 +472,7 @@ def _cusp_series(form: Eigenform, y_min: float):
     term, so y_min must be the smallest height the terms will meet.
     """
     k = form.weight
-    n_eval = max(24, int((k + 170.0) / (2 * np.pi * y_min)) + 1)
+    n_eval = _cusp_n_eval(k, y_min)
     if n_eval > form.horizon:
         raise ValueError(
             "horizon %d too small for y_min %.3g (need %d terms)"
@@ -465,21 +512,31 @@ def eval_cusp_form_f64(form: Eigenform, x, y):
 
     Vectorized double precision over broadcastable x, y arrays; terms
     assembled in log space (_cusp_radial), truncated at the smallest y
-    given (_cusp_series).
+    given (_cusp_series).  Phases are computed on x and radial factors on
+    y before they broadcast, so points on columns of constant x (x of
+    shape (m, 1), y of shape (m, p)) cost one phase per column.  The
+    horizon of the form bounds the heights: the default one reaches down
+    to y ~ (k + 170) / (2 pi horizon).
     """
     x = np.asarray(x, dtype=float)
     y = _heights(y)
     series = _cusp_series(form, float(np.min(y)))
-    # points in blocks: the (points, terms) temporaries stay a few MB, and
-    # each point's sum over n is the same as in one pass
-    x, y = np.broadcast_arrays(x, y)
-    out = np.empty(x.shape, dtype=complex)
-    xf, yf, of = x.reshape(-1), y.reshape(-1), out.reshape(-1)
-    for i in range(0, of.size, EVAL_BLOCK):
-        blk = slice(i, i + EVAL_BLOCK)
-        terms = _cusp_radial(series, yf[blk]) * _cusp_phases(series, xf[blk])
-        of[blk] = terms.sum(axis=-1)
-    return out
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    nd = max(len(shape), 1)
+    x = x.reshape((1,) * (nd - x.ndim) + x.shape)
+    y = y.reshape((1,) * (nd - y.ndim) + y.shape)
+    out = np.empty((1,) * (nd - len(shape)) + shape, dtype=complex)
+    # blocks of about EVAL_BLOCK points along the first axis: the
+    # (points, terms) temporaries stay a few MB, and each point's sum
+    # over n is the same as in one pass
+    rows = max(1, EVAL_BLOCK // (out.size // len(out)))
+    for i in range(0, out.shape[0], rows):
+        blk = slice(i, i + rows)
+        terms = _cusp_radial(series, y[blk] if len(y) > 1 else y) * _cusp_phases(
+            series, x[blk] if len(x) > 1 else x
+        )
+        out[blk] = terms.sum(axis=-1)
+    return out.reshape(shape)
 
 
 def eval_cusp_form_grid_f64(form: Eigenform, xs, ys, y_min: float):

@@ -47,6 +47,7 @@ and the growth exponent of S(k) in k is the monitored quantity (predicted
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -77,14 +78,25 @@ LUNE_Y_POINTS = 48
 REG_EPS = 0.1
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """Gauss-Legendre rule of n nodes on [-1, 1], built once per process
+    on first use (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class _NodeSet:
     """Nodes of one (ymax, refine): the strip as the tensor grid xs x ys,
-    the lune as a list of points, and their concatenation x, y (strip
-    node (i, j) at i * len(ys) + j, then the lune) with weights w0 = dx dy
-    without the measure factor.  y_min is the smallest height of the set,
-    a lune node's: both grids truncate their series there, so the strip
-    uses as many terms as pointwise evaluation of all nodes would.
+    the lune as columns of constant x (lune_x of shape (columns, 1),
+    lune_y of shape (columns, nodes per column)), and their concatenation
+    x, y (strip node (i, j) at i * len(ys) + j, then the lune column by
+    column) with weights w0 = dx dy without the measure factor.  y_min is
+    the smallest height of the set, a lune node's: both grids truncate
+    their series there, so the strip uses as many terms as pointwise
+    evaluation of all nodes would.
     estar memoizes E*(., s) on the nodes, which depends only on them and s.
     """
 
@@ -112,7 +124,7 @@ def _node_set(ymax: float, refine: int) -> _NodeSet:
         # strip
         xs = -0.5 + (np.arange(nx) + 0.5) / nx
         wx = np.full(nx, 1.0 / nx)
-        gl_u, gl_wu = np.polynomial.legendre.leggauss(ny)
+        gl_u, gl_wu = _leggauss(ny)
         umax = math.log(ymax)
         uu = umax / 2 * (gl_u + 1.0)
         ys = np.exp(uu)
@@ -120,8 +132,8 @@ def _node_set(ymax: float, refine: int) -> _NodeSet:
         X1, Y1 = np.meshgrid(xs, ys, indexing="ij")
         W1 = np.outer(wx, wy)
         # lune
-        gl_x, gl_wx = np.polynomial.legendre.leggauss(mx)
-        gl_y, gl_wy = np.polynomial.legendre.leggauss(my)
+        gl_x, gl_wx = _leggauss(mx)
+        gl_y, gl_wy = _leggauss(my)
         cols_x, cols_y, cols_w = [], [], []
         for xv, xwv in zip(gl_x / 2, gl_wx / 2):
             y0 = math.sqrt(1.0 - xv * xv)
@@ -131,7 +143,9 @@ def _node_set(ymax: float, refine: int) -> _NodeSet:
             cols_w.append(gl_wy * half * xwv)
         lune = [np.concatenate(parts) for parts in (cols_x, cols_y, cols_w)]
         x, y, w0 = [np.concatenate([a.ravel(), b]) for a, b in zip((X1, Y1, W1), lune)]
-        arrays = (xs, ys, lune[0], lune[1], x, y, w0)
+        lune_x = (gl_x / 2)[:, None]
+        lune_y = lune[1].reshape(mx, my)
+        arrays = (xs, ys, lune_x, lune_y, x, y, w0)
         for a in arrays:
             a.flags.writeable = False
         _NODE_SETS[key] = _NodeSet(*arrays, y_min=float(np.min(y)), estar={})
@@ -173,22 +187,24 @@ class PeterssonEngine:
 
     def form_values(self, form: Eigenform) -> np.ndarray:
         """The cusp form at the nodes: a tensor product on the strip,
-        pointwise on the lune, the same values as
-        eval_cusp_form_f64(form, self.x, self.y).  Not memoized: callers
-        that need a form more than once keep the array."""
+        pointwise on the lune with one phase per column, the same values
+        as eval_cusp_form_f64(form, self.x, self.y).  Not memoized:
+        callers that need a form more than once keep the array."""
         n = self._nodes
         strip = eval_cusp_form_grid_f64(form, n.xs, n.ys, n.y_min)
-        return np.concatenate([strip.ravel(), eval_cusp_form_f64(form, n.lune_x, n.lune_y)])
+        lune = eval_cusp_form_f64(form, n.lune_x, n.lune_y)
+        return np.concatenate([strip.ravel(), lune.ravel()])
 
     def estar(self, s: float) -> np.ndarray:
         """E*(., s) at the nodes for real s, a tensor product on the strip
-        and pointwise on the lune; evaluated once per node set and s (see
-        _NodeSet), read-only."""
+        and pointwise on the lune with one cosine per column; evaluated
+        once per node set and s (see _NodeSet), read-only."""
         s = float(s)
         n = self._nodes
         if s not in n.estar:
             strip = completed_eisenstein_grid_f64(n.xs, n.ys, s, n.y_min)
-            ev = np.concatenate([strip.ravel(), completed_eisenstein_f64(n.lune_x, n.lune_y, s)])
+            lune = completed_eisenstein_f64(n.lune_x, n.lune_y, s)
+            ev = np.concatenate([strip.ravel(), lune.ravel()])
             ev.flags.writeable = False
             n.estar[s] = ev
         return n.estar[s]
@@ -306,8 +322,9 @@ def _norm_f_estar_on(eng: PeterssonEngine, fv, ev) -> float:
     return eng.integrate(np.abs(fv) ** 2 * ev**2).real
 
 
-def regularized_bound(f: Eigenform, eps: float = REG_EPS) -> dict:
-    """The E(., 1+eps) domination step with its constant surfaced.
+def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
+    """The E(., 1+eps) domination step with its constant surfaced, for the
+    diagonal pair (f, f).
 
     unfolded = <f E(., 1+eps), f> = Gamma(k+eps)/((4pi)^{1+eps}Gamma(k))
                * L(f x f, 1+eps)/zeta(2+2eps), evaluated by the AFE.
@@ -316,8 +333,9 @@ def regularized_bound(f: Eigenform, eps: float = REG_EPS) -> dict:
                finite but its size is measured, not assumed.
     bound    = c_fit * unfolded  >=  ||f E*(., 1/2)||^2.
     """
-    k = f.weight
-    pair = RankinSelbergPair(f)
+    if pair.g is not pair.f:
+        raise ValueError("regularized_bound takes a diagonal pair (f, f)")
+    k = pair.k
     l_val = pair.l_value(1.0 + eps).real
     with working_dps(30):
         zeta2 = float(special.zeta(2 + 2 * eps))
@@ -346,7 +364,9 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
     Reference form f: smallest T_2 eigenvalue (construction order).  Norms
     <g,g> come from the theta route; the Bessel ceiling from quadrature.
     Every link of the chain in the module docstring is reported.  f, each
-    g and E*(., 1/2) are evaluated on the nodes once.
+    g and E*(., 1/2) are evaluated on the nodes once, and each form's
+    diagonal pair (g, g) is built once: it gives <g, g>, and for g = f
+    also L(f x f, 1/2), the regularized bound and Lambda*(f x f, 1 + eps).
     """
     if forms is None:
         forms = hecke_eigenforms(k)
@@ -360,11 +380,13 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
     s_k = 0.0
     bessel_sum = 0.0
     central = []
+    f_pair = RankinSelbergPair(f)
     for g in forms:
-        pair = RankinSelbergPair(f, g)
+        g_pair = f_pair if g is f else RankinSelbergPair(g)
+        pair = f_pair if g is f else RankinSelbergPair(f, g)
         lam_star = pair.completed_l_normalized(0.5).real
         l_afe = lam_star * rescale
-        norm_g = RankinSelbergPair(g).norm_theta()
+        norm_g = g_pair.norm_theta()
         s_k += l_afe**2
         bessel_sum += lam_star**2 / norm_g
         gv = fv if g is f else eng.form_values(g)
@@ -378,8 +400,8 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
             }
         )
     ceiling = _norm_f_estar_on(eng, fv, e_half)
-    reg = regularized_bound(f, eps=eps)
-    backbone_tail = RankinSelbergPair(f).completed_l_normalized(1.0 + eps).real
+    reg = regularized_bound(f_pair, eps=eps)
+    backbone_tail = f_pair.completed_l_normalized(1.0 + eps).real
     return {
         "k": k,
         "dim": len(forms),

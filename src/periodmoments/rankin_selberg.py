@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln, kve, loggamma
 
-from .modforms import Eigenform
+from .modforms import MAX_THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
 from .precision import PoleError
 
 __all__ = ["RankinSelbergPair", "kappa_log", "gamma_factor_log"]
@@ -166,10 +166,6 @@ class RankinSelbergPair:
         self._c_cache[n_max] = c
         return c
 
-    def _n_cutoff(self, t: float) -> int:
-        # kappa(n t) has died ~e^{-140} under its own scale at the cutoff
-        return max(8, int(math.ceil(((self.k + 140.0) / (4 * math.pi)) ** 2 / t)) + 1)
-
     # ---------------- theta profile and residue ----------------
 
     def theta_profile(self, t: float) -> float:
@@ -177,7 +173,7 @@ class RankinSelbergPair:
         t = float(t)
         if t <= 0:
             raise ValueError("theta profile needs t > 0")
-        n = self._n_cutoff(t)
+        n = theta_cutoff(self.k, t)
         c = self.c_table(n)
         ns = np.arange(1, n + 1, dtype=float)
         return float(np.sum(c[1:] * np.exp(kappa_log(self.k, ns * t))))
@@ -194,7 +190,7 @@ class RankinSelbergPair:
         # R at the default split, computed once per pair
         return self.residue_theta()
 
-    def residue_consistency(self, t0s=(1.6, 2.0, 3.0)) -> float:
+    def residue_consistency(self, t0s=(1.6, 2.0, MAX_THETA_SPLIT)) -> float:
         """Max |R(t0) - R(t0_ref)| over split points, absolute scale."""
         vals = [self.residue_theta(t) for t in t0s]
         return max(vals) - min(vals)
@@ -206,15 +202,12 @@ class RankinSelbergPair:
 
     # ---------------- completed L via the balanced AFE ----------------
 
-    def _afe_n_cutoff(self) -> int:
-        return max(8, int(math.ceil(((self.k + 130.0) / (4 * math.pi)) ** 2)) + 1)
-
     def completed_l(self, s) -> complex:
         """Lambda(s) for s away from 0 and 1 (exact AFE, balanced split)."""
         s = complex(s)
         if min(abs(s), abs(s - 1)) < 1e-8:
             raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
-        n = self._afe_n_cutoff()
+        n = afe_cutoff(self.k)
         c = self.c_table(n)
         ns = np.arange(1, n + 1, dtype=float)
         total = 0.0 + 0.0j
@@ -245,7 +238,12 @@ class RankinSelbergPair:
         return val
 
     def l_direct(self, s, n_max: int = None) -> complex:
-        """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1."""
+        """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1.
+
+        N defaults to the forms' horizon, which eigenform_horizon sizes for
+        the theta profile and the AFE; a sum meant to converge to L(s)
+        (deep in Re s > 1) wants forms built with a larger horizon.
+        """
         s = complex(s)
         if n_max is None:
             n_max = len(self._pair_coeff) - 1

@@ -18,6 +18,8 @@ from mpmath import mp, mpf
 from periodmoments import modforms
 from periodmoments.modforms import (
     DEFAULT_WEIGHTS,
+    Eigenform,
+    afe_cutoff,
     charpoly,
     cusp_dim,
     delta_qexp,
@@ -29,6 +31,7 @@ from periodmoments.modforms import (
     hecke_matrix,
     miller_basis,
     poly_mul_trunc,
+    theta_cutoff,
 )
 from periodmoments.precision import NonConvergenceError, working_dps
 
@@ -247,14 +250,78 @@ def test_eval_periodicity_and_domain():
 
 def test_miller_products_match_schoolbook():
     n = 60
-    e4, e6 = e4_qexp(n), e6_qexp(n)
+    delta, e4, e6 = delta_qexp(n), e4_qexp(n), e6_qexp(n)
     modforms._MILLER_PRODUCTS.clear()
-    for a, b in [(0, 0), (3, 0), (0, 2), (2, 3)]:
-        want = delta_qexp(n)
-        for factor, e in ((e4, a), (e6, b)):
+    for j, a, b in [(1, 0, 0), (1, 3, 0), (1, 0, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1)]:
+        want = delta
+        for factor, e in ((delta, j - 1), (e4, a), (e6, b)):
             for _ in range(e):
                 want = schoolbook(want, factor, n)
-        assert modforms._MILLER_PRODUCTS.get(a, b, n) == want
+        assert modforms._MILLER_PRODUCTS.get(j, a, b, n) == want
+
+
+def rational_echelon(k, n):
+    # oracle: a different spanning set, Delta E4^a E6^b over every
+    # 4a + 6b = k - 12, in Fraction Gauss-Jordan on columns 1..dim; the
+    # reduced echelon form of S_k is unique, so it must give the same rows
+    d = cusp_dim(k)
+    rows = []
+    for b in range((k - 12) // 6 + 1):
+        rem = k - 12 - 6 * b
+        if rem >= 0 and rem % 4 == 0:
+            g = delta_qexp(n)
+            for factor, e in ((e4_qexp(n), rem // 4), (e6_qexp(n), b)):
+                for _ in range(e):
+                    g = poly_mul_trunc(g, factor, n)
+            rows.append([Fraction(c) for c in g])
+    assert len(rows) == d
+    for i in range(d):
+        piv = next(r for r in range(i, d) if rows[r][i + 1] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        rows[i] = [c / rows[i][i + 1] for c in rows[i]]
+        for r in range(d):
+            if r != i:
+                rows[r] = [cr - rows[r][i + 1] * ci for cr, ci in zip(rows[r], rows[i])]
+    return rows
+
+
+def test_miller_basis_matches_rational_echelon():
+    modforms._MILLER_PRODUCTS.clear()
+    for k in DEFAULT_WEIGHTS + (48, 60):
+        basis = miller_basis(k, 80)
+        assert all(type(c) is int for row in basis for c in row)
+        assert basis == rational_echelon(k, 80), k
+
+
+def test_eigenform_horizon_covers_every_reader():
+    # the default horizon reaches every index production reads: the theta
+    # profile at the largest split's 1/t0, the AFE and the Petersson grid
+    from periodmoments.moment import PeterssonEngine
+    from periodmoments.rankin_selberg import RankinSelbergPair
+
+    for k in DEFAULT_WEIGHTS + (128,):
+        h = eigenform_horizon(k)
+        eng = PeterssonEngine(k)
+        assert h >= theta_cutoff(k, 1.0 / 3.0)
+        assert h >= afe_cutoff(k)
+        assert h >= modforms._cusp_n_eval(k, eng._nodes.y_min)
+        # the readers themselves on a form of exactly that horizon
+        zeros = [mpf(0)] * (h + 1)
+        form = Eigenform(weight=k, index=0, t2_eigenvalue=mpf(0), a=zeros, lam=zeros)
+        pair = RankinSelbergPair(form)
+        assert pair.residue_consistency() == 0.0
+        assert pair.completed_l(0.5) == 0.0
+        assert not np.any(eng.form_values(form))
+    assert [eigenform_horizon(k) for k in (12, 40)] == [440, 617]
+
+
+@pytest.mark.parametrize("k", [12, 24, 40])
+def test_lam_independent_of_horizon(k):
+    short = hecke_eigenforms(k)
+    long = hecke_eigenforms(k, horizon=2000)
+    for f, g in zip(short, long):
+        assert f.horizon == eigenform_horizon(k) < g.horizon == 2000
+        assert np.array_equal(f.lam_f64, g.lam_f64[: f.horizon + 1])
 
 
 def test_miller_basis_independent_of_request_order():

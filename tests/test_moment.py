@@ -109,11 +109,13 @@ def test_node_doubling_contract(delta):
     assert abs(fine - coarse) < 1e-9 * abs(fine)
 
 
-def test_regularized_bound_dominates(delta):
-    reg = regularized_bound(delta)
+def test_regularized_bound_dominates(delta, forms24):
+    reg = regularized_bound(RankinSelbergPair(delta))
     assert reg["unfolded"] > 0
     assert 0 < reg["c_fit"] < 100
     assert norm_f_estar(delta, 0.5) <= reg["bound"]
+    with pytest.raises(ValueError):
+        regularized_bound(RankinSelbergPair(*forms24))
 
 
 def test_moment_row_k12_single_term(delta):
@@ -212,6 +214,10 @@ def test_form_values_match_pointwise(k, refine, forms40):
         assert got.shape == want.shape
         assert _max_rel(got[:n_strip], want[:n_strip]) <= 1e-13
         assert _max_rel(got[n_strip:], want[n_strip:]) <= 1e-13
+        # the lune's phases are computed per column, then broadcast: the
+        # same values as pointwise evaluation of the flat lune, bit for bit
+        lune = eval_cusp_form_f64(f, eng.x[n_strip:], eng.y[n_strip:])
+        assert np.array_equal(got[n_strip:], lune)
 
 
 @pytest.mark.parametrize("k, refine", [(12, 2), (40, 1)])
@@ -219,6 +225,9 @@ def test_form_values_match_pointwise(k, refine, forms40):
 def test_estar_grid_matches_pointwise(k, refine, s):
     eng = PeterssonEngine(k, refine)
     assert _max_rel(eng.estar(s), completed_eisenstein_f64(eng.x, eng.y, s)) <= 1e-13
+    n_strip = len(eng._nodes.xs) * len(eng._nodes.ys)
+    lune = completed_eisenstein_f64(eng.x[n_strip:], eng.y[n_strip:], s)
+    assert np.array_equal(eng.estar(s)[n_strip:], lune)
 
 
 @pytest.mark.parametrize("refine", [1, 2])
@@ -270,3 +279,24 @@ def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
         d = unfold_check(forms24[r["i"]], forms24[r["j"]], r["s"])
         assert {key: r[key] for key in d} == d
         assert r["rel_err"] < 1e-4
+
+
+def test_moment_row_builds_each_diagonal_pair_once(monkeypatch, forms24):
+    # (g, g) once per form, (f, g) once per g != f: 2 dim - 1 pairs, and
+    # the values equal those of a fresh pair for every use, bit for bit
+    pairs = Counter()
+
+    class CountedPair(RankinSelbergPair):
+        def __init__(self, f, g=None):
+            pairs.update([(f.index, (g or f).index)])
+            super().__init__(f, g)
+
+    monkeypatch.setattr(moment, "RankinSelbergPair", CountedPair)
+    row = moment_row(24, forms=forms24)
+    assert pairs == Counter({(0, 0): 1, (1, 1): 1, (0, 1): 1})
+    f = forms24[0]
+    for g, cv in zip(forms24, row["central_values"]):
+        assert cv["norm_g"] == RankinSelbergPair(g).norm_theta()
+    reg = regularized_bound(RankinSelbergPair(f))
+    assert (row["reg_unfolded"], row["reg_bound"]) == (reg["unfolded"], reg["bound"])
+    assert row["lambda_star_1pe"] == RankinSelbergPair(f).completed_l_normalized(1.0 + moment.REG_EPS).real

@@ -28,6 +28,13 @@ def delta_pair():
 
 
 @pytest.fixture(scope="module")
+def delta_pair_2000():
+    # past the default horizon: splits beyond MAX_THETA_SPLIT and direct
+    # sums deep in Re s > 1 read further than production does
+    return RankinSelbergPair(hecke_eigenforms(12, horizon=2000)[0])
+
+
+@pytest.fixture(scope="module")
 def k24_forms():
     return hecke_eigenforms(24)
 
@@ -74,12 +81,13 @@ def test_gamma_factor_log_against_mp():
             assert abs(got - complex(ref)) < 1e-11 * max(1.0, abs(complex(ref)))
 
 
-def test_theta_relation_unused_splits(delta_pair):
-    R = delta_pair.residue_theta(2.0)
+def test_theta_relation_unused_splits(delta_pair_2000):
+    pair = delta_pair_2000
+    R = pair.residue_theta(2.0)
     for t0 in (1.3, 1.7, 2.6, 4.0):
         resid = (
-            delta_pair.theta_profile(1.0 / t0)
-            - t0 * delta_pair.theta_profile(t0)
+            pair.theta_profile(1.0 / t0)
+            - t0 * pair.theta_profile(t0)
             - R * t0
             + R
         )
@@ -91,14 +99,14 @@ def test_residue_split_independence(delta_pair):
     assert delta_pair.residue_consistency((1.6, 2.0, 3.0)) < 1e-12 * abs(R)
 
 
-def test_afe_matches_direct_sum(delta_pair):
-    afe = delta_pair.l_value(4.0).real
-    direct = delta_pair.l_direct(4.0).real
+def test_afe_matches_direct_sum(delta_pair_2000):
+    afe = delta_pair_2000.l_value(4.0).real
+    direct = delta_pair_2000.l_direct(4.0).real
     assert abs(afe - direct) < 1e-9 * abs(direct)
 
 
 def test_afe_matches_direct_sum_k40():
-    pair = RankinSelbergPair(hecke_eigenforms(40)[0])
+    pair = RankinSelbergPair(hecke_eigenforms(40, horizon=2000)[0])
     afe = pair.l_value(4.0).real
     direct = pair.l_direct(4.0).real
     assert abs(afe - direct) < 1e-9 * abs(direct)
