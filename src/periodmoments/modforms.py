@@ -523,20 +523,31 @@ def eval_cusp_form_f64(form: Eigenform, x, y):
     series = _cusp_series(form, float(np.min(y)))
     shape = np.broadcast_shapes(x.shape, y.shape)
     nd = max(len(shape), 1)
-    x = x.reshape((1,) * (nd - x.ndim) + x.shape)
-    y = y.reshape((1,) * (nd - y.ndim) + y.shape)
     out = np.empty((1,) * (nd - len(shape)) + shape, dtype=complex)
-    # blocks of about EVAL_BLOCK points along the first axis: the
-    # (points, terms) temporaries stay a few MB, and each point's sum
-    # over n is the same as in one pass
-    rows = max(1, EVAL_BLOCK // (out.size // len(out)))
-    for i in range(0, out.shape[0], rows):
-        blk = slice(i, i + rows)
-        terms = _cusp_radial(series, y[blk] if len(y) > 1 else y) * _cusp_phases(
-            series, x[blk] if len(x) > 1 else x
-        )
-        out[blk] = terms.sum(axis=-1)
+    _cusp_sums(
+        series,
+        x.reshape((1,) * (nd - x.ndim) + x.shape),
+        y.reshape((1,) * (nd - y.ndim) + y.shape),
+        out,
+    )
     return out.reshape(shape)
+
+
+def _cusp_sums(series, x, y, out):
+    """out = sum_n radial(y) phase(x) for x, y of out's ndim (>= 1) that
+    broadcast to it, in blocks of about EVAL_BLOCK points along the first
+    axis, and row by row below it where one row holds more: the
+    (points, terms) temporaries stay a few MB, and each point's sum over n
+    is the same as in one pass."""
+    row = out.size // len(out)
+    rows = max(1, EVAL_BLOCK // row)
+    for i in range(0, len(out), rows):
+        xb = x[i : i + rows] if len(x) > 1 else x
+        yb = y[i : i + rows] if len(y) > 1 else y
+        if row > EVAL_BLOCK:
+            _cusp_sums(series, xb[0], yb[0], out[i])
+        else:
+            out[i : i + rows] = (_cusp_radial(series, yb) * _cusp_phases(series, xb)).sum(axis=-1)
 
 
 def eval_cusp_form_grid_f64(form: Eigenform, xs, ys, y_min: float):
