@@ -303,7 +303,7 @@ class Eigenform:
 
 
 def _polyroots_real(coeffs_fr):
-    # coeffs_fr: monic Fraction list, highest degree first
+    # coeffs_fr: monic exact coefficients (int or Fraction), highest degree first
     with working_dps(HECKE_DPS):
         cs = [mpf(c.numerator) / mpf(c.denominator) for c in coeffs_fr]
         try:
