@@ -35,6 +35,8 @@ from .precision import NonConvergenceError, PoleError, RangeError, working_digit
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
 
+# The max_*_rel_err checks fold their errors with np.maximum, which
+# propagates nan: the builtin max(0.0, nan) is 0.0, a vacuous PASS.
 UNFOLD_TOL = 1e-4
 STADE2_TOL = 1e-8
 STADE3_TOL = 1e-4
@@ -105,7 +107,7 @@ def run_unfold_check(args, rng):
     rows = []
     worst = 0.0
     for d in unfold_rows(_FORMS(args.k), args.s):
-        worst = max(worst, d["rel_err"])
+        worst = np.maximum(worst, d["rel_err"])
         rows.append([args.k, d["i"], d["j"], d["s"], d["quadrature"],
                      report.hp_str(d["quadrature"]), d["afe"], d["rel_err"]])
     header = ["k", "i", "j", "s", "quadrature", "quadrature_str", "afe", "rel_err"]
@@ -137,7 +139,7 @@ def run_stade(args, rng):
             pm = spectral.spectral_params(2, [1j * tm])
             for s in s_values:
                 r = spectral.stade_check(pn, pm, s)
-                worst = max(worst, r["rel_err"])
+                worst = np.maximum(worst, r["rel_err"])
                 ratio = None
                 if s == 0.5:
                     ball = spectral.plancherel_ball(pn, radius=1.0)["integral"]
@@ -157,7 +159,7 @@ def run_stade(args, rng):
             pm = spectral.spectral_params(3, [1j * v for v in mu_t])
             for s in s_values:
                 r = spectral.stade_check(pn, pm, s)
-                worst = max(worst, r["rel_err"])
+                worst = np.maximum(worst, r["rel_err"])
                 rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], s,
                              complex(r["lhs"]), report.hp_str(complex(r["lhs"])),
                              complex(r["rhs"]), r["rel_err"]])
@@ -227,7 +229,7 @@ def run_epstein_fe(args, rng):
         lhs = epstein_xi_f64(m, rho, split=1.0)
         rhs = det ** -0.5 * epstein_xi_f64(np.linalg.inv(m), args.n / 2 - rho, split=None)
         rel = abs(lhs - rhs) / abs(rhs)
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)
         rows.append([args.n, idx, rho, lhs, report.hp_str(lhs), rhs, rel])
     checks = [report.check("max_fe_rel_err", worst, EPSTEIN_TOL, worst <= EPSTEIN_TOL)]
     # classical identity Z(I_2, rho) = 2 zeta(rho) beta(rho)
@@ -236,7 +238,7 @@ def run_epstein_fe(args, rng):
         z = epstein_z_f64(np.eye(2), rho)
         with working_dps(30):
             want = float(2 * zeta(rho) * dirichlet_beta(rho))
-        worst_id = max(worst_id, abs(z - want) / abs(want))
+        worst_id = np.maximum(worst_id, abs(z - want) / abs(want))
     checks.append(report.check("max_z2_identity_rel_err", worst_id, EPSTEIN_TOL,
                                worst_id <= EPSTEIN_TOL))
     return header, rows, checks, {"n": args.n, "samples": args.samples}
@@ -309,7 +311,7 @@ def run_norm_crosscheck(args, rng):
             nq = norm_quadrature(f)
             nt = RankinSelbergPair(f).norm_theta()
             rel = abs(nq - nt) / nt
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
             rows.append([k, i, nq, nt, report.hp_str(nt), rel])
     checks = [report.check("max_rel_err", worst, NORM_TOL, worst <= NORM_TOL)]
     return header, rows, checks, {"k": args.k}
@@ -348,6 +350,15 @@ def positive_float(text):
     return value
 
 
+def finite_float(text):
+    """argparse type of unfold-check's s and lemma1's eps: a finite float
+    (nan or inf would reach the checks as a nan error or a nan slope)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("--output", default=None, help="CSV path (default <experiment>.csv)")
@@ -372,7 +383,7 @@ def build_parser():
 
     p = sub.add_parser("unfold-check", help="two-route unfolding agreement at one weight")
     p.add_argument("--k", type=int, default=12)
-    p.add_argument("--s", type=float, nargs="+", default=[0.5, 0.75])
+    p.add_argument("--s", type=finite_float, nargs="+", default=[0.5, 0.75])
     subparsers["unfold-check"] = p
 
     p = sub.add_parser("stade", help="Stade formula residuals")
@@ -395,7 +406,7 @@ def build_parser():
     p = sub.add_parser("lemma1", help="completed Eisenstein central-value bound on the Siegel set")
     p.add_argument("--n", type=int, choices=(2, 3, 4), default=2)
     p.add_argument("--samples", type=positive_int, default=200)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=finite_float, default=0.05)
     subparsers["lemma1"] = p
 
     p = sub.add_parser("eisenstein-residue", help="residue of E(z,s) at s=1 vs 3/pi")

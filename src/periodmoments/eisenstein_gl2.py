@@ -31,7 +31,6 @@ __all__ = [
     "completed_eisenstein",
     "eisenstein",
     "completed_eisenstein_f64",
-    "completed_eisenstein_grid_f64",
     "residue_at_one",
     "CENTER_SNAP",
 ]
@@ -156,38 +155,26 @@ def _check_domain(y, s):
     return y, s
 
 
-def completed_eisenstein_f64(x, y, s):
+def completed_eisenstein_f64(x, y, s, y_min: float = None):
     """Vectorized double-precision E*(z, s) for real s (quadrature grids).
 
-    x, y broadcastable arrays, y > 0; the series is truncated at the
-    smallest y given.  The cosines are computed on x and the Bessel
-    functions on y before they broadcast, so points on columns of constant
-    x (x of shape (m, 1), y of shape (m, p)) cost one cosine per column.
+    x, y broadcastable arrays, y > 0; the series is truncated at y_min,
+    by default the smallest y given.  Points that are part of a larger
+    node set pass that set's smallest height, so they use its term count;
+    a y_min above min(y) raises ValueError.  The cosines are computed on
+    x and the Bessel functions on y before they broadcast, so a tensor
+    grid (x of shape (m, 1), y of shape (1, p)) or columns of constant x
+    (y of shape (m, p)) cost one cosine per row of x.
     """
     x = np.asarray(x, dtype=float)
     y, s = _check_domain(y, s)
-    n_terms = _n_terms_f64(float(np.min(y)))
+    if y_min is None:
+        y_min = float(np.min(y))
+    elif not 0 < y_min <= np.min(y):
+        raise ValueError("y_min must be positive and at most min(y)")
+    n_terms = _n_terms_f64(float(y_min))
     const, radial = _eisenstein_radial(y, s, n_terms)
     return const + 4 * np.sqrt(y) * (radial * _eisenstein_angular(x, n_terms)).sum(axis=-1)
-
-
-def completed_eisenstein_grid_f64(xs, ys, s, y_min: float):
-    """E*(., s) on the tensor grid of 1-D axes: out[i, j] = E*(xs[i] + i ys[j], s).
-
-    The Fourier series is separable, so the Bessel functions are evaluated
-    on len(ys) heights and the cosines on len(xs) abscissae.  The series
-    is truncated at y_min rather than at min(ys), so a grid that is part
-    of a larger node set uses that set's term count; each value is then
-    the same sum, in the same order, as completed_eisenstein_f64 gives.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys, s = _check_domain(ys, s)
-    if not 0 < y_min <= float(np.min(ys)):
-        raise ValueError("y_min must be positive and at most min(ys)")
-    n_terms = _n_terms_f64(float(y_min))
-    const, radial = _eisenstein_radial(ys, s, n_terms)
-    angular = _eisenstein_angular(xs, n_terms)
-    return const + 4 * np.sqrt(ys) * (radial * angular[:, None, :]).sum(axis=-1)
 
 
 def residue_at_one(z, completed=False):

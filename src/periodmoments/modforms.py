@@ -43,7 +43,6 @@ __all__ = [
     "theta_cutoff",
     "afe_cutoff",
     "eval_cusp_form_f64",
-    "eval_cusp_form_grid_f64",
     "DEFAULT_WEIGHTS",
 ]
 
@@ -507,20 +506,27 @@ def _heights(y) -> np.ndarray:
     return y
 
 
-def eval_cusp_form_f64(form: Eigenform, x, y):
+def eval_cusp_form_f64(form: Eigenform, x, y, y_min: float = None):
     """f(x+iy) = sum lam(n) (4 pi n)^{(k-1)/2} Gamma(k)^{-1/2} e(n(x+iy)).
 
     Vectorized double precision over broadcastable x, y arrays; terms
-    assembled in log space (_cusp_radial), truncated at the smallest y
-    given (_cusp_series).  Phases are computed on x and radial factors on
-    y before they broadcast, so points on columns of constant x (x of
-    shape (m, 1), y of shape (m, p)) cost one phase per column.  The
-    horizon of the form bounds the heights: the default one reaches down
-    to y ~ (k + 170) / (2 pi horizon).
+    assembled in log space (_cusp_radial), truncated at y_min
+    (_cusp_series).  y_min defaults to the smallest y given; points that
+    are part of a larger node set pass that set's smallest height, so they
+    use its term count, and a y_min above min(y) raises ValueError.
+    Phases are computed on x and radial factors on y before they
+    broadcast, so a tensor grid (x of shape (m, 1), y of shape (1, p)) or
+    columns of constant x (y of shape (m, p)) cost one phase per row of x.
+    The horizon of the form bounds the heights: the default one reaches
+    down to y ~ (k + 170) / (2 pi horizon).
     """
     x = np.asarray(x, dtype=float)
     y = _heights(y)
-    series = _cusp_series(form, float(np.min(y)))
+    if y_min is None:
+        y_min = float(np.min(y))
+    elif not 0 < y_min <= np.min(y):
+        raise ValueError("y_min must be positive and at most min(y)")
+    series = _cusp_series(form, float(y_min))
     shape = np.broadcast_shapes(x.shape, y.shape)
     nd = max(len(shape), 1)
     out = np.empty((1,) * (nd - len(shape)) + shape, dtype=complex)
@@ -548,29 +554,3 @@ def _cusp_sums(series, x, y, out):
             _cusp_sums(series, xb[0], yb[0], out[i])
         else:
             out[i : i + rows] = (_cusp_radial(series, yb) * _cusp_phases(series, xb)).sum(axis=-1)
-
-
-def eval_cusp_form_grid_f64(form: Eigenform, xs, ys, y_min: float):
-    """f on the tensor grid of 1-D axes: out[i, j] = f(xs[i] + i ys[j]).
-
-    The series is separable: each term is a radial factor in y times a
-    phase in x, so the grid costs len(ys) + len(xs) transcendental
-    evaluations per term instead of len(xs) len(ys).  The terms are those
-    of eval_cusp_form_f64, truncated at y_min rather than at min(ys), so
-    a grid that is part of a larger node set uses that set's term count;
-    each value is then the same sum, in the same order, as pointwise
-    evaluation gives.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = _heights(ys)
-    if not 0 < y_min <= float(np.min(ys)):
-        raise ValueError("y_min must be positive and at most min(ys)")
-    series = _cusp_series(form, float(y_min))
-    radial = _cusp_radial(series, ys)
-    phases = _cusp_phases(series, xs)
-    out = np.empty((xs.size, ys.size), dtype=complex)
-    # rows of x in blocks of about EVAL_BLOCK points, as pointwise
-    rows = max(1, EVAL_BLOCK // ys.size)
-    for i in range(0, xs.size, rows):
-        out[i : i + rows] = (radial * phases[i : i + rows, None, :]).sum(axis=-1)
-    return out

@@ -13,12 +13,16 @@ the lune between the unit circle and that line:
 <F, G>_k = int F(z) conj(G(z)) y^{k-2} dx dy.  Ymax = max(10, (k+40)/2pi)
 keeps the tail of the cusp-form factor below 1e-30.
 
-Cusp forms and E*(., s) are separable on the strip (radial factor in y
-times a phase in x per Fourier term), so they are evaluated there as
-tensor products of a 1-D table per axis, and pointwise only on the lune;
-the values equal pointwise evaluation bit for bit.  Form values are not
-memoized: moment_row and unfold_rows evaluate each form once per weight
-and pair the arrays they keep.
+The two parts are cached separately: the strip per (Ymax, refine), the
+lune per refine alone, each with x and y in broadcast shape (the strip as
+the tensor grid xs[:, None] x ys[None, :], the lune as columns of
+constant x) and its own memo of E*(., s).  Cusp forms and E*(., s) are
+separable (radial factor in y times a phase in x per Fourier term), and
+their one float64 evaluator each tabulates both factors before they
+broadcast, so the strip costs a 1-D table per axis.  Both parts are
+truncated at the smallest height of the nodes, a lune node's.  Form
+values are not memoized: moment_row and unfold_rows evaluate each form
+once per weight and pair the arrays they keep.
 
 Unfolding identity driving the cross-checks: for eigenforms f, g and the
 completed degenerate series E*,
@@ -53,8 +57,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import special
-from .eisenstein_gl2 import completed_eisenstein_f64, completed_eisenstein_grid_f64
-from .modforms import Eigenform, eval_cusp_form_f64, eval_cusp_form_grid_f64, hecke_eigenforms
+from .eisenstein_gl2 import completed_eisenstein_f64
+from .modforms import Eigenform, eval_cusp_form_f64, hecke_eigenforms
 from .precision import RangeError, working_dps
 from .rankin_selberg import RankinSelbergPair
 
@@ -87,69 +91,50 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class _NodeSet:
-    """Nodes of one (ymax, refine): the strip as the tensor grid xs x ys,
-    the lune as columns of constant x (lune_x of shape (columns, 1),
-    lune_y of shape (columns, nodes per column)), and their concatenation
-    x, y (strip node (i, j) at i * len(ys) + j, then the lune column by
-    column) with weights w0 = dx dy without the measure factor.  y_min is
-    the smallest height of the set, a lune node's: both grids truncate
-    their series there, so the strip uses as many terms as pointwise
-    evaluation of all nodes would.
-    estar memoizes E*(., s) on the nodes, which depends only on them and s.
-    """
+@dataclass(frozen=True, eq=False)
+class _Part:
+    """One part of the nodes: x and y in broadcast shape, the weights
+    w0 = dx dy without the measure factor in the shape they broadcast to,
+    and estar, a memo of E*(., s) on the part keyed by s (read-only
+    arrays of w0's shape)."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    lune_x: np.ndarray
-    lune_y: np.ndarray
     x: np.ndarray
     y: np.ndarray
     w0: np.ndarray
-    y_min: float
-    estar: dict
+    estar: dict = field(default_factory=dict)
 
-
-_NODE_SETS = {}
-
-
-def _node_set(ymax: float, refine: int) -> _NodeSet:
-    """The nodes for the strip below ymax and the lune; every engine with
-    the same ymax and refine (all k <= 22 have ymax = 10) shares them."""
-    key = (ymax, refine)
-    if key not in _NODE_SETS:
-        nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
-        mx, my = LUNE_X_POINTS * refine, LUNE_Y_POINTS * refine
-        # strip
-        xs = -0.5 + (np.arange(nx) + 0.5) / nx
-        wx = np.full(nx, 1.0 / nx)
-        gl_u, gl_wu = _leggauss(ny)
-        umax = math.log(ymax)
-        uu = umax / 2 * (gl_u + 1.0)
-        ys = np.exp(uu)
-        wy = gl_wu * umax / 2 * ys  # du -> dy jacobian
-        X1, Y1 = np.meshgrid(xs, ys, indexing="ij")
-        W1 = np.outer(wx, wy)
-        # lune
-        gl_x, gl_wx = _leggauss(mx)
-        gl_y, gl_wy = _leggauss(my)
-        cols_x, cols_y, cols_w = [], [], []
-        for xv, xwv in zip(gl_x / 2, gl_wx / 2):
-            y0 = math.sqrt(1.0 - xv * xv)
-            mid, half = (1.0 + y0) / 2, (1.0 - y0) / 2
-            cols_x.append(np.full(my, xv))
-            cols_y.append(mid + half * gl_y)
-            cols_w.append(gl_wy * half * xwv)
-        lune = [np.concatenate(parts) for parts in (cols_x, cols_y, cols_w)]
-        x, y, w0 = [np.concatenate([a.ravel(), b]) for a, b in zip((X1, Y1, W1), lune)]
-        lune_x = (gl_x / 2)[:, None]
-        lune_y = lune[1].reshape(mx, my)
-        arrays = (xs, ys, lune_x, lune_y, x, y, w0)
-        for a in arrays:
+    def __post_init__(self):
+        for a in (self.x, self.y, self.w0):
             a.flags.writeable = False
-        _NODE_SETS[key] = _NodeSet(*arrays, y_min=float(np.min(y)), estar={})
-    return _NODE_SETS[key]
+
+
+@lru_cache(maxsize=None)
+def _strip(ymax: float, refine: int) -> _Part:
+    """The strip below ymax as the tensor grid x = xs[:, None],
+    y = ys[None, :]; every engine with the same ymax and refine (all
+    k <= 22 have ymax = 10) shares it."""
+    nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
+    xs = -0.5 + (np.arange(nx) + 0.5) / nx
+    wx = np.full(nx, 1.0 / nx)
+    gl_u, gl_wu = _leggauss(ny)
+    umax = math.log(ymax)
+    uu = umax / 2 * (gl_u + 1.0)
+    ys = np.exp(uu)
+    wy = gl_wu * umax / 2 * ys  # du -> dy jacobian
+    return _Part(xs[:, None], ys[None, :], np.outer(wx, wy))
+
+
+@lru_cache(maxsize=None)
+def _lune(refine: int) -> _Part:
+    """The lune as columns of constant x: x of shape (columns, 1), y of
+    shape (columns, nodes per column).  It does not depend on ymax, so
+    every engine with the same refine shares it."""
+    gl_x, gl_wx = _leggauss(LUNE_X_POINTS * refine)
+    gl_y, gl_wy = _leggauss(LUNE_Y_POINTS * refine)
+    xv, xw = (gl_x / 2)[:, None], (gl_wx / 2)[:, None]
+    y0 = np.sqrt(1.0 - xv * xv)
+    mid, half = (1.0 + y0) / 2, (1.0 - y0) / 2
+    return _Part(xv, mid + half * gl_y, gl_wy * half * xw)
 
 
 @dataclass
@@ -159,55 +144,70 @@ class PeterssonEngine:
     Weights fold in the measure factor y^{k-2}; Ymax grows with k so the
     mass peak of |f|^2 y^k near y ~ k/4pi stays interior.  refine scales
     every node count for convergence probes.  Weights that overflow
-    float64 (k >~ 190) raise RangeError.
+    float64 (k >~ 190) raise RangeError.  x, y and w are flat: strip node
+    (i, j) at i * len(ys) + j, then the lune column by column.  y_min is
+    the smallest height of the nodes, a lune node's: both parts truncate
+    their series there, so the strip uses as many terms as pointwise
+    evaluation of all nodes would.
     """
 
     k: int
     refine: int = 1
-    x: np.ndarray = field(init=False, repr=False)
-    y: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
-    _nodes: _NodeSet = field(init=False, repr=False)
+    y_min: float = field(init=False, repr=False)
+    _parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.k
         ymax = max(10.0, (k + 40.0) / (2 * math.pi))
-        self._nodes = _node_set(ymax, self.refine)
-        self.x, self.y = self._nodes.x, self._nodes.y
+        self._parts = (_strip(ymax, self.refine), _lune(self.refine))
+        self.y_min = float(min(np.min(p.y) for p in self._parts))
         with np.errstate(over="ignore"):
-            self.w = self._nodes.w0 * self.y ** (k - 2)
+            self.w = self._flat([p.w0 * p.y ** (k - 2) for p in self._parts])
         if not np.all(np.isfinite(self.w)):
             raise RangeError(
                 "Petersson weights y^(k-2) overflow float64 at k=%d (ymax %.3g)" % (k, ymax)
             )
+
+    def _flat(self, per_part) -> np.ndarray:
+        """One array per part, broadcast to the part's nodes and joined
+        in node order."""
+        return np.concatenate(
+            [np.broadcast_to(a, p.w0.shape).ravel() for a, p in zip(per_part, self._parts)]
+        )
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._flat([p.x for p in self._parts])
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._flat([p.y for p in self._parts])
 
     def integrate(self, values: np.ndarray) -> complex:
         """Weighted sum over the nodes; values evaluated at (self.x, self.y)."""
         return complex(np.sum(values * self.w))
 
     def form_values(self, form: Eigenform) -> np.ndarray:
-        """The cusp form at the nodes: a tensor product on the strip,
-        pointwise on the lune with one phase per column, the same values
-        as eval_cusp_form_f64(form, self.x, self.y).  Not memoized:
+        """The cusp form at the nodes, part by part.  Not memoized:
         callers that need a form more than once keep the array."""
-        n = self._nodes
-        strip = eval_cusp_form_grid_f64(form, n.xs, n.ys, n.y_min)
-        lune = eval_cusp_form_f64(form, n.lune_x, n.lune_y)
-        return np.concatenate([strip.ravel(), lune.ravel()])
+        return self._flat(
+            [eval_cusp_form_f64(form, p.x, p.y, y_min=self.y_min) for p in self._parts]
+        )
 
     def estar(self, s: float) -> np.ndarray:
-        """E*(., s) at the nodes for real s, a tensor product on the strip
-        and pointwise on the lune with one cosine per column; evaluated
-        once per node set and s (see _NodeSet), read-only."""
+        """E*(., s) at the nodes for real s, read-only.  Each part is
+        evaluated once per s (see _Part): the lune once per refine, the
+        strip once per ymax and refine."""
         s = float(s)
-        n = self._nodes
-        if s not in n.estar:
-            strip = completed_eisenstein_grid_f64(n.xs, n.ys, s, n.y_min)
-            lune = completed_eisenstein_f64(n.lune_x, n.lune_y, s)
-            ev = np.concatenate([strip.ravel(), lune.ravel()])
-            ev.flags.writeable = False
-            n.estar[s] = ev
-        return n.estar[s]
+        for p in self._parts:
+            if s not in p.estar:
+                ev = completed_eisenstein_f64(p.x, p.y, s, y_min=self.y_min)
+                ev.flags.writeable = False
+                p.estar[s] = ev
+        ev = self._flat([p.estar[s] for p in self._parts])
+        ev.flags.writeable = False
+        return ev
 
 
 _ENGINES = {}

@@ -251,29 +251,3 @@ class RankinSelbergPair:
         ns = np.arange(1, n_max + 1, dtype=float)
         val = np.sum(c[1:] * ns ** (-s))
         return complex(val)
-
-    def l_at_one_plus_eps(self, eps: float) -> dict:
-        """L(1+eps) by the AFE, with a direct-sum enclosure diagnostic.
-
-        tail bound: |c(n)| <= A n^0.35 fitted on the computed range with a
-        x3 safety factor (numeric divisor-growth proxy, not a theorem).
-        """
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        s = 1.0 + eps
-        afe = self.l_value(s).real
-        n_max = len(self._pair_coeff) - 1
-        c = self.c_table(n_max)
-        ns = np.arange(1, n_max + 1, dtype=float)
-        partial = float(np.sum(c[1:] * ns ** (-s)))
-        A = 3.0 * float(np.max(np.abs(c[1:]) / ns**0.35))
-        # integral comparison for sum_{n>N} A n^{0.35-1-eps}
-        tail = A * n_max ** (0.35 - eps) / (0.65 + eps)
-        enclosed = partial - tail <= afe <= partial + tail
-        return {
-            "afe": afe,
-            "partial_sum": partial,
-            "tail_bound": tail,
-            "enclosed": bool(enclosed),
-        }

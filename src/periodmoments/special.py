@@ -62,10 +62,16 @@ def dirichlet_beta(s):
 
 
 def lam(w):
-    """Completed zeta Lambda(w) = gamma_r(w) zeta(w); poles at w = 0, 1."""
+    """Completed zeta Lambda(w) = gamma_r(w) zeta(w); poles at w = 0, 1.
+
+    At w = -2, -4, ... the pole of gamma_r meets a trivial zero of zeta,
+    and Lambda(w) = Lambda(1 - w) is finite: it is taken from there.
+    """
     w = mp.mpmathify(w)
     if w == 0 or w == 1:
         raise PoleError("completed zeta pole at w = %s" % w)
+    if mp.im(w) == 0 and mp.re(w) < 0 and mp.isint(w / 2):
+        return lam(1 - w)
     return gamma_r(w) * zeta(w)
 
 

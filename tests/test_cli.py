@@ -1,6 +1,7 @@
 """CLI driver: output contracts, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 from mpmath import mp
@@ -222,10 +223,14 @@ def test_empty_or_degenerate_counts_exit_2(tmp_path, argv):
     ["unfold-check", "--k", "12", "--s", "1.00000001"],
     ["moment", "--k-min", "12", "--k-max", "12", "--eps", "0"],
     ["moment", "--k-min", "12", "--k-max", "12", "--eps", "-1"],
+    ["unfold-check", "--k", "12", "--s", "nan"],
+    ["unfold-check", "--k", "12", "--s", "inf"],
+    ["lemma1", "--eps", "nan"],
 ])
 def test_poles_exit_2(tmp_path, capsys, argv):
     # s on a pole of Lambda(f x g, s), or eps that puts the regularized
-    # bound there, is a configuration error, not a traceback
+    # bound there, is a configuration error, not a traceback; so is a nan
+    # or infinite s or eps (--s nan used to PASS: max(0.0, nan) is 0.0)
     out = tmp_path / "o.csv"
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
@@ -249,3 +254,29 @@ def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert len(err) == 1
     assert "maxsteps=200" in err[0] and "best=" in err[0] and "last_delta=" in err[0]
     assert not out.exists()
+
+
+def test_nan_error_fails_its_check(tmp_path, monkeypatch):
+    # a nan relative error after a finite one: the worst-error fold keeps
+    # the nan, so the check fails (exit 1) instead of reading 0.0
+    def rows(forms, s_values):
+        return [{"i": 0, "j": 0, "s": s, "quadrature": 1.0, "afe": 1.0, "rel_err": err}
+                for s, err in zip(s_values, (0.0, math.nan))]
+
+    monkeypatch.setattr(cli, "unfold_rows", rows)
+    out = tmp_path / "u.csv"
+    rc = run(["unfold-check", "--k", "12", "--s", "0.5", "0.75",
+              "--output", str(out), "--summary", str(tmp_path / "u.json")])
+    assert rc == 1
+    check = json.loads((tmp_path / "u.json").read_text())["checks"][0]
+    assert check["name"] == "max_rel_err" and check["pass"] is False
+    assert math.isnan(check["value"])
+
+
+def test_unfold_check_at_trivial_zero_of_zeta(tmp_path):
+    # E*(., 2) reads Lambda(-2) = Lambda(3), finite: no false pole
+    out = tmp_path / "u.csv"
+    rc = run(["unfold-check", "--k", "12", "--s", "2",
+              "--output", str(out), "--summary", str(tmp_path / "u.json")])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2

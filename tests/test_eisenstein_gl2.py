@@ -99,6 +99,23 @@ def test_f64_matches_mp():
                 assert abs(float(ref) - got[j]) < 5e-14 * max(1.0, abs(float(ref)))
 
 
+def test_trivial_zeros_are_not_poles():
+    # at s = 2, 3 (and -1, -2) the constant term reads Lambda(-2) and
+    # Lambda(-4), finite by the functional equation of zeta
+    with working_dps(30):
+        for s in (2, 3):
+            a = completed_eisenstein(Z0, mpf(s))
+            b = completed_eisenstein(Z0, mpf(1 - s))
+            assert abs(a - b) < mpf("1e-25") * abs(a)
+    xg = np.array([0.1, 0.31, -0.27])
+    yg = np.array([0.9, 1.37, 2.2])
+    got = completed_eisenstein_f64(xg, yg, 2.0)
+    with working_dps(30):
+        for j in range(len(xg)):
+            ref = completed_eisenstein((mpf(float(xg[j])), mpf(float(yg[j]))), mpf(2))
+            assert abs(float(ref) - got[j]) < 5e-14 * abs(float(ref))
+
+
 def test_f64_pole_guards():
     with pytest.raises(PoleError):
         completed_eisenstein_f64(np.array([0.0]), np.array([1.0]), 1.0)

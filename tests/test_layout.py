@@ -1,6 +1,8 @@
-"""Package layout: every library module has an importer inside the package."""
+"""Package layout: every library module has an importer inside the package,
+and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import periodmoments
@@ -29,3 +31,14 @@ def test_every_module_is_imported_by_the_package():
         imported |= _sibling_imports(path)
     orphans = sorted(set(modules) - ENTRY_POINTS - imported)
     assert orphans == [], "modules no other package module imports: %s" % orphans
+
+
+def test_public_names_exist():
+    # a stale __all__ entry breaks `from periodmoments.<module> import *`
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "periodmoments" if path.stem == "__init__" else "periodmoments." + path.stem
+        mod = importlib.import_module(name)
+        missing += ["%s.%s" % (name, attr) for attr in getattr(mod, "__all__", ())
+                    if not hasattr(mod, attr)]
+    assert missing == [], "names in __all__ that the module lacks: %s" % missing

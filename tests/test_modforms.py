@@ -304,7 +304,7 @@ def test_eigenform_horizon_covers_every_reader():
         eng = PeterssonEngine(k)
         assert h >= theta_cutoff(k, 1.0 / 3.0)
         assert h >= afe_cutoff(k)
-        assert h >= modforms._cusp_n_eval(k, eng._nodes.y_min)
+        assert h >= modforms._cusp_n_eval(k, eng.y_min)
         # the readers themselves on a form of exactly that horizon
         zeros = [mpf(0)] * (h + 1)
         form = Eigenform(weight=k, index=0, t2_eigenvalue=mpf(0), a=zeros, lam=zeros)

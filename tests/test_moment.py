@@ -164,13 +164,20 @@ def test_engine_weight_overflow_guard():
 def test_estar_memo_matches_direct_evaluation(delta):
     eng = PeterssonEngine(12)
     ev = eng.estar(0.5)
-    assert eng.estar(0.5) is ev
     assert not ev.flags.writeable
     assert np.array_equal(ev, completed_eisenstein_f64(eng.x, eng.y, 0.5))
+    assert np.array_equal(eng.estar(0.5), ev)
     assert np.array_equal(eng.estar(1.1), completed_eisenstein_f64(eng.x, eng.y, 1.1))
-    # k <= 22 share Ymax = 10, so their nodes and E* memo; k = 24 does not
-    assert PeterssonEngine(22).estar(0.5) is ev
-    assert PeterssonEngine(24).y.max() > eng.y.max()
+    # k <= 22 share Ymax = 10, so their strip and its E* memo; k = 24 does
+    # not, and every weight shares the lune
+    strip, lune = eng._parts
+    eng22, eng24 = PeterssonEngine(22), PeterssonEngine(24)
+    assert eng22._parts[0] is strip and eng22._parts[1] is lune
+    assert eng24._parts[0] is not strip and eng24._parts[1] is lune
+    assert eng24.y.max() > eng.y.max()
+    assert np.array_equal(eng22.estar(0.5), ev)
+    for part in (strip, lune):
+        assert not part.estar[0.5].flags.writeable
 
 
 def test_moment_row_reuse_is_bit_identical(forms24):
@@ -207,7 +214,7 @@ def test_form_values_match_pointwise(k, refine, forms40):
     # pointwise evaluation of every node, in the node order
     forms = forms40 if k == 40 else hecke_eigenforms(k)
     eng = PeterssonEngine(k, refine)
-    n_strip = len(eng._nodes.xs) * len(eng._nodes.ys)
+    n_strip = eng._parts[0].w0.size
     for f in forms:
         got = eng.form_values(f)
         want = eval_cusp_form_f64(f, eng.x, eng.y)
@@ -216,6 +223,8 @@ def test_form_values_match_pointwise(k, refine, forms40):
         assert _max_rel(got[n_strip:], want[n_strip:]) <= 1e-13
         # the lune's phases are computed per column, then broadcast: the
         # same values as pointwise evaluation of the flat lune, bit for bit
+        # (the strip is a tensor grid, summed in other blocks than the
+        # flat strip, hence the 1e-13 above)
         lune = eval_cusp_form_f64(f, eng.x[n_strip:], eng.y[n_strip:])
         assert np.array_equal(got[n_strip:], lune)
 
@@ -225,14 +234,14 @@ def test_form_values_match_pointwise(k, refine, forms40):
 def test_estar_grid_matches_pointwise(k, refine, s):
     eng = PeterssonEngine(k, refine)
     assert _max_rel(eng.estar(s), completed_eisenstein_f64(eng.x, eng.y, s)) <= 1e-13
-    n_strip = len(eng._nodes.xs) * len(eng._nodes.ys)
+    n_strip = eng._parts[0].w0.size
     lune = completed_eisenstein_f64(eng.x[n_strip:], eng.y[n_strip:], s)
     assert np.array_equal(eng.estar(s)[n_strip:], lune)
 
 
 @pytest.mark.parametrize("refine", [1, 2])
 def test_grid_and_pointwise_choose_the_same_truncation(monkeypatch, forms40, refine):
-    # the strip's series is truncated at the node set's smallest height
+    # the strip's series is truncated at the engine's smallest height
     # (a lune node's), not at the strip's own, exactly as pointwise
     # evaluation of all nodes truncates it
     n_eval, n_terms = [], []
@@ -249,19 +258,57 @@ def test_grid_and_pointwise_choose_the_same_truncation(monkeypatch, forms40, ref
     eval_cusp_form_f64(forms40[0], eng.x, eng.y)
     completed_eisenstein_f64(eng.x, eng.y, 0.6180339887)
     assert len(set(n_eval)) == 1 and len(set(n_terms)) == 1
-    assert min(eng._nodes.ys) > 1.0 > eng._nodes.y_min == float(np.min(eng.y))
+    strip, lune = eng._parts
+    assert np.min(strip.y) > 1.0 > eng.y_min == float(np.min(lune.y)) == float(np.min(eng.y))
+
+
+def test_lune_estar_once_per_s_across_ymax(monkeypatch):
+    # the lune does not depend on Ymax: engines of three Ymax evaluate
+    # E*(., s) on it once per s, and on each strip once per s
+    calls = Counter()
+    direct = moment.completed_eisenstein_f64
+
+    def counted(x, y, s, **kw):
+        calls.update([("strip" if np.shape(y)[0] == 1 else "lune", s)])
+        return direct(x, y, s, **kw)
+
+    monkeypatch.setattr(moment, "completed_eisenstein_f64", counted)
+    s_values = (0.3819660113, 1.3819660113)  # s no other test puts in a memo
+    engines = [PeterssonEngine(k) for k in (12, 24, 40)]
+    assert len({float(eng.y.max()) for eng in engines}) == 3
+    for eng in engines:
+        for s in s_values:
+            assert np.array_equal(eng.estar(s), direct(eng.x, eng.y, s))
+    assert calls == Counter({("lune", s_values[0]): 1, ("lune", s_values[1]): 1,
+                             ("strip", s_values[0]): 3, ("strip", s_values[1]): 3})
+
+
+def test_y_min_above_the_points_is_rejected(delta):
+    x, y = np.zeros(3), np.array([1.0, 2.0, 3.0])
+    for y_min in (1.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            eval_cusp_form_f64(delta, x, y, y_min=y_min)
+        with pytest.raises(ValueError):
+            completed_eisenstein_f64(x, y, 0.75, y_min=y_min)
+    # y_min = min(y) is the default
+    assert np.array_equal(eval_cusp_form_f64(delta, x, y, y_min=1.0),
+                          eval_cusp_form_f64(delta, x, y))
+    assert np.array_equal(completed_eisenstein_f64(x, y, 0.75, y_min=1.0),
+                          completed_eisenstein_f64(x, y, 0.75))
 
 
 def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
-    # one strip grid and one lune evaluation per form, one AFE pair per
+    # one strip and one lune evaluation per form, one AFE pair per
     # (i, j); every entry equals the single-pair route bit for bit
     grids, lunes, pairs = Counter(), Counter(), Counter()
-    grid = moment.eval_cusp_form_grid_f64
-    lune = moment.eval_cusp_form_f64
-    monkeypatch.setattr(moment, "eval_cusp_form_grid_f64",
-                        lambda f, *a: grids.update([f.index]) or grid(f, *a))
-    monkeypatch.setattr(moment, "eval_cusp_form_f64",
-                        lambda f, *a: lunes.update([f.index]) or lune(f, *a))
+    direct = moment.eval_cusp_form_f64
+
+    def counted(f, x, y, **kw):
+        # the strip is the tensor grid, its y a single row
+        (grids if np.shape(y)[0] == 1 else lunes).update([f.index])
+        return direct(f, x, y, **kw)
+
+    monkeypatch.setattr(moment, "eval_cusp_form_f64", counted)
 
     class CountedPair(RankinSelbergPair):
         def __init__(self, f, g=None):

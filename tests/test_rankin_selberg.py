@@ -147,15 +147,6 @@ def test_norm_theta_positive(delta_pair):
     assert abs(n - 2.0 * R * math.exp(-math.lgamma(12))) < 1e-15 * n
 
 
-def test_l_at_one_plus_eps_enclosure(delta_pair):
-    d = delta_pair.l_at_one_plus_eps(0.1)
-    assert d["enclosed"]
-    assert d["tail_bound"] > 0
-    assert abs(d["afe"] - d["partial_sum"]) <= d["tail_bound"]
-    with pytest.raises(ValueError):
-        delta_pair.l_at_one_plus_eps(0.0)
-
-
 def test_guards(delta_pair, k24_forms):
     with pytest.raises(ValueError):
         RankinSelbergPair(delta_pair.f, k24_forms[0])  # weight mismatch

@@ -67,6 +67,24 @@ def test_zeta_and_lambda_poles():
         assert abs(lam(2) - mp.pi / 6) < mpf("1e-28")
 
 
+def test_lambda_at_trivial_zeros():
+    # the gamma_r pole at w = -2, -4 meets a trivial zero of zeta: Lambda is
+    # finite there and equals Lambda(1 - w), also as the limit of the product
+    with working_dps(30):
+        assert lam(-2) == lam(3)
+        assert lam(-4) == lam(5)
+        h = mpf("1e-25")
+        for w in (-2, -4):
+            near = gamma_r(w + h) * zeta(w + h)
+            assert abs(lam(w) - near) < mpf("1e-20") * abs(lam(w))
+        with pytest.raises(PoleError):
+            lam(0)
+        with pytest.raises(PoleError):
+            lam(1)
+        with pytest.raises(PoleError):
+            gamma_r(-2)
+
+
 def test_dirichlet_beta():
     with working_dps(30):
         assert abs(dirichlet_beta(1) - mp.pi / 4) < mpf("1e-27")
