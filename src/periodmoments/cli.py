@@ -30,7 +30,7 @@ from .epstein import (
     gln_completed_eisenstein_f64,
 )
 from .modforms import cusp_dim, hecke_eigenforms
-from .moment import moment_sweep, norm_quadrature, unfold_rows
+from .moment import moment_sweep, norm_quadrature, petersson_engine, unfold_rows
 from .precision import NonConvergenceError, PoleError, RangeError, working_digits, working_dps
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
@@ -75,6 +75,18 @@ def _forms_cache():
 _FORMS = _forms_cache()
 
 
+def _forms_by_weight(weights):
+    """Eigenforms of each weight, once every weight has passed the
+    Petersson engine's range check, so that a weight out of its range
+    exits 2 before any form is built.  The largest weight comes first:
+    its horizon is the largest, so the shared Miller products are built
+    once and every smaller weight slices them."""
+    weights = sorted(set(weights), reverse=True)
+    for k in weights:
+        petersson_engine(k)
+    return {k: _FORMS(k) for k in weights}
+
+
 # ---------------------------------------------------------------------------
 # experiments: each returns (header, rows, checks, extra_params)
 
@@ -84,10 +96,7 @@ def run_moment(args, rng):
     weights = [k for k in range(k_lo, args.k_max + 1, 2) if cusp_dim(k) >= 1]
     if not weights:
         raise RangeError("no weights with cusp forms in [%d, %d]" % (args.k_min, args.k_max))
-    # largest weight first: its horizon is the largest, so the shared
-    # Miller products are built once and every smaller weight slices them
-    forms_by_k = {k: _FORMS(k) for k in sorted(weights, reverse=True)}
-    rows_data = moment_sweep(weights, forms_by_k=forms_by_k, eps=args.eps)
+    rows_data = moment_sweep(weights, forms_by_k=_forms_by_weight(weights), eps=args.eps)
     header = ["k", "dim", "S_k", "S_k_str", "norm_fE", "bessel_slack", "slope_so_far"]
     rows = [
         [r["k"], r["dim"], r["S_k"], report.hp_str(r["S_k"]), r["norm_fE"],
@@ -106,7 +115,7 @@ def run_moment(args, rng):
 def run_unfold_check(args, rng):
     rows = []
     worst = 0.0
-    for d in unfold_rows(_FORMS(args.k), args.s):
+    for d in unfold_rows(_forms_by_weight([args.k])[args.k], args.s):
         worst = np.maximum(worst, d["rel_err"])
         rows.append([args.k, d["i"], d["j"], d["s"], d["quadrature"],
                      report.hp_str(d["quadrature"]), d["afe"], d["rel_err"]])
@@ -306,8 +315,9 @@ def run_norm_crosscheck(args, rng):
     header = ["k", "form_index", "norm_quad", "norm_residue", "norm_residue_str", "rel_err"]
     rows = []
     worst = 0.0
+    forms_by_k = _forms_by_weight(args.k)
     for k in args.k:
-        for i, f in enumerate(_FORMS(k)):
+        for i, f in enumerate(forms_by_k[k]):
             nq = norm_quadrature(f)
             nt = RankinSelbergPair(f).norm_theta()
             rel = abs(nq - nt) / nt
@@ -443,6 +453,19 @@ def _config_tokens(path, known):
     return tokens
 
 
+def _writable(path):
+    """path, after checking that a file can be written there: an existing
+    directory, a missing or read-only parent directory raise OSError."""
+    if os.path.isdir(path):
+        raise IsADirectoryError("output path %r is a directory" % path)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise FileNotFoundError("no directory %r for output %r" % (parent, path))
+    if not os.access(parent, os.W_OK):
+        raise PermissionError("directory %r is not writable" % parent)
+    return path
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, _ = build_parser()
@@ -455,6 +478,8 @@ def main(argv=None):
             known = set(vars(args)) - {"experiment"}
             tokens = _config_tokens(args.config, known)
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        out_csv = _writable(args.output or ("%s.csv" % args.experiment))
+        out_json = _writable(args.summary or (os.path.splitext(out_csv)[0] + ".json"))
     except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -477,8 +502,6 @@ def main(argv=None):
         return 1
     wall = time.time() - t0
 
-    out_csv = args.output or ("%s.csv" % args.experiment)
-    out_json = args.summary or (os.path.splitext(out_csv)[0] + ".json")
     report.write_csv(out_csv, header, rows)
     params = {"seed": args.seed}
     params.update(extra)

@@ -1,8 +1,8 @@
 """Exact holomorphic cusp forms for the full modular group.
 
 Everything up to the Hecke eigenbasis is exact: the q-expansions of E4,
-E6, Delta and the Miller (echelon) basis of S_k are integer arithmetic,
-the characteristic polynomials of the Hecke matrices rational.
+E6, Delta, the Miller (echelon) basis of S_k, the Hecke matrices and
+their characteristic polynomials are integer arithmetic.
 Eigenvalues and eigenvector expansions are then extracted in
 high-precision floating point, up to the horizon that the readers of
 lam(n) need (eigenform_horizon).  Coefficients are Hecke-normalized at
@@ -19,7 +19,6 @@ so that downstream norm and moment integrals stay O(1) across weights.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -215,15 +214,14 @@ def miller_basis(k: int, n_terms: int):
     return rows
 
 
-def hecke_matrix(k: int, p: int, basis=None, n_terms: int = None):
-    """Matrix c_ij of T_p on the Miller basis: T_p g_i = sum_j c_ij g_j.
+def hecke_matrix(k: int, p: int, basis):
+    """Integer matrix c_ij of T_p on the Miller basis of S_k
+    (miller_basis(k, n) with n >= p * dim): T_p g_i = sum_j c_ij g_j.
 
     Echelon structure reads the matrix off directly:
     c_ij = (T_p g_i)(j) = g_i(p j) + p^{k-1} g_i(j / p).
     """
     d = cusp_dim(k)
-    if basis is None:
-        basis = miller_basis(k, n_terms if n_terms is not None else p * d + 10)
     pk = p ** (k - 1)
     mat = []
     for i in range(d):
@@ -241,40 +239,22 @@ def hecke_matrix(k: int, p: int, basis=None, n_terms: int = None):
 
 
 def charpoly(mat):
-    """Monic characteristic polynomial coefficients [1, c_{d-1}, ..., c_0].
+    """Monic characteristic polynomial [1, c_{d-1}, ..., c_0] of an integer
+    matrix A, by Faddeev-LeVerrier over Z:
 
-    Closed forms for d <= 3, Faddeev-LeVerrier over Q above that.
+        M_m = A (M_{m-1} + c_{d-m+1} I),   c_{d-m} = -tr(M_m) / m,
+
+    with M_0 = 0.  The coefficients are integers, so each division is exact.
     """
     d = len(mat)
-    if d == 0:
-        return [Fraction(1)]
-    if d == 1:
-        return [Fraction(1), -Fraction(mat[0][0])]
-    if d == 2:
-        tr = mat[0][0] + mat[1][1]
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        return [Fraction(1), -tr, det]
-    if d == 3:
-        a, b, c = mat[0]
-        e, f, g = mat[1]
-        h, i, j = mat[2]
-        tr = a + f + j
-        m2 = (a * f - b * e) + (a * j - c * h) + (f * j - g * i)
-        det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
-        return [Fraction(1), -tr, m2, -det]
-    # Faddeev-LeVerrier
-    n = d
-    coeffs = [Fraction(1)]
-    M = [[Fraction(0)] * n for _ in range(n)]
-    I = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    for m in range(1, n + 1):
-        # M = A (M + c_{m-1} I)
-        prev = [[M[r][c] + coeffs[-1] * I[r][c] for c in range(n)] for r in range(n)]
-        M = [
-            [sum(mat[r][t] * prev[t][c] for t in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
-        cm = -sum(M[r][r] for r in range(n)) / m
+    coeffs = [1]
+    prod = [[0] * d for _ in range(d)]
+    for m in range(1, d + 1):
+        prev = [[prod[r][c] + (coeffs[-1] if r == c else 0) for c in range(d)] for r in range(d)]
+        prod = [[sum(mat[r][t] * prev[t][c] for t in range(d)) for c in range(d)] for r in range(d)]
+        cm, rem = divmod(-sum(prod[r][r] for r in range(d)), m)
+        if rem:
+            raise ArithmeticError("characteristic polynomial coefficients must be integral")
         coeffs.append(cm)
     return coeffs
 
@@ -301,10 +281,10 @@ class Eigenform:
         return out
 
 
-def _polyroots_real(coeffs_fr):
-    # coeffs_fr: monic exact coefficients (int or Fraction), highest degree first
+def _polyroots_real(coeffs):
+    # coeffs: monic integer coefficients, highest degree first; real roots sorted
     with working_dps(HECKE_DPS):
-        cs = [mpf(c.numerator) / mpf(c.denominator) for c in coeffs_fr]
+        cs = [mpf(c) for c in coeffs]
         try:
             roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
         except mp.NoConvergence as exc:
@@ -398,9 +378,11 @@ def hecke_eigenforms(k: int, horizon: int = None):
     with a(n) and lam(n) for n <= horizon (default eigenform_horizon(k)).
 
     Each coefficient is the same at any horizon that includes it: the
-    echelon basis is unique and the eigenvectors come from the Hecke
-    matrices alone.  Repeated T_2 eigenvalues fall back to T_2 + T_3
-    (simultaneous eigenbasis); a repeated spectrum there too raises.
+    echelon basis is unique and the eigenvectors come from the T_2 matrix
+    alone.  T_2 alone separates the forms: its characteristic polynomial is
+    irreducible over Q, so its roots are simple (Maeda's conjecture,
+    verified far beyond these weights).  Roots too close to tell apart
+    raise NonConvergenceError.
     """
     d = cusp_dim(k)
     if d == 0:
@@ -408,39 +390,19 @@ def hecke_eigenforms(k: int, horizon: int = None):
     if horizon is None:
         horizon = eigenform_horizon(k)
     basis = miller_basis(k, horizon)
-    cmat = hecke_matrix(k, 2, basis=basis)
-    cp = charpoly(cmat)
+    cmat = hecke_matrix(k, 2, basis)
     with working_dps(HECKE_DPS):
-        roots = _polyroots_real(cp)
+        roots = _polyroots_real(charpoly(cmat))
         scale = 1 + max(abs(r) for r in roots)
-        sep = min(
-            (abs(roots[i + 1] - roots[i]) for i in range(len(roots) - 1)),
-            default=mpf(1),
-        )
-        use = cmat
-        vals = roots
+        sep = min((b - a for a, b in zip(roots, roots[1:])), default=mpf(1))
         if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
-            # T_2 spectrum too close to call: separate with T_2 + T_3
-            cmat3 = hecke_matrix(k, 3, basis=basis)
-            use = [
-                [cmat[i][j] + cmat3[i][j] for j in range(d)] for i in range(d)
-            ]
-            vals = _polyroots_real(charpoly(use))
-            scale = 1 + max(abs(r) for r in vals)
-            sep = min(
-                (abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)),
-                default=mpf(1),
-            )
-            if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
-                raise NonConvergenceError(
-                    "T_2 and T_2+T_3 spectra both degenerate at k=%d" % k
-                )
-        cmat_mpf = [[mpf(c) for c in row] for row in use]
+            raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
+        cmat_mpf = [[mpf(c) for c in row] for row in cmat]
         basis_mpf = [[mpf(c) for c in row] for row in basis]
         half = mpf(k - 1) / 2
         n_half = [mpf(1)] + [mpf(n) ** half for n in range(1, horizon + 1)]
         forms = []
-        for idx, lam_val in enumerate(vals):
+        for idx, lam_val in enumerate(roots):
             v = _eigvec_from_matrix(cmat_mpf, lam_val, d)
             a = [mpf(0)] * (horizon + 1)
             for n in range(1, horizon + 1):
@@ -457,9 +419,6 @@ def hecke_eigenforms(k: int, horizon: int = None):
                     lam=lam_list,
                 )
             )
-        forms.sort(key=lambda f: f.t2_eigenvalue)
-        for i, f in enumerate(forms):
-            f.index = i
         return forms
 
 

@@ -64,6 +64,7 @@ from .rankin_selberg import RankinSelbergPair
 
 __all__ = [
     "PeterssonEngine",
+    "petersson_engine",
     "inner_product",
     "norm_quadrature",
     "unfold_check",
@@ -144,7 +145,7 @@ class PeterssonEngine:
     Weights fold in the measure factor y^{k-2}; Ymax grows with k so the
     mass peak of |f|^2 y^k near y ~ k/4pi stays interior.  refine scales
     every node count for convergence probes.  Weights that overflow
-    float64 (k >~ 190) raise RangeError.  x, y and w are flat: strip node
+    float64 (every k >= 198) raise RangeError.  x, y and w are flat: strip node
     (i, j) at i * len(ys) + j, then the lune column by column.  y_min is
     the smallest height of the nodes, a lune node's: both parts truncate
     their series there, so the strip uses as many terms as pointwise
@@ -213,7 +214,10 @@ class PeterssonEngine:
 _ENGINES = {}
 
 
-def _engine(k: int, refine: int = 1) -> PeterssonEngine:
+def petersson_engine(k: int, refine: int = 1) -> PeterssonEngine:
+    """The PeterssonEngine of weight k and refine, built once per process.
+    Raises RangeError where its weights overflow float64, so it also
+    checks a weight before any form of that weight is built."""
     key = (k, refine)
     if key not in _ENGINES:
         _ENGINES[key] = PeterssonEngine(k, refine)
@@ -256,10 +260,10 @@ def inner_product(
         hv = None if multiplier is None else multiplier(eng.x, eng.y)
         return _inner_on(eng, f, g, hv)
 
-    coarse = on(_engine(f.weight, refine))
+    coarse = on(petersson_engine(f.weight, refine))
     if not with_error:
         return coarse
-    fine = on(_engine(f.weight, 2 * refine))
+    fine = on(petersson_engine(f.weight, 2 * refine))
     return fine, abs(fine - coarse)
 
 
@@ -283,7 +287,7 @@ def _unfold_on(eng: PeterssonEngine, pair: RankinSelbergPair, fv, gv, s: float) 
 def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
     """Quadrature <f E*(., s), g> against Lambda*(f x g, s) from the AFE."""
     pair = RankinSelbergPair(f, g)
-    eng = _engine(f.weight, refine)
+    eng = petersson_engine(f.weight, refine)
     fv = eng.form_values(f)
     gv = fv if g is f else eng.form_values(g)
     return _unfold_on(eng, pair, fv, gv, s)
@@ -299,7 +303,7 @@ def unfold_rows(forms, s_values) -> list:
     """
     if not forms:
         raise ValueError("no cusp forms to pair")
-    eng = _engine(forms[0].weight)
+    eng = petersson_engine(forms[0].weight)
     values = [eng.form_values(f) for f in forms]
     rows = []
     for i, f in enumerate(forms):
@@ -314,7 +318,7 @@ def unfold_rows(forms, s_values) -> list:
 
 def norm_f_estar(f: Eigenform, s: float = 0.5, refine: int = 1) -> float:
     """||f E*(., s)||^2 = int |f|^2 E*(z,s)^2 y^{k-2} dx dy (real s)."""
-    eng = _engine(f.weight, refine)
+    eng = petersson_engine(f.weight, refine)
     return _norm_f_estar_on(eng, eng.form_values(f), eng.estar(s))
 
 
@@ -346,7 +350,7 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
         * l_val
         / zeta2
     )
-    eng = _engine(k)
+    eng = petersson_engine(k)
     e_star_half = eng.estar(0.5)
     e_plain = eng.estar(1.0 + eps) / lam_norm
     c_fit = float(np.max(e_star_half**2 / e_plain))
@@ -373,7 +377,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
     if not forms:
         raise ValueError("no cusp forms at weight %d" % k)
     f = forms[0]
-    eng = _engine(k)
+    eng = petersson_engine(k)
     fv = eng.form_values(f)
     e_half = eng.estar(0.5)
     rescale = _gamma_k_over_gamma_half(k)

@@ -280,3 +280,48 @@ def test_unfold_check_at_trivial_zero_of_zeta(tmp_path):
               "--output", str(out), "--summary", str(tmp_path / "u.json")])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("paths", [
+    lambda d: ["--output", str(d / "missing" / "x.csv")],
+    lambda d: ["--output", str(d)],
+    lambda d: ["--output", str(d / "x.csv"), "--summary", str(d / "missing" / "x.json")],
+    lambda d: ["--output", str(d / "x.csv"), "--summary", str(d)],
+], ids=["output-in-missing-dir", "output-is-dir", "summary-in-missing-dir", "summary-is-dir"])
+def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys, monkeypatch, paths):
+    # a missing directory or a directory in place of the file is a
+    # configuration error, found before the experiment runs
+    def runner(args, rng):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "epstein-fe", runner)
+    rc = run(["epstein-fe", "--samples", "1"] + paths(tmp_path))
+    assert rc == 2
+    _one_config_error_line(capsys)
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["unfold-check", "--k", "2000"],
+    ["norm-crosscheck", "--k", "12", "2000"],
+    ["moment", "--k-max", "2000"],
+])
+def test_weight_out_of_engine_range_exits_2_before_any_form(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    # the Petersson engine rejects the weight before a Miller basis of
+    # dimension 166 is built out to tens of thousands of terms
+    built = []
+    monkeypatch.setattr(cli, "hecke_eigenforms", lambda k: built.append(k))
+    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
+    out = tmp_path / "o.csv"
+    rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert built == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "k=2000" in err[0]
+    assert not out.exists()

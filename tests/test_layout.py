@@ -1,5 +1,6 @@
 """Package layout: every library module has an importer inside the package,
-and every exported name exists."""
+every exported name exists, and the public API that only the tests use is
+listed."""
 
 import ast
 import importlib
@@ -10,6 +11,22 @@ import periodmoments
 PACKAGE = Path(periodmoments.__file__).parent
 # entry points: nothing in the package imports them
 ENTRY_POINTS = {"__init__", "cli"}
+# public functions and methods that nothing in the package refers to: the
+# independent routes and oracles that the tests check production against
+TEST_ONLY_PUBLIC_NAMES = {
+    "epstein.gln_completed_eisenstein",
+    "epstein.iwasawa_y",
+    "moment.norm_f_estar",
+    "moment.unfold_check",
+    "rankin_selberg.RankinSelbergPair.l_direct",
+    "rankin_selberg.RankinSelbergPair.residue_consistency",
+    "spectral.alpha_to_nu",
+    "spectral.plancherel_density",
+    "spectral.plancherel_g_gamma",
+    "spectral.sample_params",
+    "spectral.stade_rhs_simple",
+    "spectral.whittaker",
+}
 
 
 def _sibling_imports(path):
@@ -42,3 +59,33 @@ def test_public_names_exist():
         missing += ["%s.%s" % (name, attr) for attr in getattr(mod, "__all__", ())
                     if not hasattr(mod, attr)]
     assert missing == [], "names in __all__ that the module lacks: %s" % missing
+
+
+def _public_defs(tree, module):
+    """{qualified name: name} of the module's public functions and the
+    public methods of its classes."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            defs["%s.%s" % (module, node.name)] = node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defs["%s.%s.%s" % (module, node.name, item.name)] = item.name
+    return defs
+
+
+def test_test_only_public_names_are_listed():
+    # a name that gains or loses its last reference in the package (a call,
+    # an attribute access or a function passed as a value) changes this set
+    defs, referenced = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs.update(_public_defs(tree, path.stem))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = {q for q, name in defs.items() if name not in referenced}
+    assert unreferenced == TEST_ONLY_PUBLIC_NAMES

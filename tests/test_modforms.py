@@ -153,28 +153,46 @@ def test_miller_basis_echelon_and_integral():
 
 
 def test_hecke_matrix_k24_frozen_charpoly():
-    cp = charpoly(hecke_matrix(24, 2))
-    assert cp == [Fraction(1), Fraction(-1080), Fraction(-20468736)]
+    cp = charpoly(hecke_matrix(24, 2, miller_basis(24, 60)))
+    assert cp == [1, -1080, -20468736]
+    assert all(type(c) is int for c in cp)
 
 
-def test_charpoly_faddeev_matches_closed_form():
-    # random rational 3x3: closed-form path vs Faddeev-LeVerrier on a
-    # padded 4x4 block-diagonal (forces the generic branch)
-    rng = np.random.default_rng(5)
-    m3 = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(3)]
-          for _ in range(3)]
-    closed = charpoly(m3)
-    m4 = [[m3[r][c] if r < 3 and c < 3 else Fraction(0) for c in range(4)] for r in range(4)]
-    m4[3][3] = Fraction(2)
-    generic = charpoly(m4)
-    # divide generic by (x - 2): synthetic division
-    quo = []
-    rem = Fraction(0)
-    for c in generic:
-        rem = rem * 2 + c
-        quo.append(rem)
-    assert quo[-1] == 0  # x=2 is a root
-    assert quo[:-1] == closed
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_charpoly_integer_cayley_hamilton():
+    # p(A) = 0 exactly over Z, monic of degree d with c_{d-1} = -tr A; on a
+    # simple spectrum (the T_2 matrices) the minimal polynomial is p itself
+    rng = random.Random(11)
+    mats = [[[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)] for d in range(1, 7)]
+    for k in (48, 96):
+        mats.append(hecke_matrix(k, 2, miller_basis(k, 2 * cusp_dim(k) + 10)))
+    assert [len(m) for m in mats[-2:]] == [4, 8]
+    for a in mats:
+        d = len(a)
+        cp = charpoly(a)
+        assert len(cp) == d + 1 and cp[0] == 1
+        assert all(type(c) is int for c in cp)
+        assert cp[1] == -sum(a[i][i] for i in range(d))
+        # Horner: p(A) = (...((A + c_{d-1}) A + c_{d-2}) A + ...) + c_0
+        ev = [[0] * d for _ in range(d)]
+        for c in cp:
+            ev = _mat_mul(ev, a)
+            for i in range(d):
+                ev[i][i] += c
+        assert ev == [[0] * d for _ in range(d)], d
+
+
+def test_degenerate_t2_spectrum_raises(monkeypatch):
+    # a double T_2 root leaves no eigenvector to choose: NonConvergenceError
+    def double_root(coeffs):
+        return [mpf(540), mpf(540)]
+
+    monkeypatch.setattr(modforms, "_polyroots_real", double_root)
+    with pytest.raises(NonConvergenceError, match="T_2 spectrum degenerate at k=24"):
+        hecke_eigenforms(24, horizon=60)
 
 
 def test_k12_eigenform_is_delta():
