@@ -480,6 +480,9 @@ def main(argv=None):
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
         out_csv = _writable(args.output or ("%s.csv" % args.experiment))
         out_json = _writable(args.summary or (os.path.splitext(out_csv)[0] + ".json"))
+        if os.path.realpath(out_csv) == os.path.realpath(out_json):
+            # the summary would overwrite the CSV
+            raise ValueError("--output and --summary are the same file %r" % out_csv)
     except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

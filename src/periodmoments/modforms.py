@@ -2,13 +2,17 @@
 
 Everything up to the Hecke eigenbasis is exact: the q-expansions of E4,
 E6, Delta, the Miller (echelon) basis of S_k, the Hecke matrices and
-their characteristic polynomials are integer arithmetic.
-Eigenvalues and eigenvector expansions are then extracted in
-high-precision floating point, up to the horizon that the readers of
-lam(n) need (eigenform_horizon).  Coefficients are Hecke-normalized at
-the end:
+their characteristic polynomials are integer arithmetic.  The T_2
+eigenvalues and eigenvectors v are found in high-precision floating
+point; the expansions stay exact: a(n) = sum_i v_i g_i(n) is an integer
+combination of the binary mantissas of v, up to the horizon that the
+readers of lam(n) need (eigenform_horizon).  Coefficients are
+Hecke-normalized:
 
-    lam(n) = a(n) / n^{(k-1)/2},   a(1) = 1.
+    lam(n) = a(n) / n^{(k-1)/2},   a(1) = 1,
+
+rounded once to float64 (Eigenform.lam_f64); the high-precision lists a
+and lam are a lazy oracle that only the tests and mp callers build.
 
 The double-precision evaluator uses the arithmetically normalized shape
 
@@ -261,24 +265,79 @@ def charpoly(mat):
 
 @dataclass
 class Eigenform:
-    """Hecke eigenform data: exact-precision coefficients at a(1)=1."""
+    """Hecke eigenform f = sum_i v_i g_i at a(1) = 1, on the integer Miller
+    rows g_i of S_k (miller_basis) truncated at the horizon.
+
+    The v_i are binary mpf numbers, so a(n) = sum_i v_i g_i(n) is an exact
+    integer on a common power of two.  Two tiers read it: lam_f64 (the
+    production tier) rounds lam(n) = a(n) / n^{(k-1)/2} once to float64
+    from that exact value; a and lam (the HECKE_DPS-digit oracle) are built
+    on first access, which production never makes.
+    """
 
     weight: int
     index: int
-    t2_eigenvalue: object  # mpf
-    a: list = field(repr=False)  # a[n], n = 0..horizon, mpf
-    lam: list = field(repr=False)  # lam[n] = a[n]/n^{(k-1)/2}, mpf
+    t2_eigenvalue: object  # mpf, a(2)
+    v: list = field(repr=False)  # mpf coordinates on the Miller basis, v[0] = 1
+    rows: list = field(repr=False)  # rows[i][n] = g_i(n), n = 0..horizon, int
 
     @property
     def horizon(self) -> int:
-        return len(self.a) - 1
+        return len(self.rows[0]) - 1
 
     @cached_property
     def lam_f64(self) -> np.ndarray:
-        """lam[n] as float64, converted once per form (read-only)."""
-        out = np.array([float(v) for v in self.lam])
+        """lam[n] as float64, each correctly rounded from the exact a(n),
+        converted once per form (read-only)."""
+        # v_i = V_i 2^e with integer V_i, on the smallest exponent e of a nonzero v_i
+        parts = [x._mpf_[:3] for x in self.v]  # (sign, mantissa, exponent)
+        e = min((exp for _, man, exp in parts if man), default=0)
+        scaled = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp in parts]
+        out = np.zeros(self.horizon + 1)
+        for n in range(1, self.horizon + 1):
+            a_n = sum(c * row[n] for c, row in zip(scaled, self.rows))
+            out[n] = _rounded_lam(a_n, e, n, self.weight)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def a(self) -> list:
+        """Oracle: a[n] = sum_i v_i g_i(n) in HECKE_DPS-digit mpf, n = 0..horizon."""
+        with working_dps(HECKE_DPS):
+            return [mpf(0)] + [
+                sum(vi * mpf(row[n]) for vi, row in zip(self.v, self.rows))
+                for n in range(1, self.horizon + 1)
+            ]
+
+    @cached_property
+    def lam(self) -> list:
+        """Oracle: lam[n] = a[n] / n^{(k-1)/2} in HECKE_DPS-digit mpf."""
+        with working_dps(HECKE_DPS):
+            half = mpf(self.weight - 1) / 2
+            return [mpf(0)] + [self.a[n] / mpf(n) ** half for n in range(1, self.horizon + 1)]
+
+
+def _rounded_lam(a_n: int, e: int, n: int, k: int) -> float:
+    """a_n 2^e / n^{(k-1)/2} for even k, correctly rounded to float64.
+
+    The magnitude is 2^e sqrt(a_n^2 n) / n^{k/2}.  The guard shift s makes
+    q = floor(2^s sqrt(a_n^2 n) / n^{k/2}) at least 2^54, and the low bit
+    of 2q + 1 marks an inexact floor, so the one rounding of that integer
+    to 53 bits is the correct one.
+    """
+    if a_n == 0:
+        return 0.0
+    x = a_n * a_n * n
+    den = n ** (k // 2)
+    s = 55 + den.bit_length() - x.bit_length() // 2
+    if s >= 0:
+        x <<= 2 * s
+    else:
+        den <<= -s
+    r = math.isqrt(x)
+    q, rem = divmod(r, den)
+    mag = math.ldexp(float(2 * q + (rem != 0 or r * r != x)), e - s - 1)
+    return -mag if a_n < 0 else mag
 
 
 def _polyroots_real(coeffs):
@@ -375,7 +434,9 @@ def eigenform_horizon(k: int) -> int:
 
 def hecke_eigenforms(k: int, horizon: int = None):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue,
-    with a(n) and lam(n) for n <= horizon (default eigenform_horizon(k)).
+    with coefficients for n <= horizon (default eigenform_horizon(k)).
+    Only the T_2 roots, the eigenvectors and a(2) are computed here in
+    HECKE_DPS digits; lam(n) is read from the exact expansion (Eigenform).
 
     Each coefficient is the same at any horizon that includes it: the
     echelon basis is unique and the eigenvectors come from the T_2 matrix
@@ -398,27 +459,11 @@ def hecke_eigenforms(k: int, horizon: int = None):
         if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
             raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
         cmat_mpf = [[mpf(c) for c in row] for row in cmat]
-        basis_mpf = [[mpf(c) for c in row] for row in basis]
-        half = mpf(k - 1) / 2
-        n_half = [mpf(1)] + [mpf(n) ** half for n in range(1, horizon + 1)]
         forms = []
         for idx, lam_val in enumerate(roots):
             v = _eigvec_from_matrix(cmat_mpf, lam_val, d)
-            a = [mpf(0)] * (horizon + 1)
-            for n in range(1, horizon + 1):
-                a[n] = sum(v[i] * basis_mpf[i][n] for i in range(d))
-            lam_list = [mpf(0)] * (horizon + 1)
-            for n in range(1, horizon + 1):
-                lam_list[n] = a[n] / n_half[n]
-            forms.append(
-                Eigenform(
-                    weight=k,
-                    index=idx,
-                    t2_eigenvalue=a[2],
-                    a=a,
-                    lam=lam_list,
-                )
-            )
+            a2 = sum(v[i] * mpf(basis[i][2]) for i in range(d))
+            forms.append(Eigenform(weight=k, index=idx, t2_eigenvalue=a2, v=v, rows=basis))
         return forms
 
 

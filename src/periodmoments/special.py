@@ -87,9 +87,10 @@ def bessel_k(order, arg):
     bound and real x > 0.  Real-valued for real or purely imaginary order,
     complex otherwise.
 
-    Trapezoid on K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du with step
-    halving; the integrand is analytic in a strip around the real u-axis so
-    the rule converges geometrically.  Truncation at U where the envelope
+    Nested trapezoid on K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du:
+    each step halving evaluates only the new midpoints.  The integrand is
+    analytic in a strip around the real u-axis so the rule converges
+    geometrically.  Truncation at U where the envelope
     exp(-x cosh U + |Re nu| U) is beyond the digit budget.
     """
     return bessel_k_ex(order, arg)[0]
@@ -130,23 +131,36 @@ def bessel_k_ex(order, arg):
             h = min(h, mp.mpf(5) / (40 + abs(t)))
 
         def kern(u):
-            v = mp.exp(-x * mp.cosh(u)) * mp.cosh(nu * u)
-            return mp.re(v) if real_result else v
+            return _k_integrand(x, nu, u, real_result)
 
-        prev = None
-        for _ in range(9):
-            n = max(8, int(mp.ceil(U / h)))
-            step = U / n
-            total = (kern(mp.mpf(0)) + kern(U)) / 2
-            for i in range(1, n):
-                total += kern(i * step)
-            total *= step
-            if prev is not None and abs(total - prev) <= tol * max(mp.mpf(1), abs(total)):
+        # nested trapezoid: each level halves the step and adds only the new
+        # midpoints to `inner`, the sum over the level's nodes with the two
+        # ends halved
+        n = max(8, int(mp.ceil(U / h)))
+        step = U / n
+        inner = (kern(mp.mpf(0)) + kern(U)) / 2 + sum(kern(i * step) for i in range(1, n))
+        prev = inner * step
+        last_delta = None
+        for _ in range(8):
+            step /= 2
+            inner += sum(kern((2 * i + 1) * step) for i in range(n))
+            n *= 2
+            total = inner * step
+            last_delta = abs(total - prev)
+            if last_delta <= tol * max(mp.mpf(1), abs(total)):
                 under = total != 0 and abs(total) < _TINY_DOUBLE
                 return +total, under
             prev = total
-            h /= 2
-    raise NonConvergenceError("bessel_k trapezoid did not converge", best=prev)
+    raise NonConvergenceError(
+        "bessel_k trapezoid did not converge", best=prev, last_delta=last_delta
+    )
+
+
+def _k_integrand(x, nu, u, real):
+    """exp(-x cosh u) cosh(nu u), the integrand of K_nu(x); its real part
+    when `real` (real or purely imaginary order)."""
+    v = mp.exp(-x * mp.cosh(u)) * mp.cosh(nu * u)
+    return mp.re(v) if real else v
 
 
 # ----------------------------------------------------------------------

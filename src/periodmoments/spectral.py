@@ -329,13 +329,22 @@ def _whittaker3_completed_grid(
     return pref * np.outer(y1, y2) * w
 
 
+# (params, sign) -> _gamma_normalizer value: stade_check asks for the same
+# normalizers at every s, and SpectralParams is frozen, so it is a key
+_GAMMA_NORMALIZERS = {}
+
+
 def _gamma_normalizer(params: SpectralParams, sign: int = 1):
-    """prod_{j<=k} Gamma_R(1 + sign * n (nu_j+...+nu_k)) as mpc."""
-    with working_dps(30):
-        out = special.gamma_r(1)  # exact 1, keeps mp types uniform
-        for f in nu_linear_forms(params):
-            out *= special.gamma_r(1 + sign * params.n * f)
-        return out
+    """prod_{j<=k} Gamma_R(1 + sign * n (nu_j+...+nu_k)) as mpc, at 30
+    digits whatever the working precision, once per (params, sign)."""
+    key = (params, sign)
+    if key not in _GAMMA_NORMALIZERS:
+        with working_dps(30):
+            out = special.gamma_r(1)  # exact 1, keeps mp types uniform
+            for f in nu_linear_forms(params):
+                out *= special.gamma_r(1 + sign * params.n * f)
+        _GAMMA_NORMALIZERS[key] = out
+    return _GAMMA_NORMALIZERS[key]
 
 
 def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
@@ -420,7 +429,7 @@ def _stade3_grid(s: float):
 def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
     l1, l2, y1, y2, e1, e2 = _stade3_grid(s)
     wn = _whittaker3_completed_grid(nu, y1, y2, e1, e2)
-    wm = _whittaker3_completed_grid(mu, y1, y2, e1, e2)
+    wm = wn if mu == nu else _whittaker3_completed_grid(mu, y1, y2, e1, e2)
     w1 = np.exp((2 * s - 2) * l1)
     w2 = np.exp((s - 2) * l2)
     return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * STADE3_H**2)

@@ -256,6 +256,28 @@ def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_moment_never_builds_the_mp_oracle(tmp_path, monkeypatch):
+    # production reads lam_f64 and a(2) alone; the HECKE_DPS-digit lists a
+    # and lam of an Eigenform are built only when read
+    built = []
+
+    def recorded(k):
+        forms = modforms.hecke_eigenforms(k)
+        built.extend(forms)
+        return forms
+
+    monkeypatch.setattr(cli, "hecke_eigenforms", recorded)
+    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
+    out = tmp_path / "m.csv"
+    rc = run(["moment", "--k-min", "12", "--k-max", "40",
+              "--output", str(out), "--summary", str(tmp_path / "m.json")])
+    assert rc in (0, 1) and out.exists()
+    assert sorted({f.weight for f in built}) == list(modforms.DEFAULT_WEIGHTS)
+    for f in built:
+        assert "lam_f64" in vars(f)
+        assert "a" not in vars(f) and "lam" not in vars(f)
+
+
 def test_nan_error_fails_its_check(tmp_path, monkeypatch):
     # a nan relative error after a finite one: the worst-error fold keeps
     # the nan, so the check fails (exit 1) instead of reading 0.0
@@ -292,13 +314,18 @@ def _one_config_error_line(capsys):
     lambda d: ["--output", str(d)],
     lambda d: ["--output", str(d / "x.csv"), "--summary", str(d / "missing" / "x.json")],
     lambda d: ["--output", str(d / "x.csv"), "--summary", str(d)],
-], ids=["output-in-missing-dir", "output-is-dir", "summary-in-missing-dir", "summary-is-dir"])
+    lambda d: ["--output", "same.json"],
+    lambda d: ["--output", "a.csv", "--summary", "./a.csv"],
+], ids=["output-in-missing-dir", "output-is-dir", "summary-in-missing-dir", "summary-is-dir",
+        "default-summary-is-output", "summary-is-output"])
 def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys, monkeypatch, paths):
-    # a missing directory or a directory in place of the file is a
-    # configuration error, found before the experiment runs
+    # a missing directory, a directory in place of the file, or a summary
+    # that would overwrite the CSV is a configuration error, found before
+    # the experiment runs
     def runner(args, rng):
         raise AssertionError("the experiment ran")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(cli.EXPERIMENTS, "epstein-fe", runner)
     rc = run(["epstein-fe", "--samples", "1"] + paths(tmp_path))
     assert rc == 2

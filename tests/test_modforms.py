@@ -324,8 +324,7 @@ def test_eigenform_horizon_covers_every_reader():
         assert h >= afe_cutoff(k)
         assert h >= modforms._cusp_n_eval(k, eng.y_min)
         # the readers themselves on a form of exactly that horizon
-        zeros = [mpf(0)] * (h + 1)
-        form = Eigenform(weight=k, index=0, t2_eigenvalue=mpf(0), a=zeros, lam=zeros)
+        form = Eigenform(weight=k, index=0, t2_eigenvalue=mpf(0), v=[mpf(0)], rows=[[0] * (h + 1)])
         pair = RankinSelbergPair(form)
         assert pair.residue_consistency() == 0.0
         assert pair.completed_l(0.5) == 0.0
@@ -374,11 +373,18 @@ def test_miller_products_built_once_largest_first(monkeypatch):
 
 
 def test_lam_f64_is_float_of_lam():
-    f = hecke_eigenforms(24, horizon=60)[1]
-    lam = f.lam_f64
-    assert lam is f.lam_f64  # converted once
-    assert lam.dtype == np.float64 and not lam.flags.writeable
-    assert lam.tolist() == [float(v) for v in f.lam]
+    # two routes to lam(n): the exact integer expansion rounded once, and
+    # the HECKE_DPS-digit oracle; they agree bit for bit at every n of
+    # every form at its default horizon
+    for k in DEFAULT_WEIGHTS + (60, 96):
+        forms = hecke_eigenforms(k)
+        assert any(np.any(f.lam_f64 < 0) for f in forms), k
+        for f in forms:
+            lam = f.lam_f64
+            assert lam is f.lam_f64  # converted once
+            assert lam.dtype == np.float64 and not lam.flags.writeable
+            assert lam[1] == 1.0 and f.a[2] == f.t2_eigenvalue
+            assert lam.tolist() == [float(v) for v in f.lam], (k, f.index)
 
 
 def test_miller_basis_guards():

@@ -276,6 +276,38 @@ def test_mb_caches_keyed_by_what_they_depend_on(monkeypatch):
     assert sorted(sp._STADE3_GRIDS) == list(s_values)
 
 
+def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
+    # stade_check reads the Gamma_R(1 +- n ...) products at every s: each
+    # (params, sign) is computed once, and a mu == nu pair at n = 3
+    # evaluates one Whittaker grid
+    monkeypatch.setattr(sp, "_GAMMA_NORMALIZERS", {})
+    built = []
+    real_forms = sp.nu_linear_forms
+    monkeypatch.setattr(sp, "nu_linear_forms", lambda p: built.append(p) or real_forms(p))
+    grids = []
+    real_grid = sp._whittaker3_completed_grid
+    monkeypatch.setattr(sp, "_whittaker3_completed_grid",
+                        lambda p, *a: grids.append(p) or real_grid(p, *a))
+    nu, mu = sp.spectral_params(2, [0.7j]), sp.spectral_params(2, [-1.1j])
+    for s in (0.5, 1.0, 1.5):
+        sp.stade_check(nu, mu, s)
+        sp.stade_check(nu, nu, s)
+    p3, q3 = sp.spectral_params(3, [0.5j, 0.5j]), sp.spectral_params(3, [0.2j, 0.4j])
+    sp.stade_check(p3, p3, 1.0)
+    assert grids == [p3]
+    sp.stade_check(p3, q3, 1.0)
+    assert grids == [p3, p3, q3]
+    keys = {(nu, 1), (mu, -1), (nu, -1), (p3, 1), (p3, -1), (q3, -1)}
+    assert set(sp._GAMMA_NORMALIZERS) == keys
+    assert len(built) == len(keys)
+    with working_dps(30):
+        for (p, sign), value in sp._GAMMA_NORMALIZERS.items():
+            want = mp.mpf(1)
+            for f in real_forms(p):
+                want *= sp.special.gamma_r(1 + sign * p.n * f)
+            assert value == want
+
+
 def test_stade_n2_random_pairs():
     rng = np.random.default_rng(17)
     for i in range(6):
