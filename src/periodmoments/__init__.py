@@ -3,8 +3,8 @@ second moments of Rankin-Selberg L-functions.
 
 Layers, bottom up:
 
-* precision / special: working-precision plumbing and error types,
-  completed-Gamma / zeta / K-Bessel special functions.
+* precision / special: the shared error types, completed-Gamma / zeta /
+  K-Bessel special functions.
 * modforms: exact holomorphic Hecke eigenforms for the full modular group.
 * eisenstein_gl2: real-analytic Eisenstein series on the upper half plane.
 * epstein: Epstein zeta continuation, Iwasawa coordinates, the dual point,

@@ -5,13 +5,15 @@ checks, and exits 0 (all checks pass), 1 (a numerical check failed), or
 
 Determinism: all sampling goes through numpy's default_rng seeded from
 --seed; identical parameters and seed reproduce the CSV byte for byte
-(wall-clock time is reported only in the JSON).  PERIOD_MOMENTS_PRECISION
-overrides the default working digits; --config FILE.json supplies
-values that pass through the same parser as the flags (unknown keys and
-invalid values exit 2), and explicit flags override them.
+(wall-clock time is reported only in the JSON), whatever mpmath
+precision the caller has set: every mp computation sets its own digits.
+--config FILE.json supplies values that pass through the same parser as
+the flags (unknown keys and invalid values exit 2), and explicit flags
+override them.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+from mpmath import mp
 
 from . import report, spectral
 from .eisenstein_gl2 import residue_at_one
@@ -31,7 +34,7 @@ from .epstein import (
 )
 from .modforms import cusp_dim, hecke_eigenforms
 from .moment import moment_sweep, norm_quadrature, petersson_engine, unfold_rows
-from .precision import NonConvergenceError, PoleError, RangeError, working_digits, working_dps
+from .precision import NonConvergenceError, PoleError, RangeError
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
 
@@ -59,20 +62,13 @@ LEMMA1_SLOPE_WINDOW = (-0.05, 0.02)
 LEMMA1_MAX_OVER_MEDIAN = 3.0
 
 
-def _forms_cache():
-    cache = {}
-
-    def get(k):
-        if k not in cache:
-            cache[k] = hecke_eigenforms(k)
-        if not cache[k]:
-            raise RangeError("no cusp forms at weight %d" % k)
-        return cache[k]
-
-    return get
-
-
-_FORMS = _forms_cache()
+@functools.cache
+def _forms(k):
+    """The eigenforms of weight k, built once per process."""
+    forms = hecke_eigenforms(k)
+    if not forms:
+        raise RangeError("no cusp forms at weight %d" % k)
+    return forms
 
 
 def _forms_by_weight(weights):
@@ -83,8 +79,8 @@ def _forms_by_weight(weights):
     once and every smaller weight slices them."""
     weights = sorted(set(weights), reverse=True)
     for k in weights:
-        petersson_engine(k)
-    return {k: _FORMS(k) for k in weights}
+        petersson_engine(k, 1)
+    return {k: _forms(k) for k in weights}
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def run_epstein_fe(args, rng):
     worst_id = 0.0
     for rho in (0.7, 1.3, 2.5):
         z = epstein_z_f64(np.eye(2), rho)
-        with working_dps(30):
+        with mp.workdps(30):
             want = float(2 * zeta(rho) * dirichlet_beta(rho))
         worst_id = np.maximum(worst_id, abs(z - want) / abs(want))
     checks.append(report.check("max_z2_identity_rel_err", worst_id, EPSTEIN_TOL,
@@ -271,8 +267,12 @@ def run_lemma1(args, rng):
         e = gln_completed_eisenstein_f64(y, 0.5, x=x)
         dz = det_from_y(y)
         dzt = det_from_y(dual_y(y))
-        denom = dz ** (0.5 + args.eps) + dzt ** (0.5 + args.eps)
-        ratio = abs(e) / denom
+        try:
+            ratio = abs(e) / (dz ** (0.5 + args.eps) + dzt ** (0.5 + args.eps))
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.nan
+        if not 0.0 < ratio < math.inf:
+            raise RangeError("eps = %r takes det^(1/2 + eps) out of float64 range" % args.eps)
         dets.append(dz)
         ratios.append(ratio)
         rows.append([n] + [float(v) for v in y]
@@ -351,6 +351,14 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    """argparse type of --seed: an integer >= 0, as numpy's default_rng takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
 def positive_float(text):
     """argparse type of moment's eps: a finite float > 0 (eps <= 0 puts
     the regularized bound on or past the pole of L(f x f, s) at s = 1)."""
@@ -370,7 +378,7 @@ def finite_float(text):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="rng seed (default 0)")
     p.add_argument("--output", default=None, help="CSV path (default <experiment>.csv)")
     p.add_argument("--summary", default=None, help="JSON path (default CSV path with .json)")
     p.add_argument("--config", default=None, help="JSON file with default parameter values")
@@ -470,7 +478,6 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, _ = build_parser()
     try:
-        digits = working_digits()
         args = parser.parse_args(argv)
         if args.config is not None:
             # config values go through the parser as flags placed before
@@ -486,9 +493,6 @@ def main(argv=None):
     except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    import mpmath as mp
-
-    mp.mp.dps = digits
     rng = np.random.default_rng(args.seed)
     runner = EXPERIMENTS[args.experiment]
 

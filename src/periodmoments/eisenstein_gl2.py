@@ -18,13 +18,13 @@ and vanishes identically at s = 1/2 (scattering -1).
 """
 
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from mpmath import mp, mpf
 from scipy.special import kv
 
-from .precision import PoleError, working_dps
+from .precision import PoleError
 from .special import bessel_k, lam
 
 __all__ = [
@@ -111,10 +111,10 @@ def _n_terms_f64(y_min):
     return max(8, int(45.0 / (2 * math.pi * y_min)) + 1)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _constant_lams(s: float):
     # (lam(2s), lam(2-2s)) at 30 digits, demoted to float; once per s
-    with working_dps(30):
+    with mp.workdps(30):
         return float(lam(2 * mpf(s))), float(lam(2 - 2 * mpf(s)))
 
 
@@ -184,7 +184,7 @@ def residue_at_one(z, completed=False):
     terms and one Richardson step removes h^2.  Exact values: 1/2 for E*,
     3/pi for E.
     """
-    with working_dps(40):
+    with mp.workdps(40):
         h = mpf("1e-3")
         f = completed_eisenstein if completed else eisenstein
 

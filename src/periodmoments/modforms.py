@@ -29,7 +29,7 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.special import gammaln
 
-from .precision import NonConvergenceError, working_dps
+from .precision import NonConvergenceError
 
 __all__ = [
     "cusp_dim",
@@ -303,7 +303,7 @@ class Eigenform:
     @cached_property
     def a(self) -> list:
         """Oracle: a[n] = sum_i v_i g_i(n) in HECKE_DPS-digit mpf, n = 0..horizon."""
-        with working_dps(HECKE_DPS):
+        with mp.workdps(HECKE_DPS):
             return [mpf(0)] + [
                 sum(vi * mpf(row[n]) for vi, row in zip(self.v, self.rows))
                 for n in range(1, self.horizon + 1)
@@ -312,7 +312,7 @@ class Eigenform:
     @cached_property
     def lam(self) -> list:
         """Oracle: lam[n] = a[n] / n^{(k-1)/2} in HECKE_DPS-digit mpf."""
-        with working_dps(HECKE_DPS):
+        with mp.workdps(HECKE_DPS):
             half = mpf(self.weight - 1) / 2
             return [mpf(0)] + [self.a[n] / mpf(n) ** half for n in range(1, self.horizon + 1)]
 
@@ -342,7 +342,7 @@ def _rounded_lam(a_n: int, e: int, n: int, k: int) -> float:
 
 def _polyroots_real(coeffs):
     # coeffs: monic integer coefficients, highest degree first; real roots sorted
-    with working_dps(HECKE_DPS):
+    with mp.workdps(HECKE_DPS):
         cs = [mpf(c) for c in coeffs]
         try:
             roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
@@ -364,7 +364,7 @@ def _eigvec_from_matrix(cmat_mpf, lam_val, d):
     # give an overdetermined consistent system for v_2..v_d
     if d == 1:
         return [mpf(1)]
-    with working_dps(HECKE_DPS):
+    with mp.workdps(HECKE_DPS):
         A = mp.matrix(d, d)
         for i in range(d):
             for j in range(d):
@@ -452,7 +452,7 @@ def hecke_eigenforms(k: int, horizon: int = None):
         horizon = eigenform_horizon(k)
     basis = miller_basis(k, horizon)
     cmat = hecke_matrix(k, 2, basis)
-    with working_dps(HECKE_DPS):
+    with mp.workdps(HECKE_DPS):
         roots = _polyroots_real(charpoly(cmat))
         scale = 1 + max(abs(r) for r in roots)
         sep = min((b - a for a, b in zip(roots, roots[1:])), default=mpf(1))

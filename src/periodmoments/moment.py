@@ -51,15 +51,16 @@ and the growth exponent of S(k) in k is the monitored quantity (predicted
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
+from mpmath import mp
 from scipy.special import gammaln
 
 from . import special
 from .eisenstein_gl2 import completed_eisenstein_f64
 from .modforms import Eigenform, eval_cusp_form_f64, hecke_eigenforms
-from .precision import RangeError, working_dps
+from .precision import RangeError
 from .rankin_selberg import RankinSelbergPair
 
 __all__ = [
@@ -83,7 +84,7 @@ LUNE_Y_POINTS = 48
 REG_EPS = 0.1
 
 
-@lru_cache(maxsize=None)
+@cache
 def _leggauss(n: int):
     """Gauss-Legendre rule of n nodes on [-1, 1], built once per process
     on first use (read-only)."""
@@ -109,7 +110,7 @@ class _Part:
             a.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
+@cache
 def _strip(ymax: float, refine: int) -> _Part:
     """The strip below ymax as the tensor grid x = xs[:, None],
     y = ys[None, :]; every engine with the same ymax and refine (all
@@ -125,7 +126,7 @@ def _strip(ymax: float, refine: int) -> _Part:
     return _Part(xs[:, None], ys[None, :], np.outer(wx, wy))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _lune(refine: int) -> _Part:
     """The lune as columns of constant x: x of shape (columns, 1), y of
     shape (columns, nodes per column).  It does not depend on ymax, so
@@ -211,17 +212,12 @@ class PeterssonEngine:
         return ev
 
 
-_ENGINES = {}
-
-
-def petersson_engine(k: int, refine: int = 1) -> PeterssonEngine:
+@cache
+def petersson_engine(k: int, refine: int) -> PeterssonEngine:
     """The PeterssonEngine of weight k and refine, built once per process.
     Raises RangeError where its weights overflow float64, so it also
     checks a weight before any form of that weight is built."""
-    key = (k, refine)
-    if key not in _ENGINES:
-        _ENGINES[key] = PeterssonEngine(k, refine)
-    return _ENGINES[key]
+    return PeterssonEngine(k, refine)
 
 
 def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
@@ -303,7 +299,7 @@ def unfold_rows(forms, s_values) -> list:
     """
     if not forms:
         raise ValueError("no cusp forms to pair")
-    eng = petersson_engine(forms[0].weight)
+    eng = petersson_engine(forms[0].weight, 1)
     values = [eng.form_values(f) for f in forms]
     rows = []
     for i, f in enumerate(forms):
@@ -336,24 +332,32 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
                the pointwise bound E*(z,1/2)^2 << y (1+log y)^2 makes this
                finite but its size is measured, not assumed.
     bound    = c_fit * unfolded  >=  ||f E*(., 1/2)||^2.
+    An eps that takes unfolded or c_fit out of float64's finite nonzero
+    range raises RangeError.
     """
     if pair.g is not pair.f:
         raise ValueError("regularized_bound takes a diagonal pair (f, f)")
     k = pair.k
     l_val = pair.l_value(1.0 + eps).real
-    with working_dps(30):
+    with mp.workdps(30):
         zeta2 = float(special.zeta(2 + 2 * eps))
         lam_norm = float(special.lam(2 + 2 * eps))
-    unfolded = (
-        math.exp(gammaln(k + eps) - gammaln(k))
-        / (4 * math.pi) ** (1 + eps)
-        * l_val
-        / zeta2
-    )
-    eng = petersson_engine(k)
+    try:
+        unfolded = (
+            math.exp(gammaln(k + eps) - gammaln(k))
+            / (4 * math.pi) ** (1 + eps)
+            * l_val
+            / zeta2
+        )
+    except OverflowError:
+        unfolded = math.inf
+    eng = petersson_engine(k, 1)
     e_star_half = eng.estar(0.5)
     e_plain = eng.estar(1.0 + eps) / lam_norm
     c_fit = float(np.max(e_star_half**2 / e_plain))
+    if not all(math.isfinite(v) and v != 0.0 for v in (unfolded, c_fit)):
+        raise RangeError("eps = %r takes the regularized bound out of float64 range "
+                         "(unfolded %g, c_fit %g)" % (eps, unfolded, c_fit))
     return {
         "eps": eps,
         "unfolded": unfolded,
@@ -377,7 +381,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
     if not forms:
         raise ValueError("no cusp forms at weight %d" % k)
     f = forms[0]
-    eng = petersson_engine(k)
+    eng = petersson_engine(k, 1)
     fv = eng.form_values(f)
     e_half = eng.estar(0.5)
     rescale = _gamma_k_over_gamma_half(k)

@@ -33,7 +33,7 @@ accumulation that yields all n cutoffs in one pass.
 """
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import gammaln, kve, loggamma
@@ -64,32 +64,20 @@ def gamma_factor_log(k: int, s):
     return -2 * s * math.log(2 * math.pi) + loggamma(s + k - 1) + loggamma(s)
 
 
-_MELLIN_TABLES = {}
-
-
-def _mellin_table(k: int, w: complex, n_max: int):
-    """_mellin_suffix_table(k, w, n_max), built once per process and
-    (k, w, n_max): it depends on nothing else, and every pair of weight k
-    reads the same table at the same s (both halves of the AFE at s = 1/2)."""
-    key = (k, complex(w), n_max)
-    if key not in _MELLIN_TABLES:
-        table = _mellin_suffix_table(k, w, n_max)
-        for a in table:
-            a.flags.writeable = False
-        _MELLIN_TABLES[key] = table
-    return _MELLIN_TABLES[key]
-
-
-def _mellin_suffix_table(k: int, w: complex, n_max: int, pad: int = 240):
+@cache
+def _mellin_suffix_table(k: int, w: complex, n_max: int):
     """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
 
-    Returns (shift, scaled) arrays indexed 1..n_max: I(n) = exp(shift) * scaled.
-    Panels between consecutive 4 pi sqrt(j); the continuation panels past
-    n_max stop once their contribution falls 60 e-folds under the running
-    maximum.
+    Returns read-only (shift, scaled) arrays indexed 1..n_max:
+    I(n) = exp(shift) * scaled.  Panels between consecutive 4 pi sqrt(j);
+    the continuation panels past n_max stop once their contribution falls
+    60 e-folds under the running maximum.  Built once per process and
+    (k, w, n_max): it depends on nothing else, and every pair of weight k
+    reads the same table at the same s (both halves of the AFE at s = 1/2).
     """
     exponent = k + 2 * w - 2
-    breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + pad + 2, dtype=float))
+    # panels 1..n_max, then up to 240 continuation panels
+    breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
     lo = breaks[:-1]
     hi = breaks[1:]
     mid = (hi + lo) / 2
@@ -123,6 +111,7 @@ def _mellin_suffix_table(k: int, w: complex, n_max: int, pad: int = 240):
         if j < n_max:
             out_shift[j] = run_m
             out_val[j] = run_s
+    out_shift.flags.writeable = out_val.flags.writeable = False
     return out_shift, out_val
 
 
@@ -146,25 +135,29 @@ class RankinSelbergPair:
         lf = f.lam_f64[: n_max + 1]
         lg = g.lam_f64[: n_max + 1]
         self._pair_coeff = lf * lg  # lam_f(m) lam_g(m), index m
-        self._c_cache = {}
 
     # ---------------- coefficients ----------------
 
-    def c_table(self, n_max: int):
-        """c(1..n_max) as a float array (index 0 unused)."""
-        if n_max in self._c_cache:
-            return self._c_cache[n_max]
-        if n_max >= len(self._pair_coeff):
-            raise ValueError("eigenform horizon %d too small for c(%d)" %
-                             (len(self._pair_coeff) - 1, n_max))
+    @cached_property
+    def _c(self) -> np.ndarray:
+        # c(0..horizon), read-only; c(n) reads lam_f lam_g(m) only at m <= n,
+        # so every prefix equals the table built up to its own end
+        n_max = len(self._pair_coeff) - 1
         c = np.zeros(n_max + 1)
         d = 1
         while d * d <= n_max:
             block = self._pair_coeff[1: n_max // (d * d) + 1]
             c[d * d * np.arange(1, len(block) + 1)] += block
             d += 1
-        self._c_cache[n_max] = c
+        c.flags.writeable = False
         return c
+
+    def c_table(self, n_max: int):
+        """c(1..n_max) as a read-only float array (index 0 unused)."""
+        if n_max >= len(self._pair_coeff):
+            raise ValueError("eigenform horizon %d too small for c(%d)" %
+                             (len(self._pair_coeff) - 1, n_max))
+        return self._c[: n_max + 1]
 
     # ---------------- theta profile and residue ----------------
 
@@ -212,7 +205,7 @@ class RankinSelbergPair:
         ns = np.arange(1, n + 1, dtype=float)
         total = 0.0 + 0.0j
         for w in (s, 1 - s):
-            shift, val = _mellin_table(self.k, w, n)
+            shift, val = _mellin_suffix_table(self.k, w, n)
             log_pref = (
                 (3 - self.k) * math.log(2.0)
                 - w * np.log(16 * math.pi**2 * ns)

@@ -49,9 +49,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 
 from . import special
-from .precision import RangeError, working_dps
+from .precision import RangeError
 
 __all__ = [
     "SpectralParams",
@@ -276,21 +277,17 @@ def _check_y_range(ys):
             raise RangeError("y outside [%g, %g]" % (Y_MIN, Y_MAX))
 
 
-# The Mellin-Barnes nodes u and the Hankel factor H_ij = 1/Gamma_R(u_i + u_j)
-# do not depend on alpha: built once per process, on first use.
-_MB_CACHE = {}
-
-
+@functools.cache
 def _mb_nodes():
-    """Node vector u and Hankel matrix H_ij = exp(-log Gamma_R(u_i + u_j))."""
-    if not _MB_CACHE:
-        t = np.arange(-MB_T, MB_T + MB_H / 2, MB_H)
-        tsum = np.arange(-2 * MB_T, 2 * MB_T + MB_H / 2, MB_H)
-        lgh = special.log_gamma_r_f64(1 + 1j * tsum)
-        idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
-        _MB_CACHE["u"] = 0.5 + 1j * t
-        _MB_CACHE["hankel"] = np.exp(-lgh[idx])
-    return _MB_CACHE["u"], _MB_CACHE["hankel"]
+    """Node vector u and Hankel matrix H_ij = exp(-log Gamma_R(u_i + u_j)).
+    Neither depends on alpha: built once per process, on first use."""
+    t = np.arange(-MB_T, MB_T + MB_H / 2, MB_H)
+    tsum = np.arange(-2 * MB_T, 2 * MB_T + MB_H / 2, MB_H)
+    lgh = special.log_gamma_r_f64(1 + 1j * tsum)
+    idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
+    u, hankel = 0.5 + 1j * t, np.exp(-lgh[idx])
+    u.flags.writeable = hankel.flags.writeable = False
+    return u, hankel
 
 
 def _mb_kernel(alpha):
@@ -329,22 +326,17 @@ def _whittaker3_completed_grid(
     return pref * np.outer(y1, y2) * w
 
 
-# (params, sign) -> _gamma_normalizer value: stade_check asks for the same
-# normalizers at every s, and SpectralParams is frozen, so it is a key
-_GAMMA_NORMALIZERS = {}
-
-
-def _gamma_normalizer(params: SpectralParams, sign: int = 1):
+# stade_check asks for the same normalizers at every s, and SpectralParams
+# is frozen, so (params, sign) is a cache key
+@functools.cache
+def _gamma_normalizer(params: SpectralParams, sign: int):
     """prod_{j<=k} Gamma_R(1 + sign * n (nu_j+...+nu_k)) as mpc, at 30
     digits whatever the working precision, once per (params, sign)."""
-    key = (params, sign)
-    if key not in _GAMMA_NORMALIZERS:
-        with working_dps(30):
-            out = special.gamma_r(1)  # exact 1, keeps mp types uniform
-            for f in nu_linear_forms(params):
-                out *= special.gamma_r(1 + sign * params.n * f)
-        _GAMMA_NORMALIZERS[key] = out
-    return _GAMMA_NORMALIZERS[key]
+    with mp.workdps(30):
+        out = special.gamma_r(1)  # exact 1, keeps mp types uniform
+        for f in nu_linear_forms(params):
+            out *= special.gamma_r(1 + sign * params.n * f)
+        return out
 
 
 def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
@@ -361,9 +353,7 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
         raise RangeError("y must have length n-1")
     _check_y_range(ys)
     if params.n == 2:
-        import mpmath as mp
-
-        with working_dps(30):
+        with mp.workdps(30):
             yv = mp.mpf(ys[0])
             val = special.bessel_k(params.nu[0], 2 * mp.pi * yv)
             out = 2 * mp.sqrt(yv) * val
@@ -374,7 +364,7 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
         y1, y2 = np.array([ys[0]]), np.array([ys[1]])
         w = _whittaker3_completed_grid(params, y1, y2, *_mb_exponentials(y1, y2))[0, 0]
         if normalization == "normalized":
-            w = complex(w) / complex(_gamma_normalizer(params))
+            w = complex(w) / complex(_gamma_normalizer(params, 1))
         return complex(w)
     raise RangeError("whittaker implemented for n = 2, 3")
 
@@ -410,20 +400,19 @@ def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
     return float(np.sum(vals) * STADE2_H)
 
 
-# s -> (l1, l2, y1, y2, e1, e2): the n=3 Stade grid depends only on s, so
-# every (nu, mu) pair at that s shares its Mellin-Barnes exponentials
-_STADE3_GRIDS = {}
-
-
+@functools.cache
 def _stade3_grid(s: float):
-    if s not in _STADE3_GRIDS:
-        l1_lo = -max(20.0, 20.0 / s)
-        l2_lo = -max(20.0, 40.0 / s)
-        l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-        l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-        y1, y2 = np.exp(l1), np.exp(l2)
-        _STADE3_GRIDS[s] = (l1, l2, y1, y2) + _mb_exponentials(y1, y2)
-    return _STADE3_GRIDS[s]
+    """(l1, l2, y1, y2, e1, e2): the n=3 Stade grid depends only on s, so
+    every (nu, mu) pair at that s shares its Mellin-Barnes exponentials."""
+    l1_lo = -max(20.0, 20.0 / s)
+    l2_lo = -max(20.0, 40.0 / s)
+    l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
+    l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
+    y1, y2 = np.exp(l1), np.exp(l2)
+    grid = (l1, l2, y1, y2) + _mb_exponentials(y1, y2)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
@@ -436,9 +425,7 @@ def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
-    with working_dps(30):
-        import mpmath as mp
-
+    with mp.workdps(30):
         acc = mp.mpf(1)
         for aj in nu.alpha:
             for bk in mu.alpha:
@@ -461,7 +448,8 @@ def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
     else:
         lhs_c = _stade_lhs_3(nu, mu, s)
     rhs_c = _stade_rhs_completed(nu, mu, s)
-    renorm = complex(_gamma_normalizer(nu, sign=1) * _gamma_normalizer(mu, sign=-1))
+    with mp.workdps(30):
+        renorm = complex(_gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1))
     lhs = lhs_c / renorm
     rhs = rhs_c / renorm
     rel = abs(lhs_c - rhs_c) / abs(rhs_c)
@@ -482,7 +470,7 @@ def stade_rhs_simple(nu: SpectralParams, s: float) -> complex:
     Two-sided comparable (ratio bounded) with the normalized Stade
     value for s in [1/2, 3/2] and mu near nu.
     """
-    with working_dps(30):
+    with mp.workdps(30):
         acc = special.gamma_r(1)
         for f in nu_linear_forms(nu):
             acc *= special.gamma_r(s + nu.n * f) / special.gamma_r(1 + nu.n * f)

@@ -6,7 +6,7 @@ import math
 import pytest
 from mpmath import mp
 
-from periodmoments import cli, modforms
+from periodmoments import cli, modforms, moment, spectral
 
 SUBCOMMANDS = [
     "moment",
@@ -22,6 +22,15 @@ SUBCOMMANDS = [
 
 def run(argv):
     return cli.main(list(argv))
+
+
+@pytest.fixture
+def cold_forms():
+    # experiments read their forms through the cli._forms memo: start with
+    # it empty, and leave no form that a patched hecke_eigenforms made behind
+    cli._forms.cache_clear()
+    yield
+    cli._forms.cache_clear()
 
 
 def test_parser_has_all_subcommands():
@@ -159,16 +168,6 @@ def test_config_without_path_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_non_integer_precision_exits_2(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("PERIOD_MOMENTS_PRECISION", "forty")
-    rc = run(["epstein-fe", "--n", "2", "--samples", "1",
-              "--output", str(tmp_path / "e.csv"),
-              "--summary", str(tmp_path / "e.json")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "e.csv").exists()
-
-
 def test_config_equals_form_is_read(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 3}))
@@ -238,14 +237,13 @@ def test_poles_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch, cold_forms):
     # mpmath's NoConvergence from the Hecke root finder reaches the CLI as
     # NonConvergenceError: exit 1 and one stderr line, no traceback
     def stuck(*args, **kwargs):
         raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
 
     monkeypatch.setattr(modforms.mp, "polyroots", stuck)
-    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
     out = tmp_path / "n.csv"
     rc = run(["norm-crosscheck", "--k", "12",
               "--output", str(out), "--summary", str(tmp_path / "n.json")])
@@ -256,7 +254,7 @@ def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_moment_never_builds_the_mp_oracle(tmp_path, monkeypatch):
+def test_moment_never_builds_the_mp_oracle(tmp_path, monkeypatch, cold_forms):
     # production reads lam_f64 and a(2) alone; the HECKE_DPS-digit lists a
     # and lam of an Eigenform are built only when read
     built = []
@@ -267,7 +265,6 @@ def test_moment_never_builds_the_mp_oracle(tmp_path, monkeypatch):
         return forms
 
     monkeypatch.setattr(cli, "hecke_eigenforms", recorded)
-    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
     out = tmp_path / "m.csv"
     rc = run(["moment", "--k-min", "12", "--k-max", "40",
               "--output", str(out), "--summary", str(tmp_path / "m.json")])
@@ -339,12 +336,11 @@ def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
     ["moment", "--k-max", "2000"],
 ])
 def test_weight_out_of_engine_range_exits_2_before_any_form(tmp_path, capsys, monkeypatch,
-                                                            argv):
+                                                            cold_forms, argv):
     # the Petersson engine rejects the weight before a Miller basis of
     # dimension 166 is built out to tens of thousands of terms
     built = []
     monkeypatch.setattr(cli, "hecke_eigenforms", lambda k: built.append(k))
-    monkeypatch.setattr(cli, "_FORMS", cli._forms_cache())
     out = tmp_path / "o.csv"
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
@@ -352,3 +348,74 @@ def test_weight_out_of_engine_range_exits_2_before_any_form(tmp_path, capsys, mo
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "k=2000" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_2_before_the_run(tmp_path, capsys, monkeypatch, source):
+    # numpy's default_rng rejects a negative seed; the parser rejects it
+    # first, from a flag or a config file, before the experiment runs
+    def runner(args, rng):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "eisenstein-residue", runner)
+    if source == "flag":
+        seed = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        seed = ["--config", str(cfg)]
+    out = tmp_path / "r.csv"
+    rc = run(["eisenstein-residue"] + seed + ["--output", str(out),
+                                             "--summary", str(tmp_path / "r.json")])
+    assert rc == 2
+    _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--n", "2", "--samples", "5", "--eps=1000"],
+    ["lemma1", "--n", "2", "--samples", "5", "--eps=-1000"],
+    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "200"],
+], ids=["lemma1-overflow", "lemma1-underflow", "moment-overflow"])
+def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, argv):
+    # det^(1/2 + eps) or Gamma(k + eps) / Gamma(k) past float64's range is
+    # a configuration error, not an OverflowError or ZeroDivisionError
+    out = tmp_path / "o.csv"
+    rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("configuration error: eps = "), err
+    assert not out.exists()
+
+
+def test_outputs_do_not_depend_on_the_mpmath_precision(tmp_path):
+    # every mp computation sets its own digits: the CSV bytes and the
+    # checks are the same whatever precision the caller left, and main
+    # leaves that precision as it found it
+    argvs = [["stade", "--n", "2", "--samples", "3"], ["eisenstein-residue"],
+             ["epstein-fe", "--n", "2", "--samples", "2"]]
+    outputs = {}
+    for dps in (15, 50):
+        with mp.workdps(dps):
+            spectral._gamma_normalizer.cache_clear()  # recomputed at this dps
+            for i, argv in enumerate(argvs):
+                csv_p, json_p = tmp_path / ("%d_%d.csv" % (dps, i)), tmp_path / "s.json"
+                assert run(argv + ["--output", str(csv_p), "--summary", str(json_p)]) in (0, 1)
+                assert mp.dps == dps
+                outputs.setdefault(i, []).append(
+                    (csv_p.read_bytes(), json.loads(json_p.read_text())["checks"]))
+    for first, second in outputs.values():
+        assert first == second
+
+
+def test_moment_builds_one_petersson_engine_per_weight(tmp_path):
+    # petersson_engine is memoized on (k, refine) as passed: one call
+    # form, so each weight of the sweep holds one entry
+    moment.petersson_engine.cache_clear()
+    out = tmp_path / "m.csv"
+    rc = run(["moment", "--k-min", "12", "--k-max", "24",
+              "--output", str(out), "--summary", str(tmp_path / "m.json")])
+    assert rc in (0, 1) and out.exists()
+    weights = [k for k in range(12, 25, 2) if modforms.cusp_dim(k) >= 1]
+    info = moment.petersson_engine.cache_info()
+    assert info.misses == info.currsize == len(weights) == 6

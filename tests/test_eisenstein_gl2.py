@@ -15,7 +15,7 @@ from periodmoments.eisenstein_gl2 import (
     eisenstein,
     residue_at_one,
 )
-from periodmoments.precision import PoleError, working_dps
+from periodmoments.precision import PoleError
 from periodmoments.special import lam
 
 # E*(0.31 + 1.37i, 1/2), 28 digits
@@ -24,14 +24,14 @@ Z0 = ("0.31", "1.37")  # strings: parsed at the active working precision
 
 
 def test_central_frozen_value():
-    with working_dps(30):
+    with mp.workdps(30):
         v = completed_eisenstein(Z0, mpf("0.5"))
         assert abs(v - mpf(CENTRAL_VALUE)) < mpf("1e-26")
 
 
 def test_central_branch_matches_generic_limit():
     # generic-s code path approaching the center vs the snapped formula
-    with working_dps(30):
+    with mp.workdps(30):
         central = completed_eisenstein(Z0, mpf("0.5"))
         near = completed_eisenstein(Z0, mpf("0.5") + mpf("1e-9"))
         # E*'(1/2) = 0 by the functional equation, so the gap is O(h^2);
@@ -41,7 +41,7 @@ def test_central_branch_matches_generic_limit():
 
 
 def test_functional_equation_complex_s():
-    with working_dps(30):
+    with mp.workdps(30):
         for s in (mpc("0.3", "0.7"), mpc("0.5", "1.9"), mpc("1.4", "-0.35")):
             a = completed_eisenstein(Z0, s)
             b = completed_eisenstein(Z0, 1 - s)
@@ -49,7 +49,7 @@ def test_functional_equation_complex_s():
 
 
 def test_automorphy():
-    with working_dps(30):
+    with mp.workdps(30):
         s = mpc("0.62", "0.41")
         z = mpc(mpf("0.31"), mpf("1.37"))
         for w in (-1 / z, z + 1, (z - 1) / (1 * z + 0)):  # S, T, and S T^-1 images
@@ -68,20 +68,20 @@ def test_poles_raise():
 
 
 def test_residue_of_completed_is_half():
-    with working_dps(40):
+    with mp.workdps(40):
         for z in (Z0, (mpf("-0.4"), mpf("0.8")), (mpf(0), mpf(3))):
             r = residue_at_one(z, completed=True)
             assert abs(r - mpf("0.5")) < mpf("1e-10")
 
 
 def test_residue_of_unnormalized_is_three_over_pi():
-    with working_dps(40):
+    with mp.workdps(40):
         r = residue_at_one(Z0)
         assert abs(r - 3 / mp.pi) < mpf("1e-12")
 
 
 def test_center_line_vanishing_and_ratio():
-    with working_dps(30):
+    with mp.workdps(30):
         assert eisenstein(Z0, mpf("0.5")) == 0
         s = mpf("0.8")
         ratio = completed_eisenstein(Z0, s) / eisenstein(Z0, s)
@@ -93,7 +93,7 @@ def test_f64_matches_mp():
     yg = np.array([0.9, 1.37, 2.2])
     for s_val in (0.5, 0.75, 1.1):
         got = completed_eisenstein_f64(xg, yg, s_val)
-        with working_dps(30):
+        with mp.workdps(30):
             for j in range(len(xg)):
                 ref = completed_eisenstein((mpf(float(xg[j])), mpf(float(yg[j]))), mpf(s_val))
                 assert abs(float(ref) - got[j]) < 5e-14 * max(1.0, abs(float(ref)))
@@ -102,7 +102,7 @@ def test_f64_matches_mp():
 def test_trivial_zeros_are_not_poles():
     # at s = 2, 3 (and -1, -2) the constant term reads Lambda(-2) and
     # Lambda(-4), finite by the functional equation of zeta
-    with working_dps(30):
+    with mp.workdps(30):
         for s in (2, 3):
             a = completed_eisenstein(Z0, mpf(s))
             b = completed_eisenstein(Z0, mpf(1 - s))
@@ -110,7 +110,7 @@ def test_trivial_zeros_are_not_poles():
     xg = np.array([0.1, 0.31, -0.27])
     yg = np.array([0.9, 1.37, 2.2])
     got = completed_eisenstein_f64(xg, yg, 2.0)
-    with working_dps(30):
+    with mp.workdps(30):
         for j in range(len(xg)):
             ref = completed_eisenstein((mpf(float(xg[j])), mpf(float(yg[j]))), mpf(2))
             assert abs(float(ref) - got[j]) < 5e-14 * abs(float(ref))

@@ -30,13 +30,13 @@ from periodmoments.epstein import (
     iwasawa_y,
     z_from_y,
 )
-from periodmoments.precision import PoleError, working_dps
+from periodmoments.precision import PoleError
 from periodmoments.special import dirichlet_beta, upper_gamma_f64, zeta
 
 
 def test_square_lattice_counts():
     # Z(I_2, rho) = 2 zeta(rho) beta(rho), above and below rho = n/2 = 1
-    with working_dps(25):
+    with mp.workdps(25):
         for rho in (mpf("0.7"), mpf("1.3"), mpf("2.5")):
             got = epstein_z(np.eye(2), rho)
             want = 2 * zeta(rho) * dirichlet_beta(rho)
@@ -60,7 +60,7 @@ def test_functional_equation_mp_unbalanced():
     # off-balance split so the identity is not satisfied term by term.
     # M integer so the exact rational inverse is representable.
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    with working_dps(25):
+    with mp.workdps(25):
         Minv = [[mpf(2) / 3, mpf(-1) / 3], [mpf(-1) / 3, mpf(2) / 3]]
         rho = mpc("0.8", "0.5")
         lhs = epstein_xi(M, rho, split=mpf(1) / 3)
@@ -137,7 +137,7 @@ def test_half_lattice_sum_matches_full_box():
 
 def test_split_independence():
     M = np.array([[1.0, 0.3], [0.3, 1.0]])
-    with working_dps(25):
+    with mp.workdps(25):
         vals = [epstein_xi(M, mpf("0.9"), split=sp) for sp in (None, mpf("0.6"), mpf("2.3"))]
         assert abs(vals[0] - vals[1]) < mpf("1e-23")
         assert abs(vals[0] - vals[2]) < mpf("1e-23")
@@ -146,7 +146,7 @@ def test_split_independence():
 def test_unimodular_invariance():
     M = np.array([[2.0, 0.5], [0.5, 1.5]])
     U = np.array([[1, 1], [0, 1]])
-    with working_dps(25):
+    with mp.workdps(25):
         a = epstein_z(M, mpf("1.4"))
         b = epstein_z(U.T @ M @ U, mpf("1.4"))
         assert abs(a - b) < mpf("1e-20") * abs(a)
@@ -202,7 +202,7 @@ def test_two_route_eisenstein_n2():
     # independent continuations of the same function
     x_val, y_val = 0.31, 1.37
     xm = np.array([[1.0, x_val], [0.0, 1.0]])
-    with working_dps(25):
+    with mp.workdps(25):
         for s in (mpf("0.5"), mpc("0.63", "0.37"), mpf("0.75")):
             a = gln_completed_eisenstein([y_val], s, x=xm)
             b = completed_eisenstein((mpf(x_val), mpf(y_val)), s)
@@ -211,6 +211,6 @@ def test_two_route_eisenstein_n2():
 
 def test_gln_f64_matches_mp():
     g_f = gln_completed_eisenstein_f64([1.3, 0.8], 0.5)
-    with working_dps(25):
+    with mp.workdps(25):
         g_m = gln_completed_eisenstein([1.3, 0.8], mpf("0.5"))
     assert abs(g_f - float(g_m)) < 1e-12 * abs(float(g_m))

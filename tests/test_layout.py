@@ -4,6 +4,7 @@ listed."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import periodmoments
@@ -89,3 +90,20 @@ def test_test_only_public_names_are_listed():
                 referenced.add(node.attr)
     unreferenced = {q for q, name in defs.items() if name not in referenced}
     assert unreferenced == TEST_ONLY_PUBLIC_NAMES
+
+
+def test_cached_functions_take_no_defaults():
+    # functools.cache keys on the arguments as passed, so f(k) and f(k, 1)
+    # would be two entries of one value: a memoized function has one call
+    # form, with every parameter given
+    cached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "periodmoments" if path.stem == "__init__" else "periodmoments." + path.stem
+        mod = importlib.import_module(name)
+        cached += [obj for obj in vars(mod).values()
+                   if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
+    assert len(cached) >= 10
+    defaulted = ["%s.%s" % (fn.__module__, fn.__name__) for fn in cached
+                 if any(p.default is not p.empty
+                        for p in inspect.signature(fn.__wrapped__).parameters.values())]
+    assert defaulted == []

@@ -33,7 +33,7 @@ from periodmoments.modforms import (
     poly_mul_trunc,
     theta_cutoff,
 )
-from periodmoments.precision import NonConvergenceError, working_dps
+from periodmoments.precision import NonConvergenceError
 
 TAU = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
 
@@ -197,7 +197,7 @@ def test_degenerate_t2_spectrum_raises(monkeypatch):
 
 def test_k12_eigenform_is_delta():
     f = hecke_eigenforms(12, horizon=60)[0]
-    with working_dps(50):
+    with mp.workdps(50):
         for n in range(1, 13):
             assert abs(f.a[n] - TAU[n]) < mpf("1e-40")
 
@@ -205,7 +205,7 @@ def test_k12_eigenform_is_delta():
 def test_k24_eigenvalues_and_multiplicativity():
     forms = hecke_eigenforms(24, horizon=60)
     assert len(forms) == 2
-    with working_dps(55):
+    with mp.workdps(55):
         root = 12 * mp.sqrt(144169)
         assert abs(forms[0].a[2] - (540 - root)) < mpf("1e-45")
         assert abs(forms[1].a[2] - (540 + root)) < mpf("1e-45")

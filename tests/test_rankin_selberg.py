@@ -9,12 +9,13 @@ Dirichlet sum deep in the convergence region (independent route).
 
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from periodmoments import rankin_selberg
-from periodmoments.modforms import hecke_eigenforms
-from periodmoments.precision import PoleError, working_dps
+from periodmoments.modforms import afe_cutoff, hecke_eigenforms
+from periodmoments.precision import PoleError
 from periodmoments.rankin_selberg import (
     RankinSelbergPair,
     gamma_factor_log,
@@ -59,7 +60,7 @@ def test_coefficient_identity_k24(k24_forms):
 
 
 def test_kappa_log_against_mp():
-    with working_dps(30):
+    with mp.workdps(30):
         for k, x in ((12, 0.7), (40, 2.3)):
             ref = mp.log(
                 2 * (4 * mp.pi**2 * mpf(x)) ** (mpf(k - 1) / 2)
@@ -70,7 +71,7 @@ def test_kappa_log_against_mp():
 
 
 def test_gamma_factor_log_against_mp():
-    with working_dps(30):
+    with mp.workdps(30):
         for k, s in ((12, 0.5 + 0.0j), (24, 2.0 + 1.3j)):
             ref = (
                 -2 * mp.mpc(s) * mp.log(2 * mp.pi)
@@ -128,7 +129,7 @@ def test_central_value_real_with_positive_symmetric_part(delta_pair):
     assert v.imag == 0.0
     # L(s) = zeta(s) * (symmetric-square factor); zeta(1/2) < 0 and the
     # second factor is positive at the center for these forms
-    with working_dps(20):
+    with mp.workdps(20):
         zeta_half = float(mp.zeta(mpf("0.5")))
     assert v.real / zeta_half > 0
 
@@ -162,23 +163,41 @@ def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
     # the suffix table depends only on (k, w, n) and R only on the pair:
     # a cold pair and a warm one give the same value bit for bit
     f, g = k24_forms
-    built = []
-    table = rankin_selberg._mellin_suffix_table
-    monkeypatch.setattr(rankin_selberg, "_MELLIN_TABLES", {})
-    monkeypatch.setattr(rankin_selberg, "_mellin_suffix_table",
-                        lambda k, w, n: built.append(w) or table(k, w, n))
+    tables = rankin_selberg._mellin_suffix_table
+    tables.cache_clear()
     residues = []
     theta = RankinSelbergPair.residue_theta
     monkeypatch.setattr(RankinSelbergPair, "residue_theta",
                         lambda self, *a: residues.append(self) or theta(self, *a))
     cold = RankinSelbergPair(f, g)
     values = [cold.completed_l(s) for s in (0.5, 0.75, 0.25)]
-    assert built == [0.5, 0.75, 0.25]  # w = s and 1 - s share a table at 1/2
+    assert tables.cache_info()[:2] == (3, 3)  # w = s and 1 - s share a table at 1/2
     warm = RankinSelbergPair(f, g)
     assert [warm.completed_l(s) for s in (0.5, 0.75, 0.25)] == values
-    assert len(built) == 3
+    assert tables.cache_info()[:2] == (9, 3)  # hits, misses
     assert residues == [cold, warm]
     diag = RankinSelbergPair(f)
     diag.norm_theta()
     diag.completed_l(0.5)
     assert residues == [cold, warm, diag]
+    for a in tables(f.weight, 0.5, afe_cutoff(f.weight)):
+        assert not a.flags.writeable
+
+
+def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
+    # c(n) = sum over d^2 | n of lam_f lam_g(n / d^2), added in increasing
+    # d: every prefix is the table built to its own end, bit for bit
+    f, g = k24_forms
+    pair = RankinSelbergPair(f, g)
+    coeff = f.lam_f64 * g.lam_f64
+    full = pair.c_table(f.horizon)
+    assert not full.flags.writeable
+    for n_max in (1, 40, afe_cutoff(f.weight), f.horizon):
+        c = pair.c_table(n_max)
+        assert len(c) == n_max + 1 and np.shares_memory(c, full)
+        for n in range(1, n_max + 1):
+            want = 0.0
+            for d in range(1, math.isqrt(n) + 1):
+                if n % (d * d) == 0:
+                    want += coeff[n // (d * d)]
+            assert c[n] == want

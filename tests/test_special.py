@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from periodmoments import special
-from periodmoments.precision import NonConvergenceError, PoleError, working_dps
+from periodmoments.precision import NonConvergenceError, PoleError
 from periodmoments.special import (
     bessel_k,
     bessel_k_ex,
@@ -31,7 +31,7 @@ K_HALF_I_AT_10 = "0.00001756910770414134783071906"
 
 
 def test_gamma_r_value():
-    with working_dps(30):
+    with mp.workdps(30):
         # gamma_r(1) = pi^{-1/2} Gamma(1/2) = 1
         assert abs(gamma_r(1) - 1) < mpf("1e-28")
         # gamma_r(2) = pi^{-1} Gamma(1) = 1/pi
@@ -41,7 +41,7 @@ def test_gamma_r_value():
 def test_gamma_r_duplication():
     # gamma_r(s) gamma_r(s+1) = 2 (2 pi)^{-s} Gamma(s), valid off poles.
     rng = np.random.default_rng(7)
-    with working_dps(35):
+    with mp.workdps(35):
         for _ in range(100):
             s = mpc(rng.uniform(0.1, 3.0), rng.uniform(-10.0, 10.0))
             lhs = gamma_r(s) * gamma_r(s + 1)
@@ -63,7 +63,7 @@ def test_zeta_and_lambda_poles():
         lam(0)
     with pytest.raises(PoleError):
         lam(1)
-    with working_dps(30):
+    with mp.workdps(30):
         # lam(2) = pi/6: gamma_r(2) zeta(2) = (1/pi)(pi^2/6)
         assert abs(lam(2) - mp.pi / 6) < mpf("1e-28")
 
@@ -71,7 +71,7 @@ def test_zeta_and_lambda_poles():
 def test_lambda_at_trivial_zeros():
     # the gamma_r pole at w = -2, -4 meets a trivial zero of zeta: Lambda is
     # finite there and equals Lambda(1 - w), also as the limit of the product
-    with working_dps(30):
+    with mp.workdps(30):
         assert lam(-2) == lam(3)
         assert lam(-4) == lam(5)
         h = mpf("1e-25")
@@ -87,7 +87,7 @@ def test_lambda_at_trivial_zeros():
 
 
 def test_dirichlet_beta():
-    with working_dps(30):
+    with mp.workdps(30):
         assert abs(dirichlet_beta(1) - mp.pi / 4) < mpf("1e-27")
         assert abs(dirichlet_beta(2) - mp.catalan) < mpf("1e-27")
         # beta(3) = pi^3/32
@@ -95,7 +95,7 @@ def test_dirichlet_beta():
 
 
 def test_bessel_k_frozen_values():
-    with working_dps(30):
+    with mp.workdps(30):
         v = bessel_k(0, 1)
         assert abs(v - mpf(K0_AT_1)) < mpf("1e-28")
         w = bessel_k(mpc(0, "0.5"), 10)
@@ -106,7 +106,7 @@ def test_bessel_k_frozen_values():
 def test_bessel_k_against_mpmath_grid():
     # Independent algorithm cross-check: our cosh-transform quadrature vs
     # mpmath's hypergeometric/asymptotic besselk.
-    with working_dps(30):
+    with mp.workdps(30):
         for t in (mpf(0), mpf("0.3"), mpf(2), mpf(7)):
             for x in (mpf("0.05"), mpf("0.7"), mpf(3), mpf(25)):
                 ours = bessel_k(mpc(0, t), x)
@@ -140,7 +140,7 @@ BESSEL_K_REBUILT = {
 def test_bessel_k_nested_matches_rebuilt_levels():
     # the nested rule returns the values of the rebuilt one at working
     # precision
-    with working_dps(30):
+    with mp.workdps(30):
         for (t, x), ref in BESSEL_K_REBUILT.items():
             ours = bessel_k(mpc(0, t), mpf(x))
             assert abs(ours - mpf(ref)) <= 4 * mp.eps * abs(mpf(ref)), (t, x)
@@ -156,7 +156,7 @@ def test_bessel_k_evaluates_each_node_once(monkeypatch):
         return real(x, nu, u, is_real)
 
     monkeypatch.setattr(special, "_k_integrand", recorded)
-    with working_dps(30):
+    with mp.workdps(30):
         assert abs(bessel_k(0, 1) - mpf(K0_AT_1)) < mpf("1e-28")
     assert len(nodes) > 100
     assert len(set(nodes)) == len(nodes)
@@ -171,7 +171,7 @@ def test_bessel_k_nonconvergence_carries_best_and_delta(monkeypatch):
         return mpf(len(calls))
 
     monkeypatch.setattr(special, "_k_integrand", restless)
-    with working_dps(20):
+    with mp.workdps(20):
         with pytest.raises(NonConvergenceError) as exc:
             bessel_k(0, 1)
     err = exc.value
@@ -180,14 +180,14 @@ def test_bessel_k_nonconvergence_carries_best_and_delta(monkeypatch):
 
 
 def test_bessel_k_order_symmetry():
-    with working_dps(30):
+    with mp.workdps(30):
         a = bessel_k(mpc(0, "1.3"), mpf("0.9"))
         b = bessel_k(mpc(0, "-1.3"), mpf("0.9"))
         assert abs(a - b) < mpf("1e-28") * max(1, abs(a))
 
 
 def test_bessel_k_underflow_flag():
-    with working_dps(30):
+    with mp.workdps(30):
         v, under = bessel_k_ex(0, 800)
         # K_0(800) ~ 1.6e-349, below the smallest subnormal double.
         assert under is True
@@ -205,7 +205,7 @@ def test_bessel_k_domain():
 
 
 def test_upper_incomplete_gamma():
-    with working_dps(30):
+    with mp.workdps(30):
         # Gamma(1/2, 2) = sqrt(pi) erfc(sqrt(2)); frozen from erfc oracle.
         ref = mpf("0.0806471179603176907886260730213")
         assert abs(upper_incomplete_gamma(mpf("0.5"), 2) - ref) < mpf("1e-28")
@@ -242,7 +242,7 @@ def test_upper_gamma_f64_negative_order():
 
 def test_precision_env_and_context():
     before = mp.dps
-    with working_dps(55):
+    with mp.workdps(55):
         assert mp.dps == 55
         inner = zeta(2)
         assert abs(inner - mp.pi**2 / 6) < mpf("1e-50")

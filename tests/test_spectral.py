@@ -17,7 +17,7 @@ import pytest
 from scipy import integrate
 
 from periodmoments import spectral as sp
-from periodmoments.precision import RangeError, working_dps
+from periodmoments.precision import RangeError
 
 # (1/pi) tanh(pi), both G routes; spec sheet prints 0.31810 for this
 # constant but the two independent formulas agree on the value below.
@@ -162,7 +162,7 @@ def test_whittaker_gl2_origin_frozen():
     p = sp.spectral_params(2, [0j])
     w_norm = sp.whittaker(p, [1.0], normalization="normalized")
     w_comp = sp.whittaker(p, [1.0], normalization="completed")
-    with working_dps(30):
+    with mp.workdps(30):
         frozen = mp.mpf(W2_AT_ORIGIN)
         assert abs(w_norm - frozen) < 1e-19
         assert abs(w_comp - frozen) < 1e-19
@@ -172,7 +172,7 @@ def test_whittaker_gl2_vs_besselk():
     p = sp.spectral_params(2, [1.1j])
     # dyadic y so the float input and the mp oracle see the same point
     w = sp.whittaker(p, [0.75], normalization="completed")
-    with working_dps(30):
+    with mp.workdps(30):
         oracle = 2 * mp.sqrt(mp.mpf(0.75)) * mp.besselk(1.1j, 2 * mp.pi * mp.mpf(0.75))
         assert abs(w - oracle) <= 1e-20 * abs(oracle)
         # completed value is real for imaginary order
@@ -183,14 +183,14 @@ def test_whittaker_normalized_completed_quotient():
     p = sp.spectral_params(2, [0.7j])
     wp = sp.whittaker(p, [1.3], normalization="normalized")
     wc = sp.whittaker(p, [1.3], normalization="completed")
-    with working_dps(30):
+    with mp.workdps(30):
         from periodmoments.special import gamma_r
 
         assert abs(wp * gamma_r(1 + 2 * p.nu[0]) - wc) <= 1e-20 * abs(wc)
     p3 = sp.spectral_params(3, [0.5j, -0.2j])
     wp3 = sp.whittaker(p3, [0.9, 1.1], normalization="normalized")
     wc3 = sp.whittaker(p3, [0.9, 1.1], normalization="completed")
-    quot = complex(sp._gamma_normalizer(p3))
+    quot = complex(sp._gamma_normalizer(p3, 1))
     assert abs(wp3 * quot - wc3) <= 1e-10 * abs(wc3)
 
 
@@ -256,11 +256,11 @@ def test_mb_kernel_factored_matches_direct():
         assert np.max(np.abs(kernel - direct) / np.abs(direct)) <= 1e-13
 
 
-def test_mb_caches_keyed_by_what_they_depend_on(monkeypatch):
-    # the alpha-independent Mellin-Barnes data is held once, never per
+def test_mb_caches_keyed_by_what_they_depend_on():
+    # the alpha-independent Mellin-Barnes data is built once, never per
     # alpha, and the n=3 Stade exponentials once per s
-    monkeypatch.setattr(sp, "_MB_CACHE", {})
-    monkeypatch.setattr(sp, "_STADE3_GRIDS", {})
+    sp._mb_nodes.cache_clear()
+    sp._stade3_grid.cache_clear()
     rng = np.random.default_rng(4)
     s_values = (1.0, 1.5)
     for i in range(20):
@@ -268,22 +268,22 @@ def test_mb_caches_keyed_by_what_they_depend_on(monkeypatch):
         mu = sp.spectral_params(3, 1j * rng.uniform(-1, 1, 2))
         r = sp.stade_check(nu, mu, s_values[i % 2])
         assert r["rel_err"] <= 1e-4
-    assert sorted(sp._MB_CACHE) == ["hankel", "u"]
-    assert sorted(sp._STADE3_GRIDS) == list(s_values)
+    assert sp._mb_nodes.cache_info().misses == 1
+    assert sp._stade3_grid.cache_info()[:2] == (18, len(s_values))  # hits, misses
     # whittaker's 1x1 path shares the nodes and adds no entry
     sp.whittaker(sp.spectral_params(3, [0.21j, 0.37j]), [0.5, 2.0])
-    assert sorted(sp._MB_CACHE) == ["hankel", "u"]
-    assert sorted(sp._STADE3_GRIDS) == list(s_values)
+    assert sp._mb_nodes.cache_info().misses == 1
+    assert sp._stade3_grid.cache_info().currsize == len(s_values)
+    for a in sp._mb_nodes() + sp._stade3_grid(1.0):
+        assert not a.flags.writeable
 
 
 def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     # stade_check reads the Gamma_R(1 +- n ...) products at every s: each
     # (params, sign) is computed once, and a mu == nu pair at n = 3
     # evaluates one Whittaker grid
-    monkeypatch.setattr(sp, "_GAMMA_NORMALIZERS", {})
-    built = []
-    real_forms = sp.nu_linear_forms
-    monkeypatch.setattr(sp, "nu_linear_forms", lambda p: built.append(p) or real_forms(p))
+    normalizer = sp._gamma_normalizer
+    normalizer.cache_clear()
     grids = []
     real_grid = sp._whittaker3_completed_grid
     monkeypatch.setattr(sp, "_whittaker3_completed_grid",
@@ -298,14 +298,14 @@ def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     sp.stade_check(p3, q3, 1.0)
     assert grids == [p3, p3, q3]
     keys = {(nu, 1), (mu, -1), (nu, -1), (p3, 1), (p3, -1), (q3, -1)}
-    assert set(sp._GAMMA_NORMALIZERS) == keys
-    assert len(built) == len(keys)
-    with working_dps(30):
-        for (p, sign), value in sp._GAMMA_NORMALIZERS.items():
+    assert normalizer.cache_info().misses == normalizer.cache_info().currsize == len(keys)
+    with mp.workdps(30):
+        for p, sign in keys:
             want = mp.mpf(1)
-            for f in real_forms(p):
+            for f in sp.nu_linear_forms(p):
                 want *= sp.special.gamma_r(1 + sign * p.n * f)
-            assert value == want
+            assert normalizer(p, sign) == want
+    assert normalizer.cache_info().misses == len(keys)  # every key was held
 
 
 def test_stade_n2_random_pairs():
