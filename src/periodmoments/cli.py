@@ -130,6 +130,15 @@ STADE3_GRID = [
 ]
 
 
+def stade3_pairs(samples, rng):
+    """The first `samples` n=3 (nu, mu) pairs: STADE3_GRID, then uniform
+    draws from rng with sup-norm <= 1."""
+    pairs = list(STADE3_GRID[:samples])
+    while len(pairs) < samples:
+        pairs.append((tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-1, 1, 2))))
+    return pairs
+
+
 def run_stade(args, rng):
     s_values = args.s if args.s else ([0.5, 1.0, 1.5] if args.n == 2 else [1.0])
     rows = []
@@ -156,15 +165,14 @@ def run_stade(args, rng):
         tol = STADE2_TOL
     else:
         header = ["n", "nu1", "nu2", "mu1", "mu2", "s", "lhs", "lhs_str", "rhs", "rel_err"]
-        pairs = list(STADE3_GRID[: args.samples])
-        while len(pairs) < args.samples:
-            pairs.append((tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-1, 1, 2))))
-        for nu_t, mu_t in pairs:
+        ranks = []
+        for nu_t, mu_t in stade3_pairs(args.samples, rng):
             pn = spectral.spectral_params(3, [1j * v for v in nu_t])
             pm = spectral.spectral_params(3, [1j * v for v in mu_t])
             for s in s_values:
                 r = spectral.stade_check(pn, pm, s)
                 worst = np.maximum(worst, r["rel_err"])
+                ranks.extend(r["kernel_ranks"])
                 rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], s,
                              complex(r["lhs"]), report.hp_str(complex(r["lhs"])),
                              complex(r["rhs"]), r["rel_err"]])
@@ -176,7 +184,11 @@ def run_stade(args, rng):
                                    lo <= min(eq11) <= hi))
         checks.append(report.check("eq11_ratio_max", max(eq11), list(RATIO_WINDOW),
                                    lo <= max(eq11) <= hi))
-    return header, rows, checks, {"n": args.n, "samples": args.samples, "s": s_values}
+    params = {"n": args.n, "samples": args.samples, "s": s_values}
+    if args.n == 3:
+        # the ranks the range finder chose for the Mellin-Barnes kernels
+        params.update(kernel_rank_min=min(ranks), kernel_rank_max=max(ranks))
+    return header, rows, checks, params
 
 
 def _draw_in_ball(rng, dim, radius):

@@ -33,6 +33,14 @@ relative error is unchanged by construction.  At generic (nu, mu) the
 n=3 values are complex (conjugate-symmetric under swapping nu and mu);
 they are real on the mu = nu locus.
 
+The n=3 Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b)) on the
+nodes u comes in two tiers.  The oracle tier (_mb_kernel,
+_whittaker3_completed_grid, used by whittaker) forms C and contracts the
+dense product e1 C e2.  The production tier of stade_check
+(_mb_kernel_factors) never forms C: a randomized range finder with a
+fixed-seed sketch returns C ~ Q B of rank r, sized by a residual bound
+tied to float64 round-off, and each Stade grid is (f1 Q)(B f2).
+
 Plancherel density: G(ix) = |Gamma_R(1+ix)/Gamma_R(ix)|^2
 = (x/2pi) tanh(pi x/2) (both forms implemented and compared), and the
 spectral measure on the unitary axis is
@@ -74,6 +82,14 @@ Y_MIN, Y_MAX = 1e-3, 1e3
 
 MB_T = 22.0
 MB_H = 0.06
+# randomized range finder for the n=3 Stade kernel: first sketch width,
+# residual bound tied to float64 round-off, separate test columns, seed
+MB_RANK0 = 16
+MB_TOL = 64 * np.finfo(float).eps
+MB_TEST_COLS = 4
+MB_SKETCH_SEED = 20110101
+# the constant 2^{-3/2} (1/(2 pi i))^2 of W*_nu times du1 du2 = (i MB_H)^2
+MB_PREF = 2.0**-1.5 * MB_H**2 / (4 * math.pi**2)
 
 STADE2_H = 0.045
 STADE2_UPPER = 2.6
@@ -290,19 +306,73 @@ def _mb_nodes():
     return u, hankel
 
 
-def _mb_kernel(alpha):
-    """Mellin-Barnes node vector u and kernel matrix C for given alpha.
-
-    C_ij = exp(a_i) H_ij exp(b_j) with a_i = sum_k log Gamma_R(u_i - alpha_k)
-    and b_j = sum_k log Gamma_R(u_j + alpha_k); only a and b depend on alpha.
-    """
-    u, hankel = _mb_nodes()
+def _mb_diagonals(alpha):
+    """exp(a) and exp(b) with a_i = sum_k log Gamma_R(u_i - alpha_k) and
+    b_j = sum_k log Gamma_R(u_j + alpha_k): the only alpha-dependent part of
+    the Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b))."""
+    u, _ = _mb_nodes()
     a = np.zeros_like(u)
     b = np.zeros_like(u)
     for al in alpha:
         a = a + special.log_gamma_r_f64(u - al)
         b = b + special.log_gamma_r_f64(u + al)
-    return u, np.exp(a)[:, None] * hankel * np.exp(b)[None, :]
+    return np.exp(a), np.exp(b)
+
+
+def _mb_kernel(alpha):
+    """Mellin-Barnes node vector u and the dense kernel matrix C for given
+    alpha, C_ij = exp(a_i) H_ij exp(b_j) (the oracle tier's kernel)."""
+    u, hankel = _mb_nodes()
+    ea, eb = _mb_diagonals(alpha)
+    return u, ea[:, None] * hankel * eb[None, :]
+
+
+@functools.cache
+def _mb_sketch(width: int):
+    """(omega, omega_test): a Gaussian sketch of `width` columns on the
+    Mellin-Barnes nodes and MB_TEST_COLS separate test columns.
+
+    Both come from a generator seeded with MB_SKETCH_SEED, never from a
+    caller's rng or numpy's global state, so the factorization is the same
+    in every run and consumes no draw of the experiments.  The test columns
+    are drawn first and so are the same at every width.  Read-only, built
+    once per width.
+    """
+    m = len(_mb_nodes()[0])
+    rng = np.random.default_rng(MB_SKETCH_SEED)
+    omega_test = rng.standard_normal((m, MB_TEST_COLS))
+    omega = rng.standard_normal((m, width))
+    omega.flags.writeable = omega_test.flags.writeable = False
+    return omega, omega_test
+
+
+def _mb_kernel_factors(alpha):
+    """Q (nodes x r, orthonormal columns) and B = Q^H C with C ~ Q B, the
+    randomized range finder (Halko, Martinsson and Tropp 2011) applied to
+    the kernel C of _mb_kernel without ever forming it.
+
+    C acts only as an operator, C x = exp(a) * (H (exp(b) * x)).  The rank
+    starts at MB_RANK0 and doubles, up to the node count, until the
+    residual on the separate test columns satisfies
+    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.
+    """
+    _, hankel = _mb_nodes()
+    ea, eb = _mb_diagonals(alpha)
+
+    def apply(x):
+        return ea[:, None] * (hankel @ (eb[:, None] * x))
+
+    m = len(ea)
+    width = MB_RANK0
+    omega_test = _mb_sketch(width)[1]
+    c_test = apply(omega_test)
+    while True:
+        q, _ = np.linalg.qr(apply(_mb_sketch(width)[0]))
+        b = ((q.conj().T * ea[None, :]) @ hankel) * eb[None, :]
+        resid = np.linalg.norm(c_test - q @ (b @ omega_test))
+        if width == m or resid <= MB_TOL * np.linalg.norm(c_test):
+            return q, b
+        width = min(2 * width, m)
 
 
 def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
@@ -322,8 +392,7 @@ def _whittaker3_completed_grid(
     """
     _, kernel = _mb_kernel(params.alpha)
     w = e1 @ kernel @ e2
-    pref = 2.0**-1.5 * MB_H**2 / (4 * math.pi**2)
-    return pref * np.outer(y1, y2) * w
+    return MB_PREF * np.outer(y1, y2) * w
 
 
 # stade_check asks for the same normalizers at every s, and SpectralParams
@@ -343,8 +412,12 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
     """Whittaker function at y (length n-1 positive vector).
 
     n=2 runs the arbitrary-precision K-Bessel route and returns an mp
-    number; n=3 runs the double Mellin-Barnes GEMM in double precision
-    and returns a complex (values below ~1e-300 underflow to 0).
+    number; n=3 runs the oracle tier of the double Mellin-Barnes
+    integral, the dense kernel GEMM e1 C e2 in double precision, and
+    returns a complex (values below ~1e-300 underflow to 0).  The
+    production tier, the low-rank kernel C ~ Q B of _mb_kernel_factors,
+    serves only the n=3 Stade grids of stade_check, and the tests hold it
+    to this one.
     """
     if normalization not in ("normalized", "completed"):
         raise ValueError("normalization must be 'normalized' or 'completed'")
@@ -400,28 +473,47 @@ def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
     return float(np.sum(vals) * STADE2_H)
 
 
-@functools.cache
-def _stade3_grid(s: float):
-    """(l1, l2, y1, y2, e1, e2): the n=3 Stade grid depends only on s, so
-    every (nu, mu) pair at that s shares its Mellin-Barnes exponentials."""
+def _stade3_axes(s: float):
+    """Log-grids l1, l2 of the n=3 Stade integral at s (y_i = exp(l_i))."""
     l1_lo = -max(20.0, 20.0 / s)
     l2_lo = -max(20.0, 40.0 / s)
     l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
     l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
+    return l1, l2
+
+
+@functools.cache
+def _stade3_grid(s: float):
+    """(f1, f2): the Mellin-Barnes exponentials e1, e2 of the n=3 Stade
+    grid at s with every real factor of the integrand folded in.
+
+    W*(y1, y2) = MB_PREF y1 y2 (e1 C e2) and the measure weight
+    w1 w2 = y1^(2s-2) y2^(s-2) enter as sqrt(MB_PREF w1) y1 on the rows of
+    e1 and sqrt(MB_PREF w2) y2 on the columns of e2, so the integral is
+    STADE3_H^2 sum((f1 C_nu f2) conj(f1 C_mu f2)).  The grid depends only
+    on s: every (nu, mu) pair at that s shares it.
+    """
+    l1, l2 = _stade3_axes(s)
     y1, y2 = np.exp(l1), np.exp(l2)
-    grid = (l1, l2, y1, y2) + _mb_exponentials(y1, y2)
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    f1, f2 = _mb_exponentials(y1, y2)
+    f1 *= (math.sqrt(MB_PREF) * np.exp((s - 1) * l1) * y1)[:, None]
+    f2 *= (math.sqrt(MB_PREF) * np.exp((s / 2 - 1) * l2) * y2)[None, :]
+    f1.flags.writeable = f2.flags.writeable = False
+    return f1, f2
 
 
-def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
-    l1, l2, y1, y2, e1, e2 = _stade3_grid(s)
-    wn = _whittaker3_completed_grid(nu, y1, y2, e1, e2)
-    wm = wn if mu == nu else _whittaker3_completed_grid(mu, y1, y2, e1, e2)
-    w1 = np.exp((2 * s - 2) * l1)
-    w2 = np.exp((s - 2) * l2)
-    return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * STADE3_H**2)
+def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float):
+    """The n=3 Stade integral from the low-rank kernels C ~ Q B of nu and
+    mu, and their ranks: each grid is (f1 Q)(B f2), never f1 C f2."""
+    f1, f2 = _stade3_grid(s)
+
+    def grid(params):
+        q, b = _mb_kernel_factors(params.alpha)
+        return (f1 @ q) @ (b @ f2), q.shape[1]
+
+    wn, rank_nu = grid(nu)
+    wm, rank_mu = (wn, rank_nu) if mu == nu else grid(mu)
+    return complex(np.sum(wn * np.conjugate(wm)) * STADE3_H**2), (rank_nu, rank_mu)
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
@@ -440,13 +532,14 @@ def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
     lhs/rhs are reported in the normalized convention (completed divided
     by the Gamma_R(1 + ...) products); the
     completed pair is included as well.  rel_err uses complex moduli and
-    is identical in the two normalizations.
+    is identical in the two normalizations.  kernel_ranks holds the ranks
+    of the low-rank kernels of (nu, mu) at n=3 and is empty at n=2.
     """
     _validate_stade_inputs(nu, mu, s)
     if nu.n == 2:
-        lhs_c = complex(_stade_lhs_2(nu, mu, s))
+        lhs_c, ranks = complex(_stade_lhs_2(nu, mu, s)), ()
     else:
-        lhs_c = _stade_lhs_3(nu, mu, s)
+        lhs_c, ranks = _stade_lhs_3(nu, mu, s)
     rhs_c = _stade_rhs_completed(nu, mu, s)
     with mp.workdps(30):
         renorm = complex(_gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1))
@@ -461,6 +554,7 @@ def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
         "rel_err": rel,
         "lhs_completed": lhs_c,
         "rhs_completed": rhs_c,
+        "kernel_ranks": ranks,
     }
 
 

@@ -1,8 +1,10 @@
 """CLI driver: output contracts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -149,6 +151,40 @@ def test_stade_n3_includes_diagonal_pi_row(tmp_path):
     assert row[:6] == ["3", "0.5", "0.5", "0.5", "0.5", "1"]
     lhs = complex(row[6])
     assert abs(lhs - 3.141592653589793) < 1e-9
+
+
+# sha256 of the nu1,nu2,mu1,mu2 columns of `stade --n 3 --samples 20 --seed 0`,
+# one row per line: the 5 STADE3_GRID pairs, then 15 pairs drawn from the rng
+STADE3_SEED0_PAIRS_SHA256 = "6411f74b094e4c9c334782aadc7ecaf250214d93211c1e529a1e53e0ad8a9e69"
+
+
+def test_stade_n3_deterministic_and_draws_nothing(tmp_path):
+    # the low-rank kernel's sketch comes from a generator of its own: two
+    # runs in one process write the same bytes, numpy's global state and the
+    # experiment's draws are untouched, and the sketch is built once, read-only
+    spectral._mb_sketch.cache_clear()
+    global_state = np.random.get_state()
+    outputs = []
+    for name in ("a", "b"):
+        csv_p, json_p = tmp_path / (name + ".csv"), tmp_path / (name + ".json")
+        assert run(["stade", "--n", "3", "--samples", "2",
+                    "--output", str(csv_p), "--summary", str(json_p)]) == 0
+        outputs.append(csv_p.read_bytes())
+        params = json.loads(json_p.read_text())["params"]
+        assert params["kernel_rank_min"] == params["kernel_rank_max"] == 16
+    assert outputs[0] == outputs[1]
+    assert spectral._mb_sketch.cache_info().misses == 1  # the one width used
+    for a in spectral._mb_sketch(16):
+        assert not a.flags.writeable
+    after = np.random.get_state()
+    assert after[0] == global_state[0] and np.array_equal(after[1], global_state[1])
+    assert after[2:] == global_state[2:]
+    csv_p = tmp_path / "20.csv"
+    assert run(["stade", "--n", "3", "--samples", "20",
+                "--output", str(csv_p), "--summary", str(tmp_path / "20.json")]) == 0
+    rows = [line.split(",") for line in csv_p.read_text().splitlines()[1:]]
+    pairs = "\n".join(",".join(row[1:5]) for row in rows)
+    assert hashlib.sha256(pairs.encode()).hexdigest() == STADE3_SEED0_PAIRS_SHA256
 
 
 def test_residue_csv_has_hp_string(tmp_path):

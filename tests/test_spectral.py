@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from periodmoments import cli
 from periodmoments import spectral as sp
 from periodmoments.precision import RangeError
 
@@ -281,22 +282,24 @@ def test_mb_caches_keyed_by_what_they_depend_on():
 def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     # stade_check reads the Gamma_R(1 +- n ...) products at every s: each
     # (params, sign) is computed once, and a mu == nu pair at n = 3
-    # evaluates one Whittaker grid
+    # factors one Mellin-Barnes kernel and never the dense one
     normalizer = sp._gamma_normalizer
     normalizer.cache_clear()
-    grids = []
-    real_grid = sp._whittaker3_completed_grid
-    monkeypatch.setattr(sp, "_whittaker3_completed_grid",
-                        lambda p, *a: grids.append(p) or real_grid(p, *a))
+    factored = []
+    real_factors = sp._mb_kernel_factors
+    monkeypatch.setattr(sp, "_mb_kernel_factors",
+                        lambda alpha: factored.append(alpha) or real_factors(alpha))
+    for dense in ("_mb_kernel", "_whittaker3_completed_grid"):
+        monkeypatch.setattr(sp, dense, lambda *a: pytest.fail("dense kernel formed"))
     nu, mu = sp.spectral_params(2, [0.7j]), sp.spectral_params(2, [-1.1j])
     for s in (0.5, 1.0, 1.5):
         sp.stade_check(nu, mu, s)
         sp.stade_check(nu, nu, s)
     p3, q3 = sp.spectral_params(3, [0.5j, 0.5j]), sp.spectral_params(3, [0.2j, 0.4j])
     sp.stade_check(p3, p3, 1.0)
-    assert grids == [p3]
+    assert factored == [p3.alpha]
     sp.stade_check(p3, q3, 1.0)
-    assert grids == [p3, p3, q3]
+    assert factored == [p3.alpha, p3.alpha, q3.alpha]
     keys = {(nu, 1), (mu, -1), (nu, -1), (p3, 1), (p3, -1), (q3, -1)}
     assert normalizer.cache_info().misses == normalizer.cache_info().currsize == len(keys)
     with mp.workdps(30):
@@ -306,6 +309,67 @@ def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
                 want *= sp.special.gamma_r(1 + sign * p.n * f)
             assert normalizer(p, sign) == want
     assert normalizer.cache_info().misses == len(keys)  # every key was held
+
+
+def _full_gemm_lhs(nu, mu, s):
+    """The completed n=3 Stade integral through the oracle tier: the dense
+    kernel contracted as e1 C e2 on each grid, then the weighted sum."""
+    l1, l2 = sp._stade3_axes(s)
+    y1, y2 = np.exp(l1), np.exp(l2)
+    e1, e2 = sp._mb_exponentials(y1, y2)
+    wn = sp._whittaker3_completed_grid(nu, y1, y2, e1, e2)
+    wm = wn if mu == nu else sp._whittaker3_completed_grid(mu, y1, y2, e1, e2)
+    w1 = np.exp((2 * s - 2) * l1)
+    w2 = np.exp((s - 2) * l2)
+    return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * sp.STADE3_H**2)
+
+
+def test_mb_kernel_factors_range_finder():
+    # Q has orthonormal columns and Q B reproduces the dense kernel to the
+    # residual bound, at the first width and (at (3i, 3i)) after doubling
+    for t in ((0.5, 0.5), (-0.9, 0.4), (3.0, 3.0)):
+        alpha = sp.spectral_params(3, [1j * v for v in t]).alpha
+        q, b = sp._mb_kernel_factors(alpha)
+        rank = q.shape[1]
+        assert b.shape == (rank, len(sp._mb_nodes()[0]))
+        assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) <= 1e-14
+        _, kernel = sp._mb_kernel(alpha)
+        # the test columns estimate this ratio; allow for their spread
+        assert np.linalg.norm(kernel - q @ b) <= 4 * sp.MB_TOL * np.linalg.norm(kernel)
+
+
+def test_stade3_lowrank_matches_full_gemm():
+    def params(t):
+        return sp.spectral_params(3, [1j * v for v in t])
+
+    def rel(nu, mu, s):
+        got, ranks = sp._stade_lhs_3(nu, mu, s)
+        want = _full_gemm_lhs(nu, mu, s)
+        return abs(got - want) / abs(want), ranks
+
+    # the CLI's grid pairs at every s, and its 20 seed-0 pairs at s = 1
+    cases = [(nu, mu, s) for nu, mu in cli.STADE3_GRID for s in (0.5, 1.0, 1.5)]
+    pairs = cli.stade3_pairs(20, np.random.default_rng(0))
+    cases += [(nu, mu, 1.0) for nu, mu in pairs[len(cli.STADE3_GRID):]]
+    for nu, mu, s in cases:
+        err, _ = rel(params(nu), params(mu), s)
+        assert err <= 1e-13, (nu, mu, s, err)
+    # the |nu_j| = 3 corners: round-off under cancellation (the gap does
+    # not shrink as the rank grows), not truncation
+    corner_ranks = {}
+    for t in ((3, 3), (3, -3), (-3, 3), (-3, -3)):
+        for s in (0.5, 1.0, 1.5):
+            err, corner_ranks[t] = rel(params(t), params(t), s)
+            assert err <= 1e-10, (t, s, err)
+    # (3i, 3i) misses the residual bound at the first width and doubles
+    assert min(corner_ranks[(3, 3)]) > 16
+    # at nu = mu = (3i, 3i), s = 1/2 both routes miss Stade's value by the
+    # same 1.8e-6, inside the CLI's tolerance
+    p = params((3, 3))
+    r = sp.stade_check(p, p, 0.5)
+    full = abs(_full_gemm_lhs(p, p, 0.5) - r["rhs_completed"]) / abs(r["rhs_completed"])
+    for err in (r["rel_err"], full):
+        assert err == pytest.approx(1.8e-6, rel=0.02) and err <= cli.STADE3_TOL
 
 
 def test_stade_n2_random_pairs():
