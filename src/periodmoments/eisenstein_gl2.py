@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from scipy.special import kv
 
 from .precision import PoleError
-from .special import bessel_k, lam
+from .special import _k_sum_ex, lam
 
 __all__ = [
     "completed_eisenstein",
@@ -74,26 +74,27 @@ def _n_terms_mp(y):
 
 
 def completed_eisenstein(z, s):
-    """E*(z, s) at working precision; z upper half plane, s != 0, 1."""
+    """E*(z, s) at working precision; z upper half plane, s != 0, 1.
+
+    The Fourier tail sum_n c_n K_nu(2 pi n y) is one cosh-transform integral
+    (special._k_sum_ex), with c_n = n^nu sigma_{1-2s}(n) cos(2 pi n x) and
+    nu = s - 1/2, or c_n = d(n) cos(2 pi n x) and nu = 0 at the center.
+    """
     x, y = _split_z(z)
     s = mp.mpmathify(s)
     if abs(s) < CENTER_SNAP or abs(s - 1) < CENTER_SNAP:
         raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
-    n_terms = _n_terms_mp(y)
+    ns = range(1, _n_terms_mp(y) + 1)
+    phases = [mp.cos(2 * mp.pi * n * x) for n in ns]
     if abs(s - mpf(1) / 2) <= CENTER_SNAP:
         const = mp.sqrt(y) * (mp.log(y) + mp.euler - mp.log(4 * mp.pi))
-        tail = mp.mpf(0)
-        for n in range(1, n_terms + 1):
-            kval = bessel_k(0, 2 * mp.pi * n * y)
-            tail += len(_divisors(n)) * kval * mp.cos(2 * mp.pi * n * x)
-        return const + 4 * mp.sqrt(y) * tail
-    const = lam(2 * s) * y**s + lam(2 - 2 * s) * y ** (1 - s)
-    nu = s - mpf(1) / 2
-    tail = mp.mpf(0)
-    for n in range(1, n_terms + 1):
-        kval = bessel_k(nu, 2 * mp.pi * n * y)
-        term = mp.mpf(n) ** nu * _sigma_power(1 - 2 * s, n) * kval * mp.cos(2 * mp.pi * n * x)
-        tail += term
+        nu = 0
+        coefs = [len(_divisors(n)) * c for n, c in zip(ns, phases)]
+    else:
+        const = lam(2 * s) * y**s + lam(2 - 2 * s) * y ** (1 - s)
+        nu = s - mpf(1) / 2
+        coefs = [mp.mpf(n) ** nu * _sigma_power(1 - 2 * s, n) * c for n, c in zip(ns, phases)]
+    tail, _ = _k_sum_ex(nu, 2 * mp.pi * y, coefs)
     return const + 4 * mp.sqrt(y) * tail
 
 

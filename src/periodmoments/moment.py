@@ -338,23 +338,26 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
     if pair.g is not pair.f:
         raise ValueError("regularized_bound takes a diagonal pair (f, f)")
     k = pair.k
-    l_val = pair.l_value(1.0 + eps).real
     with mp.workdps(30):
         zeta2 = float(special.zeta(2 + 2 * eps))
         lam_norm = float(special.lam(2 + 2 * eps))
-    try:
-        unfolded = (
-            math.exp(gammaln(k + eps) - gammaln(k))
-            / (4 * math.pi) ** (1 + eps)
-            * l_val
-            / zeta2
-        )
-    except OverflowError:
-        unfolded = math.inf
     eng = petersson_engine(k, 1)
     e_star_half = eng.estar(0.5)
-    e_plain = eng.estar(1.0 + eps) / lam_norm
-    c_fit = float(np.max(e_star_half**2 / e_plain))
+    # past float64's range these overflow to inf or nan; the guard below
+    # reports that as a RangeError, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        l_val = pair.l_value(1.0 + eps).real
+        try:
+            unfolded = (
+                math.exp(gammaln(k + eps) - gammaln(k))
+                / (4 * math.pi) ** (1 + eps)
+                * l_val
+                / zeta2
+            )
+        except OverflowError:
+            unfolded = math.inf
+        e_plain = eng.estar(1.0 + eps) / lam_norm
+        c_fit = float(np.max(e_star_half**2 / e_plain))
     if not all(math.isfinite(v) and v != 0.0 for v in (unfolded, c_fit)):
         raise RangeError("eps = %r takes the regularized bound out of float64 range "
                          "(unfolded %g, c_fit %g)" % (eps, unfolded, c_fit))

@@ -87,11 +87,9 @@ def bessel_k(order, arg):
     bound and real x > 0.  Real-valued for real or purely imaginary order,
     complex otherwise.
 
-    Nested trapezoid on K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du:
-    each step halving evaluates only the new midpoints.  The integrand is
-    analytic in a strip around the real u-axis so the rule converges
-    geometrically.  Truncation at U where the envelope
-    exp(-x cosh U + |Re nu| U) is beyond the digit budget.
+    The one-coefficient case of the cosh-transform quadrature
+    (_k_sum_ex): a nested trapezoid on
+    K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du.
     """
     return bessel_k_ex(order, arg)[0]
 
@@ -102,6 +100,25 @@ def bessel_k_ex(order, arg):
     The flag marks results whose magnitude falls below the double-precision
     representable range: the value is still returned at working precision,
     but any downstream float64 fast path would see it as zero.
+    """
+    return _k_sum_ex(order, arg, (1,))
+
+
+def _k_sum_ex(order, arg, coefs):
+    """sum_{n>=1} coefs[n-1] K_nu(n x) as one integral, plus the underflow
+    flag of bessel_k_ex.
+
+    Every term comes from the same cosh transform, so with
+    q(u) = exp(-x cosh u)
+
+        sum_n c_n K_nu(n x) = int_0^inf cosh(nu u) sum_n c_n q(u)^n du.
+
+    Nested trapezoid on that integral: each step halving evaluates only the
+    new midpoints.  The integrand is analytic in a strip around the real
+    u-axis so the rule converges geometrically.  Truncation at U where the
+    envelope exp(-x cosh U + |Re nu| U) of the n = 1 term, the slowest to
+    decay, is beyond the digit budget.  The result is real when the order
+    is real or purely imaginary and every coefficient is real.
     """
     nu = mp.mpmathify(order)
     sigma = mp.re(nu)
@@ -123,7 +140,7 @@ def bessel_k_ex(order, arg):
             if U_new <= U:
                 break
             U = U_new
-        real_result = sigma == 0 or t == 0
+        real_result = (sigma == 0 or t == 0) and all(mp.im(c) == 0 for c in coefs)
         tol = mp.mpf(10) ** (-(target_dps + 2))
         h = mp.mpf("0.08")
         # Oscillation from Im nu narrows the usable step.
@@ -131,7 +148,7 @@ def bessel_k_ex(order, arg):
             h = min(h, mp.mpf(5) / (40 + abs(t)))
 
         def kern(u):
-            return _k_integrand(x, nu, u, real_result)
+            return _k_integrand(x, nu, coefs, u, real_result)
 
         # nested trapezoid: each level halves the step and adds only the new
         # midpoints to `inner`, the sum over the level's nodes with the two
@@ -152,14 +169,18 @@ def bessel_k_ex(order, arg):
                 return +total, under
             prev = total
     raise NonConvergenceError(
-        "bessel_k trapezoid did not converge", best=prev, last_delta=last_delta
+        "K-Bessel trapezoid did not converge", best=prev, last_delta=last_delta
     )
 
 
-def _k_integrand(x, nu, u, real):
-    """exp(-x cosh u) cosh(nu u), the integrand of K_nu(x); its real part
-    when `real` (real or purely imaginary order)."""
-    v = mp.exp(-x * mp.cosh(u)) * mp.cosh(nu * u)
+def _k_integrand(x, nu, coefs, u, real):
+    """cosh(nu u) sum_n c_n q^n with q = exp(-x cosh u), the integrand of
+    sum_n c_n K_nu(n x) (Horner in q); its real part when `real`."""
+    q = mp.exp(-x * mp.cosh(u))
+    acc = 0
+    for c in reversed(coefs):
+        acc = (acc + c) * q
+    v = acc * mp.cosh(nu * u)
     return mp.re(v) if real else v
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from periodmoments import cli, modforms, moment, spectral
+from periodmoments import cli, modforms, moment, special, spectral
 
 SUBCOMMANDS = [
     "moment",
@@ -197,6 +197,46 @@ def test_residue_csv_has_hp_string(tmp_path):
     hp = lines[1].split(",")[3]
     assert len(hp.replace("-", "").replace(".", "").split("e")[0]) >= 20
     assert float(hp) == pytest.approx(0.9549296585513720146, rel=1e-12)
+
+
+# residue_str of the seed-0 eisenstein-residue CSV, in RESIDUE_POINTS order
+RESIDUE_SEED0_STR = [
+    "0.9549296585513722488979466",
+    "0.954929658551371976104889",
+    "0.9549296585513695820957255",
+    "0.9549296585513224901439687",
+    "0.9549296585513722879209635",
+]
+
+
+def test_residue_strings_frozen(tmp_path):
+    # the 25-digit residues of the mp route, byte for byte
+    csv_p = tmp_path / "r.csv"
+    rc = run(["eisenstein-residue", "--seed", "0",
+              "--output", str(csv_p), "--summary", str(tmp_path / "r.json")])
+    assert rc == 0
+    rows = [line.split(",") for line in csv_p.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == RESIDUE_SEED0_STR
+
+
+def test_residue_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+    # an E* tail whose trapezoid never settles is a numerical failure:
+    # exit 1, one stderr line with what the rule reached, and no CSV
+    calls = []
+
+    def restless(x, nu, coefs, u, is_real):
+        calls.append(u)
+        return mp.mpf(len(calls))
+
+    monkeypatch.setattr(special, "_k_integrand", restless)
+    out = tmp_path / "r.csv"
+    rc = run(["eisenstein-residue",
+              "--output", str(out), "--summary", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert "best=" in err[0] and "last_delta=" in err[0]
+    assert not out.exists()
 
 
 def test_config_without_path_exits_2(capsys):
@@ -413,14 +453,17 @@ def test_negative_seed_exits_2_before_the_run(tmp_path, capsys, monkeypatch, sou
     ["lemma1", "--n", "2", "--samples", "5", "--eps=-1000"],
     ["moment", "--k-min", "12", "--k-max", "12", "--eps", "200"],
 ], ids=["lemma1-overflow", "lemma1-underflow", "moment-overflow"])
-def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, argv):
+def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, recwarn, argv):
     # det^(1/2 + eps) or Gamma(k + eps) / Gamma(k) past float64's range is
-    # a configuration error, not an OverflowError or ZeroDivisionError
+    # a configuration error, not an OverflowError or ZeroDivisionError, and
+    # its one line is all of stderr: a warning on the way (numpy's overflow
+    # warnings, which pytest records instead of printing) would be more
     out = tmp_path / "o.csv"
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("configuration error: eps = "), err
+    assert len(err) == 1 and err[0].startswith("configuration error: eps = "), err
+    assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
 
 

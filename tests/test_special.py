@@ -151,9 +151,9 @@ def test_bessel_k_evaluates_each_node_once(monkeypatch):
     nodes = []
     real = special._k_integrand
 
-    def recorded(x, nu, u, is_real):
+    def recorded(x, nu, coefs, u, is_real):
         nodes.append(u)
-        return real(x, nu, u, is_real)
+        return real(x, nu, coefs, u, is_real)
 
     monkeypatch.setattr(special, "_k_integrand", recorded)
     with mp.workdps(30):
@@ -166,7 +166,7 @@ def test_bessel_k_nonconvergence_carries_best_and_delta(monkeypatch):
     # an integrand that grows with every evaluation never settles
     calls = []
 
-    def restless(x, nu, u, is_real):
+    def restless(x, nu, coefs, u, is_real):
         calls.append(u)
         return mpf(len(calls))
 
