@@ -15,6 +15,15 @@ degenerates to a log:
 
 The unnormalized E = E*/lam(2s) has residue (1/2)/lam(2) = 3/pi at s=1
 and vanishes identically at s = 1/2 (scattering -1).
+
+At working precision the tail is one integral, not one K-Bessel per term:
+with K_nu(2 pi n y) = int_0^inf q(u)^n cosh(nu u) du and
+q(u) = exp(-2 pi y cosh u),
+
+  sum_n c_n K_nu(2 pi n y) = int_0^inf cosh(nu u) sum_n c_n q(u)^n du,
+
+which special._k_sum_ex sums by one nested trapezoid.  The float64 tier
+(completed_eisenstein_f64) keeps scipy's kv per term on its grids.
 """
 
 import math
@@ -76,9 +85,9 @@ def _n_terms_mp(y):
 def completed_eisenstein(z, s):
     """E*(z, s) at working precision; z upper half plane, s != 0, 1.
 
-    The Fourier tail sum_n c_n K_nu(2 pi n y) is one cosh-transform integral
-    (special._k_sum_ex), with c_n = n^nu sigma_{1-2s}(n) cos(2 pi n x) and
-    nu = s - 1/2, or c_n = d(n) cos(2 pi n x) and nu = 0 at the center.
+    The tail is one cosh-transform integral (see the module docstring) with
+    c_n = n^nu sigma_{1-2s}(n) cos(2 pi n x) and nu = s - 1/2, or
+    c_n = d(n) cos(2 pi n x) and nu = 0 at the center.
     """
     x, y = _split_z(z)
     s = mp.mpmathify(s)

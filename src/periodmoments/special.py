@@ -13,7 +13,9 @@ K_{it}(x) for real t is computed from the cosine transform
     K_{it}(x) = int_0^inf exp(-x cosh u) cos(t u) du,
 real by construction, stable where recurrences are not. Contracted range:
 x >= 1e-3, |t| <= 50 (all this artifact needs); outside that the routine
-still runs but accuracy degrades with |t|.
+still runs but accuracy degrades with |t|.  The mp tier sums a series
+sum_n c_n K_nu(n x) through the same transform as one integral
+(_k_sum_ex); bessel_k is its one-term case.
 """
 
 from __future__ import annotations
