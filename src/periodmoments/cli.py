@@ -512,7 +512,7 @@ def main(argv=None):
     try:
         header, rows, checks, extra = runner(args, rng)
     except (RangeError, PoleError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
+        print("config error: %s" % exc, file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         # a numerical failure: exit 1, with what the scheme had reached

@@ -9,22 +9,30 @@ Two tiers throughout:
   scipy) used by the quadrature-heavy pipelines. The test suite pins them
   against the mpmath tier.
 
-K_{it}(x) for real t is computed from the cosine transform
-    K_{it}(x) = int_0^inf exp(-x cosh u) cos(t u) du,
-real by construction, stable where recurrences are not. Contracted range:
-x >= 1e-3, |t| <= 50 (all this artifact needs); outside that the routine
-still runs but accuracy degrades with |t|.  The mp tier sums a series
-sum_n c_n K_nu(n x) through the same transform as one integral
-(_k_sum_ex); bessel_k is its one-term case.
+The float64 K_{it}(x) for real t (kit_f64) has two branches: the
+cosine transform
+    K_{it}(x) = int_0^inf exp(-x cosh u) cos(t u) du
+at x >= 2, and the ascending series of I_{it} at x < 2, with K_0 at
+t = 0 and subnormal |t|.  Contracted range: x > 0, down to the 2.5e-30
+that the n = 2 Stade log-grid reaches at s = 1/2, and |t| <= 50 (all
+this artifact needs); beyond that the routine still runs but accuracy
+degrades with |t|.  The tests pin it to 5e-12 relative against mpmath
+at |t| <= 7 for x in [0.03, 30] (both branches), and at |t| <= 0.1 on
+the n = 2 Stade log-grids below x = 2 (the series and K_0).
+
+The mp tier sums a series sum_n c_n K_nu(n x) through the same cosine
+(cosh) transform as one integral (_k_sum_ex); bessel_k is its one-term
+case.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from mpmath import mp
-from scipy.special import gammaincc, gammaln, loggamma
+from scipy.special import gammaincc, gammaln, k0, loggamma
 
 from .precision import NonConvergenceError, PoleError, RangeError
 
@@ -200,10 +208,13 @@ def kit_f64(t, x):
     """K_{it}(x) elementwise for scalar real t and positive array x.
 
     Branches:
-      x >= 2           : truncated trapezoid on the cosine transform
-      x <  2, |t|>=0.1 : ascending series of I_{it}, then
-                         K_{it} = -pi Im I_{it} / sinh(pi t)
-      x <  2, |t|< 0.1 : cosine transform again (series cancels as t -> 0)
+      x >= 2 : truncated trapezoid on the cosine transform
+      x <  2 : ascending series of I_{it}, then
+               K_{it} = -pi Im I_{it} / sinh(pi t)   (DLMF 10.27.4)
+    The series divides by sinh(pi t), zero or subnormal when t is, so at
+    t = 0 and 0 < |t| < sys.float_info.min the branch x < 2 takes
+    K_0(x) (scipy.special.k0): K_{it} = K_0 + O(t^2) makes the two equal
+    in double.
 
     Relative accuracy ~1e-12 on the contracted range |t| <= 50; x may be
     arbitrarily small (the series handles x -> 0 where K oscillates in
@@ -217,15 +228,16 @@ def kit_f64(t, x):
         out[big] = _kit_cosh_f64(t, x[big])
     small = ~big
     if np.any(small):
-        if t >= 0.1:
-            out[small] = _kit_series_f64(t, x[small])
+        if t < sys.float_info.min:
+            out[small] = k0(x[small])
         else:
-            out[small] = _kit_cosh_f64(t, x[small])
+            out[small] = _kit_series_f64(t, x[small])
     return out
 
 
 def _kit_cosh_f64(t, x):
-    # One shared u-grid for the whole batch, long enough for the smallest x.
+    # One shared u-grid for the whole batch, long enough for the smallest x
+    # (x >= 2, so at most acosh(22) / h nodes).
     xmin = float(np.min(x))
     U = math.acosh(1.0 + 42.0 / xmin)
     h = min(0.03, 4.4 / (42.0 + 1.3 * abs(t)))

@@ -239,6 +239,30 @@ def test_residue_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_stade2_cosine_transform_sees_only_large_x(tmp_path, monkeypatch):
+    # kit_f64 sends x < 2 to the ascending series at every order, small
+    # |t| included: the cosine transform, whose one u-grid is sized by its
+    # batch's smallest x, runs once per kit_f64 call and never below x = 2
+    batches = []
+    cosh_f64 = special._kit_cosh_f64
+
+    def recorded(t, x):
+        batches.append(float(np.min(x)))
+        return cosh_f64(t, x)
+
+    monkeypatch.setattr(special, "_kit_cosh_f64", recorded)
+    out = tmp_path / "s.csv"
+    rc = run(["stade", "--n", "2", "--samples", "5",
+              "--output", str(out), "--summary", str(tmp_path / "s.json")])
+    assert rc in (0, 1) and out.exists()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # the seed-0 draw has a |t| < 0.1, the case that used the transform
+    assert min(min(abs(float(r[1])), abs(float(r[2]))) for r in rows) < 0.1
+    # two kit_f64 calls (t_nu, t_mu) per (pair, s): 5 pairs x 3 s
+    assert len(batches) == 2 * len(rows) == 30
+    assert min(batches) >= 2.0
+
+
 def test_config_without_path_exits_2(capsys):
     assert run(["epstein-fe", "--config"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -462,7 +486,7 @@ def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, recwarn, argv):
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("configuration error: eps = "), err
+    assert len(err) == 1 and err[0].startswith("config error: eps = "), err
     assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
 

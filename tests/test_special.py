@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from periodmoments import special
+from periodmoments import special, spectral
 from periodmoments.precision import NonConvergenceError, PoleError
 from periodmoments.special import (
     bessel_k,
@@ -230,6 +230,42 @@ def test_kit_f64_grid():
             ref = float(mp.besselk(mpc(0, t), mpf(x)).real)
             scale = max(abs(ref), 1e-280)
             assert abs(ours[j] - ref) / scale < 5e-12, (t, x)
+
+
+def test_kit_f64_small_order_matches_mpmath():
+    # Below x = 2 every nonzero normal order takes the ascending series,
+    # whose 1/sinh(pi t) is exact down to the smallest normal t; t = 0 and
+    # subnormal t take K_0.  x: every 16th point of the n=2 Stade log-grids
+    # at s = 1/2 (down to 2.5e-30) and 3/2 below x = 2, their last points
+    # below 2, and 1.99.
+    xs = [1.99]
+    for s in (0.5, 1.5):
+        l = np.arange(-(32.0 / s + 6.0), spectral.STADE2_UPPER + spectral.STADE2_H / 2,
+                      spectral.STADE2_H)
+        x = 2 * np.pi * np.exp(l)
+        x = x[x < 2]
+        xs.extend(x[::16])
+        xs.append(x[-1])
+    xs = np.array(xs)
+    assert xs.min() < 3e-30
+    with mp.workdps(40):
+        k0_ref = [mp.besselk(0, mpf(x)) for x in xs]
+        # K_{it} = K_0 + O(t^2 log^2 x): below t = 1e-300 the two agree to
+        # far more than 40 digits, and K_0 is the reference there (order it
+        # costs mp.besselk half a second a point at such t, which raises
+        # its precision through the cancellation in I_{-it} - I_{it})
+        tiny = mpc(0, 2.3e-308)
+        assert abs(mp.besselk(tiny, mpf(xs[0])) - k0_ref[0]) < mpf("1e-38") * k0_ref[0]
+        for t in (0.0, 5e-324, 1e-320, 2.3e-308, 1e-12, 1e-6, 1e-3, 0.05, 0.0999, 0.1):
+            if t < 1e-300:
+                refs = [float(v) for v in k0_ref]
+            else:
+                refs = [float(mp.besselk(mpc(0, t), mpf(x)).real) for x in xs]
+            for sign in (1, -1):
+                ours = kit_f64(sign * t, xs)
+                for x, got, ref in zip(xs, ours, refs):
+                    assert abs(got - ref) / abs(ref) < 5e-12, (sign * t, x)
+    assert np.array_equal(kit_f64(-0.0, xs), kit_f64(0.0, xs))
 
 
 def test_upper_gamma_f64_negative_order():
