@@ -20,9 +20,9 @@ degrades with |t|.  The tests pin it to 5e-12 relative against mpmath
 at |t| <= 7 for x in [0.03, 30] (both branches), and at |t| <= 0.1 on
 the n = 2 Stade log-grids below x = 2 (the series and K_0).
 
-The mp tier sums a series sum_n c_n K_nu(n x) through the same cosine
-(cosh) transform as one integral (_k_sum_ex); bessel_k is its one-term
-case.
+The mp tier sums a series sum_n c_n K_nu(n x) through the same
+transform, with cosh(nu u) for cos(t u), as one integral (_k_sum_ex);
+bessel_k is its one-term case.
 """
 
 from __future__ import annotations
