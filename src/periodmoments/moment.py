@@ -31,7 +31,11 @@ completed degenerate series E*,
                     = Lambda*(f x g, s),
 
 so quadrature on the left meets the approximate-functional-equation route
-on the right through entirely different machinery.
+on the right through entirely different machinery.  unfold_rows pairs
+every two forms of one weight this way, moment_row the reference form
+with each form at s = 1/2, and inner_product gives <f, g>_k alone (the
+Petersson norm); each has one code path.  The node-doubling shift of a
+pairing is its value at refine 2 minus its value at refine 1.
 
 Second-moment chain verified link by link at each weight k (f fixed as
 the eigenform with smallest T_2 eigenvalue, B_k the eigenbasis):
@@ -68,9 +72,7 @@ __all__ = [
     "petersson_engine",
     "inner_product",
     "norm_quadrature",
-    "unfold_check",
     "unfold_rows",
-    "norm_f_estar",
     "regularized_bound",
     "moment_row",
     "moment_sweep",
@@ -82,15 +84,6 @@ LUNE_X_POINTS = 64
 LUNE_Y_POINTS = 48
 
 REG_EPS = 0.1
-
-
-@cache
-def _leggauss(n: int):
-    """Gauss-Legendre rule of n nodes on [-1, 1], built once per process
-    on first use (read-only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +111,7 @@ def _strip(ymax: float, refine: int) -> _Part:
     nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
     xs = -0.5 + (np.arange(nx) + 0.5) / nx
     wx = np.full(nx, 1.0 / nx)
-    gl_u, gl_wu = _leggauss(ny)
+    gl_u, gl_wu = special._leggauss(ny)
     umax = math.log(ymax)
     uu = umax / 2 * (gl_u + 1.0)
     ys = np.exp(uu)
@@ -131,8 +124,8 @@ def _lune(refine: int) -> _Part:
     """The lune as columns of constant x: x of shape (columns, 1), y of
     shape (columns, nodes per column).  It does not depend on ymax, so
     every engine with the same refine shares it."""
-    gl_x, gl_wx = _leggauss(LUNE_X_POINTS * refine)
-    gl_y, gl_wy = _leggauss(LUNE_Y_POINTS * refine)
+    gl_x, gl_wx = special._leggauss(LUNE_X_POINTS * refine)
+    gl_y, gl_wy = special._leggauss(LUNE_Y_POINTS * refine)
     xv, xw = (gl_x / 2)[:, None], (gl_wx / 2)[:, None]
     y0 = np.sqrt(1.0 - xv * xv)
     mid, half = (1.0 + y0) / 2, (1.0 - y0) / 2
@@ -229,38 +222,17 @@ def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
     return eng.integrate(vals)
 
 
-def _inner_on(eng: PeterssonEngine, f, g, hv=None) -> complex:
-    fv = eng.form_values(f)
-    gv = fv if g is f else eng.form_values(g)
-    return _pairing(eng, fv, gv, hv)
-
-
-def inner_product(
-    f: Eigenform,
-    g: Eigenform = None,
-    multiplier=None,
-    refine: int = 1,
-    with_error: bool = False,
-):
-    """<f h, g>_k with optional multiplier h(x, y) (e.g. E*(., s)).
-
-    multiplier: callable (x_array, y_array) -> array, or None.
-    with_error doubles every node count once and reports the shift.
-    """
+def inner_product(f: Eigenform, g: Eigenform = None, refine: int = 1) -> complex:
+    """<f, g>_k on the nodes of petersson_engine(k, refine); g=None takes
+    <f, f>.  The node-doubling shift is the difference from refine 2."""
     if g is None:
         g = f
     if f.weight != g.weight:
         raise ValueError("forms must share a weight")
-
-    def on(eng):
-        hv = None if multiplier is None else multiplier(eng.x, eng.y)
-        return _inner_on(eng, f, g, hv)
-
-    coarse = on(petersson_engine(f.weight, refine))
-    if not with_error:
-        return coarse
-    fine = on(petersson_engine(f.weight, 2 * refine))
-    return fine, abs(fine - coarse)
+    eng = petersson_engine(f.weight, refine)
+    fv = eng.form_values(f)
+    gv = fv if g is f else eng.form_values(g)
+    return _pairing(eng, fv, gv)
 
 
 def norm_quadrature(f: Eigenform) -> float:
@@ -273,53 +245,47 @@ def _gamma_k_over_gamma_half(k: int) -> float:
     return math.exp(gammaln(k) - gammaln(k - 0.5)) * 2 * math.pi / math.sqrt(math.pi)
 
 
-def _unfold_on(eng: PeterssonEngine, pair: RankinSelbergPair, fv, gv, s: float) -> dict:
-    quad = _pairing(eng, fv, gv, eng.estar(s)).real
-    afe = pair.completed_l_normalized(s).real
-    rel = abs(quad - afe) / max(abs(afe), 1e-300)
-    return {"quadrature": quad, "afe": afe, "rel_err": rel}
-
-
-def unfold_check(f: Eigenform, g: Eigenform, s: float, refine: int = 1) -> dict:
-    """Quadrature <f E*(., s), g> against Lambda*(f x g, s) from the AFE."""
-    pair = RankinSelbergPair(f, g)
-    eng = petersson_engine(f.weight, refine)
-    fv = eng.form_values(f)
-    gv = fv if g is f else eng.form_values(g)
-    return _unfold_on(eng, pair, fv, gv, s)
-
-
 def unfold_rows(forms, s_values) -> list:
-    """unfold_check for every ordered pair (f_i, f_j) of forms of one
-    weight and every s, in that order, each entry tagged with i, j and s.
+    """Quadrature <f_i E*(., s), f_j> against Lambda*(f_i x f_j, s) from
+    the AFE, for every ordered pair (f_i, f_j) of forms of one weight and
+    every s, in that order: one dict per entry with i, j, s, quadrature,
+    afe and rel_err.
 
-    Each form is evaluated on the nodes once, each pair's AFE data is
-    built once, and every sum has unfold_check's operation order, so the
-    entries equal unfold_check's bit for bit.
+    Each form is evaluated on the nodes once, E*(., s) once per s, and
+    each pair's AFE data is built once.  An s that takes E*(., s) or
+    either side out of float64's finite range raises RangeError.
     """
     if not forms:
         raise ValueError("no cusp forms to pair")
     eng = petersson_engine(forms[0].weight, 1)
     values = [eng.form_values(f) for f in forms]
+    estar = {}
     rows = []
-    for i, f in enumerate(forms):
-        for j, g in enumerate(forms):
-            pair = RankinSelbergPair(f, g)
-            for s in s_values:
-                row = {"i": i, "j": j, "s": s}
-                row.update(_unfold_on(eng, pair, values[i], values[j], s))
-                rows.append(row)
+    # past float64's range E*(., s) and Lambda* overflow to inf or nan, or
+    # the divisor sums of E* raise OverflowError; the guards below report
+    # that as a RangeError, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in s_values:
+            try:
+                estar[s] = eng.estar(s)
+                finite = np.all(np.isfinite(estar[s]))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise RangeError("s = %r takes E*(., s) out of float64 range" % s)
+        for i, f in enumerate(forms):
+            for j, g in enumerate(forms):
+                pair = RankinSelbergPair(f, g)
+                for s in s_values:
+                    quad = _pairing(eng, values[i], values[j], estar[s]).real
+                    afe = pair.completed_l_normalized(s).real
+                    if not (math.isfinite(quad) and math.isfinite(afe)):
+                        raise RangeError("s = %r takes the unfolding out of float64 range "
+                                         "(quadrature %g, afe %g)" % (s, quad, afe))
+                    rel = abs(quad - afe) / max(abs(afe), 1e-300)
+                    rows.append({"i": i, "j": j, "s": s,
+                                 "quadrature": quad, "afe": afe, "rel_err": rel})
     return rows
-
-
-def norm_f_estar(f: Eigenform, s: float = 0.5, refine: int = 1) -> float:
-    """||f E*(., s)||^2 = int |f|^2 E*(z,s)^2 y^{k-2} dx dy (real s)."""
-    eng = petersson_engine(f.weight, refine)
-    return _norm_f_estar_on(eng, eng.form_values(f), eng.estar(s))
-
-
-def _norm_f_estar_on(eng: PeterssonEngine, fv, ev) -> float:
-    return eng.integrate(np.abs(fv) ** 2 * ev**2).real
 
 
 def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
@@ -410,7 +376,7 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
                 "norm_g": norm_g,
             }
         )
-    ceiling = _norm_f_estar_on(eng, fv, e_half)
+    ceiling = eng.integrate(np.abs(fv) ** 2 * e_half**2).real
     reg = regularized_bound(f_pair, eps=eps)
     backbone_tail = f_pair.completed_l_normalized(1.0 + eps).real
     return {

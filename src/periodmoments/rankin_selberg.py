@@ -40,10 +40,9 @@ from scipy.special import gammaln, kve, loggamma
 
 from .modforms import MAX_THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
 from .precision import PoleError
+from .special import _leggauss
 
 __all__ = ["RankinSelbergPair", "kappa_log", "gamma_factor_log"]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def kappa_log(k: int, x):
@@ -83,10 +82,11 @@ def _mellin_suffix_table(k: int, w: complex, n_max: int):
     mid = (hi + lo) / 2
     half = (hi - lo) / 2
     # nodes: (n_panels, 12)
-    u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    gl_nodes, gl_weights = _leggauss(12)
+    u = mid[:, None] + half[:, None] * gl_nodes[None, :]
     log_l = exponent * np.log(u) + np.log(kve(k - 1, u)) - u
     shift = np.max(log_l.real, axis=1)
-    panel = np.sum(np.exp(log_l - shift[:, None]) * _GL_WEIGHTS[None, :], axis=1) * half
+    panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
     # drop negligible continuation panels (they only pad the last suffix)
     peak = shift.max()
     n_panels = len(panel)

@@ -21,14 +21,21 @@ at |t| <= 7 for x in [0.03, 30] (both branches), and at |t| <= 0.1 on
 the n = 2 Stade log-grids below x = 2 (the series and K_0).
 
 The mp tier sums a series sum_n c_n K_nu(n x) through the same
-transform, with cosh(nu u) for cos(t u), as one integral (_k_sum_ex);
-bessel_k is its one-term case.
+transform, with cosh(nu u) for cos(t u), as one integral (_k_sum_ex,
+which also flags a result below the float64 range); bessel_k is its
+one-term case.
+
+_leggauss(n) is the one Gauss-Legendre memo of the package: the rule of
+n nodes on [-1, 1], built once per process and n as read-only arrays,
+for the Petersson strip and lune, the n = 2 Plancherel ball and the
+panels of the Rankin-Selberg Mellin tables.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 
 import numpy as np
 from mpmath import mp
@@ -37,6 +44,15 @@ from scipy.special import gammaincc, gammaln, k0, loggamma
 from .precision import NonConvergenceError, PoleError, RangeError
 
 _TINY_DOUBLE = 5e-324  # smallest subnormal; the underflow flag threshold
+
+
+@cache
+def _leggauss(n: int):
+    """Gauss-Legendre rule of n nodes on [-1, 1], built once per process
+    on first use (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gamma_r(s):
@@ -101,22 +117,15 @@ def bessel_k(order, arg):
     (_k_sum_ex): a nested trapezoid on
     K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du.
     """
-    return bessel_k_ex(order, arg)[0]
-
-
-def bessel_k_ex(order, arg):
-    """bessel_k plus an underflow flag.
-
-    The flag marks results whose magnitude falls below the double-precision
-    representable range: the value is still returned at working precision,
-    but any downstream float64 fast path would see it as zero.
-    """
-    return _k_sum_ex(order, arg, (1,))
+    return _k_sum_ex(order, arg, (1,))[0]
 
 
 def _k_sum_ex(order, arg, coefs):
-    """sum_{n>=1} coefs[n-1] K_nu(n x) as one integral, plus the underflow
-    flag of bessel_k_ex.
+    """sum_{n>=1} coefs[n-1] K_nu(n x) as one integral, plus an underflow
+    flag.  The flag marks results whose magnitude falls below the
+    double-precision representable range: the value is still returned at
+    working precision, but any downstream float64 fast path would see it
+    as zero.
 
     Every term comes from the same cosh transform, so with
     q(u) = exp(-x cosh u)

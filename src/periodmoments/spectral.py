@@ -65,7 +65,6 @@ from .precision import RangeError
 __all__ = [
     "SpectralParams",
     "spectral_params",
-    "alpha_to_nu",
     "nu_linear_forms",
     "plancherel_g_tanh",
     "plancherel_g_gamma",
@@ -74,7 +73,6 @@ __all__ = [
     "whittaker",
     "stade_check",
     "stade_rhs_simple",
-    "sample_params",
 ]
 
 IMAG_TOL = 1e-12
@@ -136,14 +134,6 @@ def spectral_params(n: int, nu) -> SpectralParams:
     return SpectralParams(n=n, nu=nu, alpha=alpha)
 
 
-def alpha_to_nu(alpha, n: int) -> tuple:
-    """Inverse map nu_j = (alpha_j - alpha_{j+1})/n."""
-    alpha = tuple(complex(v) for v in alpha)
-    if len(alpha) != n:
-        raise RangeError("alpha must have length n")
-    return tuple((alpha[j] - alpha[j + 1]) / n for j in range(n - 1))
-
-
 def nu_linear_forms(params: SpectralParams) -> list:
     """All partial sums nu_j + ... + nu_k for 1 <= j <= k <= n-1."""
     out = []
@@ -155,18 +145,13 @@ def nu_linear_forms(params: SpectralParams) -> list:
     return out
 
 
-def sample_params(n: int, bound: float, rng) -> SpectralParams:
-    """Uniform imaginary coordinates with |Im nu_j| <= bound."""
-    t = rng.uniform(-bound, bound, n - 1)
-    return spectral_params(n, [1j * v for v in t])
-
-
 # ---------------------------------------------------------------------------
 # Plancherel density and ball masses
 
 
-def plancherel_g_tanh(x: float) -> float:
-    return x / (2 * math.pi) * math.tanh(math.pi * x / 2)
+def plancherel_g_tanh(x):
+    """G(ix) = (x/2pi) tanh(pi x/2), elementwise on floats or arrays."""
+    return x / (2 * math.pi) * np.tanh(math.pi * x / 2)
 
 
 def plancherel_g_gamma(x: float) -> float:
@@ -176,10 +161,6 @@ def plancherel_g_gamma(x: float) -> float:
     z = 1j * x
     diff = special.log_gamma_r_f64(1 + z) - special.log_gamma_r_f64(z)
     return float(np.exp(2 * np.real(diff)))
-
-
-def _g_tanh_arr(x: np.ndarray) -> np.ndarray:
-    return x / (2 * math.pi) * np.tanh(math.pi * x / 2)
 
 
 def plancherel_density(params: SpectralParams, route: str = "nu") -> float:
@@ -206,14 +187,9 @@ def _proxy(params: SpectralParams) -> float:
     return out
 
 
-@functools.cache
-def _ball_rule_1d():
-    """Gauss-Legendre nodes and weights for the n=2 ball, built on first use."""
-    return np.polynomial.legendre.leggauss(BALL_GRID_1D)
-
-
 def _density_grid_n3(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    return _g_tanh_arr(3 * t1) * _g_tanh_arr(3 * t2) * _g_tanh_arr(3 * (t1 + t2))
+    g = plancherel_g_tanh
+    return g(3 * t1) * g(3 * t2) * g(3 * (t1 + t2))
 
 
 def plancherel_ball(
@@ -227,7 +203,8 @@ def plancherel_ball(
     n=2: Gauss-Legendre on the interval; n=3: midpoint grid (or seeded
     Monte-Carlo) on the bounding box with ball indicator.  Returns the
     integral together with the product proxy prod(1 + |nu_j+...+nu_k|)
-    at the center.
+    at the center.  An integral that is not finite and positive (the
+    cell area of a tiny radius underflows) raises RangeError.
     """
     if not 0 < radius <= 2:
         raise RangeError("radius must lie in (0, 2]")
@@ -238,13 +215,13 @@ def plancherel_ball(
     if params.n == 2:
         a = center[0]
         if scheme == "quadrature":
-            gn, gw = _ball_rule_1d()
+            gn, gw = special._leggauss(BALL_GRID_1D)
             t = a + radius * gn
-            integral = float(np.sum(gw * _g_tanh_arr(2 * t)) * radius)
+            integral = float(np.sum(gw * plancherel_g_tanh(2 * t)) * radius)
         elif scheme == "mc":
             rng = np.random.default_rng(seed)
             t = rng.uniform(a - radius, a + radius, BALL_MC_SAMPLES)
-            vals = _g_tanh_arr(2 * t)
+            vals = plancherel_g_tanh(2 * t)
             integral = float(np.mean(vals) * 2 * radius)
             stderr = float(np.std(vals) * 2 * radius / math.sqrt(BALL_MC_SAMPLES))
         else:
@@ -273,6 +250,9 @@ def plancherel_ball(
             stderr = float(np.std(vals) * area / math.sqrt(BALL_MC_SAMPLES))
         else:
             raise ValueError("scheme must be 'quadrature' or 'mc'")
+    if not 0.0 < integral < math.inf:
+        raise RangeError("radius = %r takes the ball integral out of float64 range (%g)"
+                         % (radius, integral))
     proxy = _proxy(params)
     return {
         "integral": integral,

@@ -40,7 +40,7 @@ from periodmoments import cli, spectral
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64, residue_at_one
 from periodmoments.epstein import gln_completed_eisenstein_f64
 from periodmoments.modforms import cusp_dim, hecke_eigenforms
-from periodmoments.moment import moment_sweep, norm_quadrature, unfold_check
+from periodmoments.moment import moment_sweep, norm_quadrature, unfold_rows
 from periodmoments.rankin_selberg import RankinSelbergPair
 from periodmoments.special import gamma_r, zeta
 
@@ -118,7 +118,7 @@ def test_stade_n3_grid():
     for nu_t, mu_t in cli.STADE3_GRID:
         pn = spectral.spectral_params(3, [1j * v for v in nu_t])
         pm = spectral.spectral_params(3, [1j * v for v in mu_t])
-        worst = max(worst, spectral.stade_check(pn, pm, 1.0)["rel_err"])
+        worst = np.maximum(worst, spectral.stade_check(pn, pm, 1.0)["rel_err"])
     wall = time.perf_counter() - t0
     ok = worst <= 1e-4 and wall <= 600
     assert report("stade n=3, 5 grid pairs at s=1", ok,
@@ -133,11 +133,8 @@ def test_unfold_two_routes_all_pairs():
     t0 = time.perf_counter()
     worst = 0.0
     for k in (12, 16, 20, 24):
-        forms = hecke_eigenforms(k)
-        for f in forms:
-            for g in forms:
-                for s in (0.5, 0.75):
-                    worst = max(worst, unfold_check(f, g, s)["rel_err"])
+        for row in unfold_rows(hecke_eigenforms(k), (0.5, 0.75)):
+            worst = np.maximum(worst, row["rel_err"])
     wall = time.perf_counter() - t0
     ok = worst <= 1e-4 and wall <= 600
     assert report("unfolding, two routes, k in {12,16,20,24}", ok,
@@ -151,7 +148,7 @@ def test_norm_residue_crosscheck():
         for f in hecke_eigenforms(k):
             nq = norm_quadrature(f)
             nt = RankinSelbergPair(f).norm_theta()
-            worst = max(worst, abs(nq - nt) / nt)
+            worst = np.maximum(worst, abs(nq - nt) / nt)
     wall = time.perf_counter() - t0
     ok = worst <= 1e-6 and wall <= 300
     assert report("norm quadrature vs residue, k in {12..26}", ok,
@@ -165,7 +162,7 @@ def test_norm_residue_crosscheck():
 def test_eisenstein_residue_constant():
     target = 3.0 / math.pi
     vals = [float(residue_at_one(complex(x, y))) for x, y in cli.RESIDUE_POINTS]
-    worst = max(abs(v - target) for v in vals)
+    worst = np.max([abs(v - target) for v in vals])
     spread = max(vals) - min(vals)
     ok = worst <= 1e-8 and spread <= 1e-8
     assert report("residue of E at s=1 equals 3/pi", ok,
@@ -178,7 +175,7 @@ def test_eisenstein_residue_constant():
 
 def test_moment_bessel_inequality(moment_run):
     rows, wall = moment_run
-    worst = min(r["bessel_slack"] / r["norm_fE"] for r in rows)
+    worst = np.min([r["bessel_slack"] / r["norm_fE"] for r in rows])
     ok = worst >= -1e-9 and wall <= 3600
     assert report("Bessel inequality at every even k in [12,40]", ok,
                   "min slack/norm %.3g >= -1e-9, sweep %.0f s <= 3600 s" % (worst, wall))
@@ -227,8 +224,8 @@ def test_epstein_functional_equation():
         _, _, checks, _ = cli.run_epstein_fe(ns(n=n, samples=10, seed=0),
                                              np.random.default_rng(0))
         by = {c["name"]: c for c in checks}
-        worst = max(worst, by["max_fe_rel_err"]["value"],
-                    by["max_z2_identity_rel_err"]["value"])
+        worst = np.max([worst, by["max_fe_rel_err"]["value"],
+                        by["max_z2_identity_rel_err"]["value"]])
     ok = worst <= 1e-8
     assert report("Epstein functional equation, n in {2,3,4} + Z(I2) identity",
                   ok, "max rel err %.3g <= 1e-8" % worst)
@@ -244,7 +241,7 @@ def test_n2_route_consistency():
         xm = np.array([[1.0, x], [0.0, 1.0]])
         a = gln_completed_eisenstein_f64([y], s, x=xm)
         b = completed_eisenstein_f64(x, y, s)
-        worst = max(worst, abs(a - b) / abs(b))
+        worst = np.maximum(worst, abs(a - b) / abs(b))
     ok = worst <= 1e-8
     assert report("n=2 lattice route vs Fourier route, 10 random (z,s)", ok,
                   "max rel err %.3g <= 1e-8" % worst)
@@ -305,7 +302,7 @@ def test_lemma1_slope_n3(lemma1_runs):
 
 
 def test_lemma1_max_over_median(lemma1_runs):
-    worst = max(lemma1_runs[n]["checks"]["max_over_median"]["value"] for n in (2, 3))
+    worst = np.max([lemma1_runs[n]["checks"]["max_over_median"]["value"] for n in (2, 3)])
     ok = worst <= 3.0
     assert report("Siegel scan max/median, n in {2,3}", ok,
                   "max/median %.3f <= 3" % worst)

@@ -491,6 +491,44 @@ def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, recwarn, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s", ["-300", "150", "400"])
+def test_unfold_s_out_of_float64_range_exits_2(tmp_path, capsys, recwarn, s):
+    # E*(., s) past float64's range (its divisor sums raise OverflowError at
+    # s = -300, it overflows to inf at s = 150 and 400) is a configuration
+    # error: one stderr line, no warning, no CSV and no nan in a JSON
+    out = tmp_path / "u.csv"
+    rc = run(["unfold-check", "--k", "12", "--s", s,
+              "--output", str(out), "--summary", str(tmp_path / "u.json")])
+    assert rc == 2
+    _one_config_error_line(capsys)
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["50", "-40"])
+def test_unfold_s_inside_float64_range_exits_0(tmp_path, recwarn, s):
+    out = tmp_path / "u.csv"
+    rc = run(["unfold-check", "--k", "12", "--s", s,
+              "--output", str(out), "--summary", str(tmp_path / "u.json")])
+    assert rc == 0
+    assert [str(w.message) for w in recwarn] == []
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_plancherel_ball_underflow_exits_2(tmp_path, capsys):
+    # at n = 3 and radius 1e-200 the grid's cell area underflows and the
+    # ball integral is 0: a configuration error, not a ZeroDivisionError
+    # in the scheme agreement.  At n = 2 and radius 1e-300 the integral is
+    # finite and positive, and the ratio window fails.
+    out = tmp_path / "p.csv"
+    argv = ["--centers", "1", "--output", str(out), "--summary", str(tmp_path / "p.json")]
+    assert run(["plancherel", "--n", "3", "--radius", "1e-200"] + argv) == 2
+    _one_config_error_line(capsys)
+    assert not out.exists()
+    assert run(["plancherel", "--n", "2", "--radius", "1e-300"] + argv) == 1
+    assert out.exists()
+
+
 def test_outputs_do_not_depend_on_the_mpmath_precision(tmp_path):
     # every mp computation sets its own digits: the CSV bytes and the
     # checks are the same whatever precision the caller left, and main

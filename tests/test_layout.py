@@ -17,14 +17,10 @@ ENTRY_POINTS = {"__init__", "cli"}
 TEST_ONLY_PUBLIC_NAMES = {
     "epstein.gln_completed_eisenstein",
     "epstein.iwasawa_y",
-    "moment.norm_f_estar",
-    "moment.unfold_check",
     "rankin_selberg.RankinSelbergPair.l_direct",
     "rankin_selberg.RankinSelbergPair.residue_consistency",
-    "spectral.alpha_to_nu",
     "spectral.plancherel_density",
     "spectral.plancherel_g_gamma",
-    "spectral.sample_params",
     "spectral.stade_rhs_simple",
     "spectral.whittaker",
 }

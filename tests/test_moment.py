@@ -19,10 +19,9 @@ from periodmoments.moment import (
     inner_product,
     moment_row,
     moment_sweep,
-    norm_f_estar,
     norm_quadrature,
+    petersson_engine,
     regularized_bound,
-    unfold_check,
     unfold_rows,
 )
 from periodmoments.precision import RangeError
@@ -73,39 +72,49 @@ def test_hecke_orthogonality(forms24):
     assert cross <= bound
 
 
+def f_estar_norm2(f, s, refine=1):
+    """||f E*(., s)||^2 summed here on the nodes of petersson_engine(k,
+    refine), with E* evaluated pointwise: moment_row's norm_fE, from scratch."""
+    eng = petersson_engine(f.weight, refine)
+    ev = completed_eisenstein_f64(eng.x, eng.y, s)
+    return eng.integrate(np.abs(eng.form_values(f)) ** 2 * ev**2).real
+
+
 def test_linearity(delta):
+    # <f h, f> for the constant h = 2.5 is 2.5 <f, f>
     base = norm_quadrature(delta)
-    scaled = inner_product(
-        delta, multiplier=lambda xx, yy: 2.5 * np.ones_like(xx)
-    ).real
+    eng = petersson_engine(12, 1)
+    fv = eng.form_values(delta)
+    scaled = moment._pairing(eng, fv, fv, 2.5 * np.ones_like(eng.x)).real
     assert abs(scaled - 2.5 * base) < 1e-12 * abs(base)
 
 
 def test_unfold_identity_k12_center(delta):
-    res = unfold_check(delta, delta, 0.5)
+    (res,) = unfold_rows([delta], [0.5])
     assert res["rel_err"] < 1e-4
 
 
 def test_unfold_identity_k24_cross(forms24):
-    f, g = forms24
-    res = unfold_check(f, g, 0.5)
-    assert res["rel_err"] < 1e-4
+    rows = {(r["i"], r["j"]): r for r in unfold_rows(forms24, [0.5])}
+    assert rows[0, 1]["rel_err"] < 1e-4
 
 
 def test_unfold_fe_symmetry(delta):
     # E*(., s) = E*(., 1-s), so the quadrature route must agree at s and
     # 1-s without any AFE involvement.
-    a = unfold_check(delta, delta, 0.75)["quadrature"]
-    b = unfold_check(delta, delta, 0.25)["quadrature"]
+    a, b = (r["quadrature"] for r in unfold_rows([delta], [0.75, 0.25]))
     assert abs(a - b) < 1e-10 * abs(a)
 
 
 def test_node_doubling_contract(delta):
-    val, err = inner_product(delta, with_error=True)
-    assert val.real > 0
-    assert err < 1e-10 * val.real
-    coarse = norm_f_estar(delta, 0.5, refine=1)
-    fine = norm_f_estar(delta, 0.5, refine=2)
+    # doubling every node count moves <f, f> and ||f E*(., 1/2)||^2 by
+    # no more than their quadrature error
+    coarse, fine = inner_product(delta), inner_product(delta, refine=2)
+    assert fine.real > 0
+    assert abs(fine - coarse) < 1e-10 * fine.real
+    assert petersson_engine(12, 2).w.size == 4 * petersson_engine(12, 1).w.size
+    coarse = f_estar_norm2(delta, 0.5, refine=1)
+    fine = f_estar_norm2(delta, 0.5, refine=2)
     assert abs(fine - coarse) < 1e-9 * abs(fine)
 
 
@@ -113,7 +122,7 @@ def test_regularized_bound_dominates(delta, forms24):
     reg = regularized_bound(RankinSelbergPair(delta))
     assert reg["unfolded"] > 0
     assert 0 < reg["c_fit"] < 100
-    assert norm_f_estar(delta, 0.5) <= reg["bound"]
+    assert f_estar_norm2(delta, 0.5) <= reg["bound"]
     with pytest.raises(ValueError):
         regularized_bound(RankinSelbergPair(*forms24))
 
@@ -182,19 +191,15 @@ def test_estar_memo_matches_direct_evaluation(delta):
 
 def test_moment_row_reuse_is_bit_identical(forms24):
     # moment_row evaluates f, g and E*(., 1/2) once on the nodes; every
-    # sum must equal the one the per-call route gives
+    # sum must equal the one summed from scratch here, in the same order
     row = moment_row(24, forms=forms24)
-    f = forms24[0]
+    eng = petersson_engine(24, 1)
+    fv = eng.form_values(forms24[0])
+    e_half = completed_eisenstein_f64(eng.x, eng.y, 0.5)
     for g, cv in zip(forms24, row["central_values"]):
-        quad = inner_product(
-            f, g, multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.5)
-        ).real
+        quad = eng.integrate(fv * np.conjugate(eng.form_values(g)) * e_half).real
         assert cv["L_period"] == quad * moment._gamma_k_over_gamma_half(24)
-    assert row["norm_fE"] == norm_f_estar(f, 0.5)
-    d = unfold_check(f, forms24[1], 0.75)
-    assert d["quadrature"] == inner_product(
-        f, forms24[1], multiplier=lambda xx, yy: completed_eisenstein_f64(xx, yy, 0.75)
-    ).real
+    assert row["norm_fE"] == f_estar_norm2(forms24[0], 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +304,8 @@ def test_y_min_above_the_points_is_rejected(delta):
 
 def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
     # one strip and one lune evaluation per form, one AFE pair per
-    # (i, j); every entry equals the single-pair route bit for bit
+    # (i, j); every entry equals a sum from scratch and a fresh pair bit
+    # for bit
     grids, lunes, pairs = Counter(), Counter(), Counter()
     direct = moment.eval_cusp_form_f64
 
@@ -322,9 +328,15 @@ def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
     assert pairs == Counter({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
     assert [(r["i"], r["j"], r["s"]) for r in rows] == [
         (i, j, s) for i in range(2) for j in range(2) for s in s_values]
+    eng = petersson_engine(24, 1)
+    values = [eng.form_values(f) for f in forms24]
     for r in rows:
-        d = unfold_check(forms24[r["i"]], forms24[r["j"]], r["s"])
-        assert {key: r[key] for key in d} == d
+        ev = completed_eisenstein_f64(eng.x, eng.y, r["s"])
+        quad = eng.integrate(values[r["i"]] * np.conjugate(values[r["j"]]) * ev).real
+        pair = RankinSelbergPair(forms24[r["i"]], forms24[r["j"]])
+        afe = pair.completed_l_normalized(r["s"]).real
+        assert r == {"i": r["i"], "j": r["j"], "s": r["s"], "quadrature": quad, "afe": afe,
+                     "rel_err": abs(quad - afe) / abs(afe)}
         assert r["rel_err"] < 1e-4
 
 

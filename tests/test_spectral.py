@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from periodmoments import cli
+from periodmoments import cli, special
 from periodmoments import spectral as sp
 from periodmoments.precision import RangeError
 
@@ -37,11 +37,17 @@ def test_coroot_matrix_n3_example():
     assert abs(sum(p.alpha)) < 1e-15
 
 
+def uniform_params(n, bound, rng):
+    """Uniform imaginary coordinates with |Im nu_j| <= bound."""
+    return sp.spectral_params(n, [1j * v for v in rng.uniform(-bound, bound, n - 1)])
+
+
 def test_alpha_roundtrip_and_n2():
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
-        p = sp.sample_params(n, 10.0, rng)
-        back = sp.alpha_to_nu(p.alpha, n)
+        p = uniform_params(n, 10.0, rng)
+        # the inverse map nu_j = (alpha_j - alpha_{j+1})/n
+        back = [(p.alpha[j] - p.alpha[j + 1]) / n for j in range(n - 1)]
         assert max(abs(a - b) for a, b in zip(back, p.nu)) < 1e-12
         assert abs(sum(p.alpha)) < 1e-12
     p2 = sp.spectral_params(2, [1.3j])
@@ -71,7 +77,7 @@ def test_plancherel_density_routes_and_walls():
     rng = np.random.default_rng(13)
     for n in (2, 3, 4):
         for _ in range(5):
-            p = sp.sample_params(n, 8.0, rng)
+            p = uniform_params(n, 8.0, rng)
             d1 = sp.plancherel_density(p, route="nu")
             d2 = sp.plancherel_density(p, route="alpha")
             assert d1 >= 0
@@ -143,7 +149,8 @@ def test_ball_rule_built_once(monkeypatch):
         return leggauss(deg)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    sp._ball_rule_1d.cache_clear()
+    # the Gauss-Legendre memo is shared: clear it so the ball builds its rule
+    special._leggauss.cache_clear()
     for t in (0.0, 0.5, -1.7, 3.0):
         sp.plancherel_ball(sp.spectral_params(2, [1j * t]), radius=1.0)
     assert calls == [sp.BALL_GRID_1D]
@@ -375,8 +382,8 @@ def test_stade3_lowrank_matches_full_gemm():
 def test_stade_n2_random_pairs():
     rng = np.random.default_rng(17)
     for i in range(6):
-        nu = sp.sample_params(2, 2.0, rng)
-        mu = sp.sample_params(2, 2.0, rng)
+        nu = uniform_params(2, 2.0, rng)
+        mu = uniform_params(2, 2.0, rng)
         s = (0.5, 1.0, 1.5)[i % 3]
         r = sp.stade_check(nu, mu, s)
         assert r["rel_err"] <= 1e-8
