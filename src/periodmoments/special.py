@@ -279,13 +279,19 @@ def _kit_series_f64(t, x):
 def upper_gamma_f64(a, x):
     """Gamma(a, x) for real a and positive array x, vectorized.
 
-    For a > 0 this is gammaincc(a,x) Gamma(a). Non-positive a climbs to a
-    positive shift and walks back down with
+    For a > 0 this is gammaincc(a,x) Gamma(a), except a = 1, where
+    Gamma(1, x) = e^-x is taken in place (one array, not two: the rank-4
+    Epstein sums at rho = 1 pass millions of lattice terms). Non-positive a
+    climbs to a positive shift and walks back down with
         Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,
     which costs about one digit per unit of |a| in the worst case; fine for
     the |a| <= 3 this artifact uses.
     """
     x = np.asarray(x, dtype=float)
+    if a == 1.0:
+        g = np.negative(x, out=np.empty_like(x))
+        np.exp(g, out=g)
+        return g
     m = 0
     while a + m <= 0:
         m += 1

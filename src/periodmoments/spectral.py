@@ -233,11 +233,17 @@ def plancherel_ball(
             step = 2 * radius / m
             g1 = a1 - radius + (np.arange(m) + 0.5) * step
             g2 = a2 - radius + (np.arange(m) + 0.5) * step
-            # open grids: each G factor is evaluated on its own axis and
-            # broadcast, in the same product order as on the full mesh
+            # G(3 t1) and G(3 t2) on their own axes; the axes share the
+            # step, so t1 + t2 = a1 + a2 - 2 radius + (i + j + 1) step takes
+            # 2m - 1 values, read through the zero-copy Hankel view
+            # gsum[i, j] = G(3 tsum[i + j]); product order as on the full
+            # mesh of _density_grid_n3
+            g = plancherel_g_tanh
             T1, T2 = np.meshgrid(g1, g2, indexing="ij", sparse=True)
             inside = (T1 - a1) ** 2 + (T2 - a2) ** 2 <= radius**2
-            vals = _density_grid_n3(T1, T2) * inside
+            tsum = a1 + a2 - 2 * radius + (np.arange(2 * m - 1) + 1) * step
+            gsum = np.lib.stride_tricks.sliding_window_view(g(3 * tsum), m)
+            vals = g(3 * T1) * g(3 * T2) * gsum * inside
             integral = float(np.sum(vals) * step * step)
         elif scheme == "mc":
             rng = np.random.default_rng(seed)
@@ -438,19 +444,32 @@ def _validate_stade_inputs(nu: SpectralParams, mu: SpectralParams, s: float):
             raise RangeError("spectral coordinates must satisfy |nu_j| <= 3")
 
 
-def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
-    t_nu = nu.nu[0].imag
-    t_mu = mu.nu[0].imag
-    lower = -(32.0 / s + 6.0)
-    l = np.arange(lower, STADE2_UPPER + STADE2_H / 2, STADE2_H)
+def _stade2_lower(s: float) -> float:
+    """Lower end of the n=2 Stade log-grid at s."""
+    return -(32.0 / s + 6.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _stade2_kernel(t_nu: float, t_mu: float):
+    """(l, kk): the n=2 Stade log-grid of s = 1/2 and
+    kk = 4 K_{it_nu}(2 pi y) K_{it_mu}(2 pi y) on it, y = exp(l).
+
+    The grid of s runs from the first node >= -(32/s + 6) to STADE2_UPPER,
+    so the grid of every s in [1/2, 3/2] is a suffix of this one.
+    cli.run_stade checks the s values of a pair in a row: one entry
+    serves them all.  Read-only.
+    """
+    l = np.arange(_stade2_lower(0.5), STADE2_UPPER + STADE2_H / 2, STADE2_H)
     yy = np.exp(l)
-    vals = (
-        4.0
-        * special.kit_f64(t_nu, 2 * math.pi * yy)
-        * special.kit_f64(t_mu, 2 * math.pi * yy)
-        * np.exp(s * l)
-    )
-    return float(np.sum(vals) * STADE2_H)
+    kk = 4.0 * special.kit_f64(t_nu, 2 * math.pi * yy) * special.kit_f64(t_mu, 2 * math.pi * yy)
+    l.flags.writeable = kk.flags.writeable = False
+    return l, kk
+
+
+def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
+    l, kk = _stade2_kernel(nu.nu[0].imag, mu.nu[0].imag)
+    i0 = int(np.searchsorted(l, _stade2_lower(s)))
+    return float(np.sum(kk[i0:] * np.exp(s * l[i0:])) * STADE2_H)
 
 
 def _stade3_axes(s: float):
@@ -497,13 +516,11 @@ def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float):
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
-    with mp.workdps(30):
-        acc = mp.mpf(1)
-        for aj in nu.alpha:
-            for bk in mu.alpha:
-                acc *= special.gamma_r(s + aj - bk)
-        acc /= 2 * special.gamma_r(nu.n * s)
-        return complex(acc)
+    """prod_{j,k} Gamma_R(s + alpha_j - beta_k) / (2 Gamma_R(n s)) in float64,
+    as the exponential of a sum of log Gamma_R (Gamma_R(n s) > 0)."""
+    z = s + np.subtract.outer(nu.alpha, mu.alpha)
+    log = np.sum(special.log_gamma_r_f64(z)) - special.log_gamma_r_f64(nu.n * s).real
+    return complex(np.exp(log) / 2)
 
 
 def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:

@@ -5,9 +5,13 @@ Frozen reference values were produced by an independent oracle script
 under test was written.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from scipy.special import gammaincc, gammaln
 
 from periodmoments import special, spectral
 from periodmoments.precision import NonConvergenceError, PoleError
@@ -273,6 +277,30 @@ def test_upper_gamma_f64_negative_order():
         ours = upper_gamma_f64(-1.5, x)
         ref = float(mp.gammainc(mpf("-1.5"), mpf(x)))
         assert abs(ours - ref) / abs(ref) < 1e-11
+
+
+def test_upper_gamma_f64_order_one_is_exp():
+    # Gamma(1, x) = e^{-x}: the closed form agrees with the general
+    # gammaincc route over the range the Epstein sums reach (x <= 42)
+    x = np.geomspace(1e-6, 42.0, 20001)
+    route = gammaincc(1.0, x) * math.exp(gammaln(1.0))
+    got = upper_gamma_f64(1.0, x)
+    assert np.max(np.abs(got - route) / route) <= 1e-14
+    # a scalar x gives a 0-d result, as on the other orders
+    assert float(upper_gamma_f64(1.0, 0.3)) == pytest.approx(math.exp(-0.3), rel=1e-15)
+
+
+def test_upper_gamma_f64_order_one_allocates_one_array():
+    # the e^{-x} branch fills its result in place: its peak is the result
+    # array, not the temporary -x next to it
+    x = np.linspace(1e-6, 42.0, 500_000)
+    tracemalloc.start()
+    try:
+        upper_gamma_f64(1.0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes
 
 
 def test_precision_env_and_context():

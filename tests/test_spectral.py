@@ -123,8 +123,11 @@ def test_plancherel_ball_absolute_normalization():
 
 
 def test_ball_density_n3_open_grid_is_bit_identical():
-    # the quadrature evaluates G(3 t1) and G(3 t2) on their axes and only
-    # G(3 (t1 + t2)) on the grid; the full mesh is the reference
+    # the quadrature evaluates G(3 t1) and G(3 t2) on their axes and
+    # G(3 (t1 + t2)) on the 2m - 1 node sums; the full mesh is the
+    # reference.  At this center every node sum rounds as g1[i] + g2[j]
+    # does, so the integrals are equal; at other centers a few sums differ
+    # in the last ulp (next test)
     a1, a2, radius = 0.3, -0.7, 1.0
     m = sp.BALL_GRID_2D
     step = 2 * radius / m
@@ -138,6 +141,28 @@ def test_ball_density_n3_open_grid_is_bit_identical():
     want = float(np.sum(full * inside) * step * step)
     got = sp.plancherel_ball(sp.spectral_params(3, [1j * a1, 1j * a2]), radius=radius)
     assert got["integral"] == want
+
+
+def _full_mesh_ball_n3(a1, a2, radius):
+    """The n=3 midpoint ball sum with every density factor on the full
+    600 x 600 mesh: the reference of the Hankel-view rule."""
+    m = sp.BALL_GRID_2D
+    step = 2 * radius / m
+    g1 = a1 - radius + (np.arange(m) + 0.5) * step
+    g2 = a2 - radius + (np.arange(m) + 0.5) * step
+    T1, T2 = np.meshgrid(g1, g2, indexing="ij")
+    inside = (T1 - a1) ** 2 + (T2 - a2) ** 2 <= radius**2
+    return float(np.sum(sp._density_grid_n3(T1, T2) * inside) * step * step)
+
+
+def test_ball_n3_hankel_rule_matches_full_mesh():
+    # the 100 centers of `plancherel --n 3 --centers 100 --seed 0`
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        a1, a2 = cli._draw_in_ball(rng, 2, 20.0)
+        want = _full_mesh_ball_n3(a1, a2, 1.0)
+        got = sp.plancherel_ball(sp.spectral_params(3, [1j * a1, 1j * a2]))["integral"]
+        assert abs(got - want) <= 1e-15 * want, (a1, a2)
 
 
 def test_ball_rule_built_once(monkeypatch):
@@ -377,6 +402,66 @@ def test_stade3_lowrank_matches_full_gemm():
     full = abs(_full_gemm_lhs(p, p, 0.5) - r["rhs_completed"]) / abs(r["rhs_completed"])
     for err in (r["rel_err"], full):
         assert err == pytest.approx(1.8e-6, rel=0.02) and err <= cli.STADE3_TOL
+
+
+def _per_s_lhs_2(nu, mu, s):
+    """The n=2 Stade integral on its own log-grid from -(32/s + 6): the
+    reference of the shared s = 1/2 grid."""
+    l = np.arange(-(32.0 / s + 6.0), sp.STADE2_UPPER + sp.STADE2_H / 2, sp.STADE2_H)
+    yy = np.exp(l)
+    vals = (4.0 * special.kit_f64(nu.nu[0].imag, 2 * math.pi * yy)
+            * special.kit_f64(mu.nu[0].imag, 2 * math.pi * yy) * np.exp(s * l))
+    return float(np.sum(vals) * sp.STADE2_H)
+
+
+def test_stade2_shared_grid_matches_per_s_grids():
+    # every s reads a suffix of the s = 1/2 grid: bit-identical there; at
+    # s = 1 and 3/2 the nodes shift by less than a step, which moves the
+    # sum by at most 5.6e-15 relative over |t| <= 3 (both grids sit about
+    # 4e-14 from Stade's value)
+    sp._stade2_kernel.cache_clear()
+    rng = np.random.default_rng(23)
+    pairs = [(0.0, 0.0), (0.05, -0.02), (3.0, -3.0), (3.0, 3.0)]
+    pairs += [tuple(rng.uniform(-3, 3, 2)) for _ in range(8)]
+    for tn, tm in pairs:
+        nu, mu = sp.spectral_params(2, [1j * tn]), sp.spectral_params(2, [1j * tm])
+        assert sp._stade_lhs_2(nu, mu, 0.5) == _per_s_lhs_2(nu, mu, 0.5)
+        for s in (1.0, 1.5):
+            want = _per_s_lhs_2(nu, mu, s)
+            assert abs(sp._stade_lhs_2(nu, mu, s) - want) <= 1e-14 * abs(want), (tn, tm, s)
+    # one K grid per pair, shared by its three s, and only the last held
+    info = sp._stade2_kernel.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * len(pairs), len(pairs), 1)
+    l, kk = sp._stade2_kernel(*pairs[-1])
+    assert l[0] == -70.0 and not l.flags.writeable and not kk.flags.writeable
+
+
+def test_stade_rhs_float64_matches_30_digit_product():
+    # prod Gamma_R(s + alpha_j - beta_k) / (2 Gamma_R(n s)), here at 30
+    # digits from special.gamma_r, against the float64 sum of log Gamma_R
+    def oracle(nu, mu, s):
+        with mp.workdps(30):
+            acc = mp.mpf(1)
+            for aj in nu.alpha:
+                for bk in mu.alpha:
+                    acc *= special.gamma_r(s + aj - bk)
+            return complex(acc / (2 * special.gamma_r(nu.n * s)))
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in (2, 3):
+        draws = [uniform_params(n, 3.0, rng) for _ in range(24)]
+        corners = [sp.spectral_params(n, [1j * v for v in c])
+                   for c in ([3.0] * (n - 1), [-3.0] * (n - 1), [3.0, -3.0][:n - 1])]
+        points = draws + corners
+        for i, nu in enumerate(points):
+            mu = points[(i + 1) % len(points)]
+            for s in (0.5, rng.uniform(0.5, 1.5), 1.5):
+                cases += [(nu, mu, s), (nu, nu, s)]
+    for nu, mu, s in cases:
+        want = oracle(nu, mu, s)
+        got = sp._stade_rhs_completed(nu, mu, s)
+        assert abs(got - want) <= 1e-13 * abs(want), (nu, mu, s)
 
 
 def test_stade_n2_random_pairs():
