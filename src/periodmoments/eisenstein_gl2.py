@@ -34,7 +34,7 @@ from mpmath import mp, mpf
 from scipy.special import kv
 
 from .precision import PoleError
-from .special import _k_sum_ex, lam
+from .special import _heights, _k_sum_ex, _term_sum, lam
 
 __all__ = [
     "completed_eisenstein",
@@ -155,36 +155,27 @@ def _eisenstein_angular(x, n_terms: int):
     return np.cos(2 * np.pi * ns * x[..., None])
 
 
-def _check_domain(y, s):
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("upper half plane requires y > 0")
-    s = float(s)
-    if abs(s) < CENTER_SNAP or abs(s - 1.0) < CENTER_SNAP:
-        raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
-    return y, s
-
-
 def completed_eisenstein_f64(x, y, s, y_min: float = None):
     """Vectorized double-precision E*(z, s) for real s (quadrature grids).
 
     x, y broadcastable arrays, y > 0; the series is truncated at y_min,
     by default the smallest y given.  Points that are part of a larger
     node set pass that set's smallest height, so they use its term count;
-    a y_min above min(y) raises ValueError.  The cosines are computed on
-    x and the Bessel functions on y before they broadcast, so a tensor
+    a y_min above min(y) raises ValueError.  The cosines are tabulated on
+    x and the Bessel functions on y, and special._term_sum contracts the
+    two tables over n for every point of the broadcast shape, so a tensor
     grid (x of shape (m, 1), y of shape (1, p)) or columns of constant x
-    (y of shape (m, p)) cost one cosine per row of x.
+    (y of shape (m, p)) cost one cosine per row of x and never a
+    (points, terms) array.
     """
     x = np.asarray(x, dtype=float)
-    y, s = _check_domain(y, s)
-    if y_min is None:
-        y_min = float(np.min(y))
-    elif not 0 < y_min <= np.min(y):
-        raise ValueError("y_min must be positive and at most min(y)")
-    n_terms = _n_terms_f64(float(y_min))
+    y, y_min = _heights(y, y_min)
+    s = float(s)
+    if abs(s) < CENTER_SNAP or abs(s - 1.0) < CENTER_SNAP:
+        raise PoleError("E*(z,s) has poles at s = 0 and s = 1")
+    n_terms = _n_terms_f64(y_min)
     const, radial = _eisenstein_radial(y, s, n_terms)
-    return const + 4 * np.sqrt(y) * (radial * _eisenstein_angular(x, n_terms)).sum(axis=-1)
+    return const + 4 * np.sqrt(y) * _term_sum(radial, _eisenstein_angular(x, n_terms))
 
 
 def residue_at_one(z, completed=False):

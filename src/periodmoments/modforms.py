@@ -30,6 +30,7 @@ from mpmath import mp, mpf
 from scipy.special import gammaln
 
 from .precision import NonConvergenceError
+from .special import _heights, _term_sum
 
 __all__ = [
     "cusp_dim",
@@ -51,9 +52,6 @@ __all__ = [
 
 # even weights with dim S_k >= 1 up to 40; 14 enters nothing (dim 0)
 DEFAULT_WEIGHTS = (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
-
-# points per block in eval_cusp_form_f64
-EVAL_BLOCK = 4096
 
 # decimal digits for the Hecke roots and eigenvectors in hecke_eigenforms
 HECKE_DPS = 60
@@ -503,13 +501,6 @@ def _cusp_phases(series, x):
     return np.cos(phase) + 1j * np.sin(phase)
 
 
-def _heights(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("evaluation requires y > 0")
-    return y
-
-
 def eval_cusp_form_f64(form: Eigenform, x, y, y_min: float = None):
     """f(x+iy) = sum lam(n) (4 pi n)^{(k-1)/2} Gamma(k)^{-1/2} e(n(x+iy)).
 
@@ -518,43 +509,15 @@ def eval_cusp_form_f64(form: Eigenform, x, y, y_min: float = None):
     (_cusp_series).  y_min defaults to the smallest y given; points that
     are part of a larger node set pass that set's smallest height, so they
     use its term count, and a y_min above min(y) raises ValueError.
-    Phases are computed on x and radial factors on y before they
-    broadcast, so a tensor grid (x of shape (m, 1), y of shape (1, p)) or
-    columns of constant x (y of shape (m, p)) cost one phase per row of x.
-    The horizon of the form bounds the heights: the default one reaches
-    down to y ~ (k + 170) / (2 pi horizon).
+    Phases are tabulated on x and radial factors on y, and
+    special._term_sum contracts the two tables over n for every point of
+    the broadcast shape, so a tensor grid (x of shape (m, 1), y of shape
+    (1, p)) or columns of constant x (y of shape (m, p)) cost one phase
+    per row of x and never a (points, terms) array.  The horizon of the
+    form bounds the heights: the default one reaches down to
+    y ~ (k + 170) / (2 pi horizon).
     """
     x = np.asarray(x, dtype=float)
-    y = _heights(y)
-    if y_min is None:
-        y_min = float(np.min(y))
-    elif not 0 < y_min <= np.min(y):
-        raise ValueError("y_min must be positive and at most min(y)")
-    series = _cusp_series(form, float(y_min))
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    nd = max(len(shape), 1)
-    out = np.empty((1,) * (nd - len(shape)) + shape, dtype=complex)
-    _cusp_sums(
-        series,
-        x.reshape((1,) * (nd - x.ndim) + x.shape),
-        y.reshape((1,) * (nd - y.ndim) + y.shape),
-        out,
-    )
-    return out.reshape(shape)
-
-
-def _cusp_sums(series, x, y, out):
-    """out = sum_n radial(y) phase(x) for x, y of out's ndim (>= 1) that
-    broadcast to it, in blocks of about EVAL_BLOCK points along the first
-    axis, and row by row below it where one row holds more: the
-    (points, terms) temporaries stay a few MB, and each point's sum over n
-    is the same as in one pass."""
-    row = out.size // len(out)
-    rows = max(1, EVAL_BLOCK // row)
-    for i in range(0, len(out), rows):
-        xb = x[i : i + rows] if len(x) > 1 else x
-        yb = y[i : i + rows] if len(y) > 1 else y
-        if row > EVAL_BLOCK:
-            _cusp_sums(series, xb[0], yb[0], out[i])
-        else:
-            out[i : i + rows] = (_cusp_radial(series, yb) * _cusp_phases(series, xb)).sum(axis=-1)
+    y, y_min = _heights(y, y_min)
+    series = _cusp_series(form, y_min)
+    return _term_sum(_cusp_radial(series, y), _cusp_phases(series, x))

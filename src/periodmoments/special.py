@@ -207,6 +207,28 @@ def _k_integrand(x, nu, coefs, u, real):
 # double-precision vectorized tier
 # ----------------------------------------------------------------------
 
+def _heights(y, y_min):
+    """(y, y_min) of the float64 Fourier evaluators: y as a float array,
+    every y > 0, and the height where they truncate their series, min(y)
+    by default; a given y_min must lie in (0, min(y)]."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("upper half plane requires y > 0")
+    if y_min is None:
+        return y, float(np.min(y))
+    if not 0 < y_min <= np.min(y):
+        raise ValueError("y_min must be positive and at most min(y)")
+    return y, float(y_min)
+
+
+def _term_sum(radial, angular):
+    """sum_n radial[..., n] angular[..., n] over the broadcast leading
+    shape of the two tables, as one batched product: no (points, terms)
+    array is formed, so a tensor grid costs its two 1-D tables and the
+    output."""
+    return np.matmul(radial[..., None, :], angular[..., :, None])[..., 0, 0]
+
+
 def log_gamma_r_f64(z):
     """log gamma_r(z) for complex numpy input (principal branch)."""
     z = np.asarray(z, dtype=complex)

@@ -384,14 +384,11 @@ def _whittaker3_completed_grid(
 # stade_check asks for the same normalizers at every s, and SpectralParams
 # is frozen, so (params, sign) is a cache key
 @functools.cache
-def _gamma_normalizer(params: SpectralParams, sign: int):
-    """prod_{j<=k} Gamma_R(1 + sign * n (nu_j+...+nu_k)) as mpc, at 30
-    digits whatever the working precision, once per (params, sign)."""
-    with mp.workdps(30):
-        out = special.gamma_r(1)  # exact 1, keeps mp types uniform
-        for f in nu_linear_forms(params):
-            out *= special.gamma_r(1 + sign * params.n * f)
-        return out
+def _gamma_normalizer(params: SpectralParams, sign: int) -> complex:
+    """prod_{j<=k} Gamma_R(1 + sign * n (nu_j+...+nu_k)) in float64, as
+    the exponential of a sum of log Gamma_R, once per (params, sign)."""
+    z = 1 + sign * params.n * np.array(nu_linear_forms(params))
+    return complex(np.exp(np.sum(special.log_gamma_r_f64(z))))
 
 
 def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
@@ -423,7 +420,7 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
         y1, y2 = np.array([ys[0]]), np.array([ys[1]])
         w = _whittaker3_completed_grid(params, y1, y2, *_mb_exponentials(y1, y2))[0, 0]
         if normalization == "normalized":
-            w = complex(w) / complex(_gamma_normalizer(params, 1))
+            w = complex(w) / _gamma_normalizer(params, 1)
         return complex(w)
     raise RangeError("whittaker implemented for n = 2, 3")
 
@@ -538,8 +535,7 @@ def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
     else:
         lhs_c, ranks = _stade_lhs_3(nu, mu, s)
     rhs_c = _stade_rhs_completed(nu, mu, s)
-    with mp.workdps(30):
-        renorm = complex(_gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1))
+    renorm = _gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1)
     lhs = lhs_c / renorm
     rhs = rhs_c / renorm
     rel = abs(lhs_c - rhs_c) / abs(rhs_c)

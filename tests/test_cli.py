@@ -541,7 +541,7 @@ def test_outputs_do_not_depend_on_the_mpmath_precision(tmp_path):
     outputs = {}
     for dps in (15, 50):
         with mp.workdps(dps):
-            spectral._gamma_normalizer.cache_clear()  # recomputed at this dps
+            spectral._gamma_normalizer.cache_clear()  # float64: must not read dps
             for i, argv in enumerate(argvs):
                 csv_p, json_p = tmp_path / ("%d_%d.csv" % (dps, i)), tmp_path / "s.json"
                 assert run(argv + ["--output", str(csv_p), "--summary", str(json_p)]) in (0, 1)

@@ -241,19 +241,6 @@ def test_eval_automorphy():
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
-def test_eval_blocks_match_one_pass(monkeypatch):
-    # blocks over points must not change any value, shape or broadcast
-    f = hecke_eigenforms(24, horizon=400)[1]
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-0.5, 0.5, (3, 2 * modforms.EVAL_BLOCK + 17))
-    y = rng.uniform(0.9, 6.0, (1, x.shape[1]))
-    blocked = eval_cusp_form_f64(f, x, y)
-    monkeypatch.setattr(modforms, "EVAL_BLOCK", x.size)
-    one_pass = eval_cusp_form_f64(f, x, y)
-    assert blocked.shape == x.shape
-    assert np.array_equal(blocked, one_pass)
-
-
 def test_eval_periodicity_and_domain():
     f = hecke_eigenforms(12, horizon=400)[0]
     a = eval_cusp_form_f64(f, np.array([0.2]), np.array([1.1]))[0]

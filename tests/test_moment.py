@@ -6,6 +6,7 @@ checks pit that quadrature against the AFE machinery.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -226,10 +227,9 @@ def test_form_values_match_pointwise(k, refine, forms40):
         assert got.shape == want.shape
         assert _max_rel(got[:n_strip], want[:n_strip]) <= 1e-13
         assert _max_rel(got[n_strip:], want[n_strip:]) <= 1e-13
-        # the lune's phases are computed per column, then broadcast: the
-        # same values as pointwise evaluation of the flat lune, bit for bit
-        # (the strip is a tensor grid, summed in other blocks than the
-        # flat strip, hence the 1e-13 above)
+        # the lune's phases are computed per column, then broadcast, and
+        # each node's sum over n is one product of the same two table rows
+        # as in pointwise evaluation: the flat lune's values, bit for bit
         lune = eval_cusp_form_f64(f, eng.x[n_strip:], eng.y[n_strip:])
         assert np.array_equal(got[n_strip:], lune)
 
@@ -265,6 +265,26 @@ def test_grid_and_pointwise_choose_the_same_truncation(monkeypatch, forms40, ref
     assert len(set(n_eval)) == 1 and len(set(n_terms)) == 1
     strip, lune = eng._parts
     assert np.min(strip.y) > 1.0 > eng.y_min == float(np.min(lune.y)) == float(np.min(eng.y))
+
+
+def test_strip_evaluators_form_no_term_array(forms40):
+    # each evaluator contracts its term axis in one batched product: on the
+    # k = 40 strip its peak allocation stays within 3 outputs, where a
+    # (points, terms) temporary is a multiple of the term count
+    eng = petersson_engine(40, 1)
+    strip = eng._parts[0]
+    calls = ((eval_cusp_form_f64, (forms40[0], strip.x, strip.y, eng.y_min)),
+             (completed_eisenstein_f64, (strip.x, strip.y, 0.5, eng.y_min)))
+    for fn, args in calls:
+        fn(*args)  # warm: the evaluators' memos are not the measured peak
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == strip.w0.shape
+        assert peak <= 3 * out.nbytes, (fn.__name__, peak / out.nbytes)
 
 
 def test_lune_estar_once_per_s_across_ymax(monkeypatch):

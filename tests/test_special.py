@@ -271,6 +271,33 @@ def test_kit_f64_small_order_matches_mpmath():
     assert np.array_equal(kit_f64(-0.0, xs), kit_f64(0.0, xs))
 
 
+# (leading shape of radial, of angular): the tensor grid, columns of
+# constant x, flat points and one point
+TERM_SUM_LAYOUTS = {
+    "tensor": ((1, 200), (128, 1)),
+    "columns": ((64, 48), (64, 1)),
+    "flat": ((3072,), (3072,)),
+    "point": ((), ()),
+}
+
+
+@pytest.mark.parametrize("angular_dtype", [float, complex])
+@pytest.mark.parametrize("layout", sorted(TERM_SUM_LAYOUTS))
+def test_term_sum_matches_explicit_sum(layout, angular_dtype):
+    # one batched product over the term axis gives the broadcast shape
+    # and the explicit sum of the (points, terms) product
+    rad_shape, ang_shape = TERM_SUM_LAYOUTS[layout]
+    n = 40
+    rng = np.random.default_rng(17)
+    radial = rng.standard_normal(rad_shape + (n,)) * np.exp(-0.5 * np.arange(n))
+    phase = rng.uniform(0, 2 * np.pi, ang_shape + (n,))
+    angular = np.cos(phase) if angular_dtype is float else np.exp(1j * phase)
+    got = special._term_sum(radial, angular)
+    want = (radial * angular).sum(-1)
+    assert got.shape == np.broadcast_shapes(rad_shape, ang_shape) == want.shape
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_upper_gamma_f64_negative_order():
     # Gamma(-3/2, x) via recurrence vs mpmath.
     for x in (0.3, 1.0, 4.0):

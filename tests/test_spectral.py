@@ -314,7 +314,8 @@ def test_mb_caches_keyed_by_what_they_depend_on():
 def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     # stade_check reads the Gamma_R(1 +- n ...) products at every s: each
     # (params, sign) is computed once, and a mu == nu pair at n = 3
-    # factors one Mellin-Barnes kernel and never the dense one
+    # factors one Mellin-Barnes kernel and never the dense one.  The
+    # float64 products stay within 1e-13 of the 30-digit ones
     normalizer = sp._gamma_normalizer
     normalizer.cache_clear()
     factored = []
@@ -339,7 +340,7 @@ def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
             want = mp.mpf(1)
             for f in sp.nu_linear_forms(p):
                 want *= sp.special.gamma_r(1 + sign * p.n * f)
-            assert normalizer(p, sign) == want
+            assert abs(normalizer(p, sign) - complex(want)) <= 1e-13 * abs(complex(want))
     assert normalizer.cache_info().misses == len(keys)  # every key was held
 
 
