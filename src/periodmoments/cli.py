@@ -92,7 +92,7 @@ def run_moment(args, rng):
     weights = [k for k in range(k_lo, args.k_max + 1, 2) if cusp_dim(k) >= 1]
     if not weights:
         raise RangeError("no weights with cusp forms in [%d, %d]" % (args.k_min, args.k_max))
-    rows_data = moment_sweep(weights, forms_by_k=_forms_by_weight(weights), eps=args.eps)
+    rows_data = moment_sweep(_forms_by_weight(weights), eps=args.eps)
     header = ["k", "dim", "S_k", "S_k_str", "norm_fE", "bessel_slack", "slope_so_far"]
     rows = [
         [r["k"], r["dim"], r["S_k"], report.hp_str(r["S_k"]), r["norm_fE"],
@@ -159,8 +159,8 @@ def run_stade(args, rng):
                     ball = spectral.plancherel_ball(pn, radius=1.0)["integral"]
                     ratio = abs(r["lhs"]) * math.sqrt(ball)
                     eq11.append(ratio)
-                rows.append([2, tn, tm, s, r["lhs"].real,
-                             report.hp_str(r["lhs"].real), r["rhs"].real,
+                rows.append([2, tn, tm, s, complex(r["lhs"]),
+                             report.hp_str(complex(r["lhs"])), complex(r["rhs"]),
                              r["rel_err"], ratio])
         tol = STADE2_TOL
     else:

@@ -26,15 +26,17 @@ at an off-balance split.
 The degenerate GL(n) Eisenstein series at the minimal parabolic corner is
 
   E*(z, s) = det(z)^s gamma_r(n s) Z(z z^T, n s / 2)
+           = det(z)^s xi(z z^T, n s / 2)
 
-for z = x a upper triangular with positive diagonal a, a_n = 1.
+for z = x a upper triangular with positive diagonal a, a_n = 1, since
+gamma_r(n s) = pi^{-ns/2} Gamma(ns/2).  The mp oracle takes the first
+form, the float64 route the second.
 """
 
 import math
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import gammaln
 
 from .precision import PoleError
 from .special import gamma_r, upper_gamma_f64, upper_incomplete_gamma
@@ -294,15 +296,11 @@ def gln_completed_eisenstein(y, s, x=None):
 
 
 def gln_completed_eisenstein_f64(y, s, x=None):
-    """Double-precision E*(z, s) for real s > 0 (large-scale scans)."""
+    """Double-precision E*(z, s) = det(z)^s xi(z z^T, n s / 2) for real
+    s > 0 (large-scale scans)."""
     s = float(s)
     if s <= 0:
         raise ValueError("f64 path covers s > 0 only")
     z = z_from_y(y, x=x)
     n = z.shape[0]
-    G = z @ z.T
-    detz = det_from_y(y)
-    rho = n * s / 2.0
-    zval = epstein_z_f64(G, rho)
-    gr = math.pi ** (-rho) * math.exp(float(gammaln(rho)))
-    return detz**s * gr * zval
+    return det_from_y(y) ** s * epstein_xi_f64(z @ z.T, n * s / 2.0)

@@ -275,7 +275,6 @@ class Eigenform:
 
     weight: int
     index: int
-    t2_eigenvalue: object  # mpf, a(2)
     v: list = field(repr=False)  # mpf coordinates on the Miller basis, v[0] = 1
     rows: list = field(repr=False)  # rows[i][n] = g_i(n), n = 0..horizon, int
 
@@ -433,7 +432,7 @@ def eigenform_horizon(k: int) -> int:
 def hecke_eigenforms(k: int, horizon: int = None):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue,
     with coefficients for n <= horizon (default eigenform_horizon(k)).
-    Only the T_2 roots, the eigenvectors and a(2) are computed here in
+    Only the T_2 roots and the eigenvectors are computed here in
     HECKE_DPS digits; lam(n) is read from the exact expansion (Eigenform).
 
     Each coefficient is the same at any horizon that includes it: the
@@ -460,8 +459,7 @@ def hecke_eigenforms(k: int, horizon: int = None):
         forms = []
         for idx, lam_val in enumerate(roots):
             v = _eigvec_from_matrix(cmat_mpf, lam_val, d)
-            a2 = sum(v[i] * mpf(basis[i][2]) for i in range(d))
-            forms.append(Eigenform(weight=k, index=idx, t2_eigenvalue=a2, v=v, rows=basis))
+            forms.append(Eigenform(weight=k, index=idx, v=v, rows=basis))
         return forms
 
 

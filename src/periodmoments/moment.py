@@ -16,7 +16,8 @@ keeps the tail of the cusp-form factor below 1e-30.
 The two parts are cached separately: the strip per (Ymax, refine), the
 lune per refine alone, each with x and y in broadcast shape (the strip as
 the tensor grid xs[:, None] x ys[None, :], the lune as columns of
-constant x) and its own memo of E*(., s).  Cusp forms and E*(., s) are
+constant x); E*(., s) is memoized per part, s and truncation height
+(_part_estar).  Cusp forms and E*(., s) are
 separable (radial factor in y times a phase in x per Fourier term), and
 their one float64 evaluator each tabulates both factors before they
 broadcast, so the strip costs a 1-D table per axis.  Both parts are
@@ -46,8 +47,9 @@ the eigenform with smallest T_2 eigenvalue, B_k the eigenbasis):
   ||f E*(., 1/2)||^2 <= C_fit * <f E(., 1+eps), f>    (pointwise-domination
       trick; C_fit is the observed sup of E*(z,1/2)^2 / E(z,1+eps) on the
       quadrature range, reported rather than assumed)
-  <f E(., 1+eps), f> = Gamma(k+eps)/((4pi)^{1+eps}Gamma(k))
-                        * sum_n lambda(n)^2 n^{-1-eps}  (unfolds exactly)
+  <f E(., 1+eps), f> = Lambda*(f x f, 1+eps) / lambda(2+2eps)
+      (the unfolding identity at s = 1+eps, with E = E*/lambda(2s);
+      Lambda* by the AFE)
 
 and the growth exponent of S(k) in k is the monitored quantity (predicted
 1 + eps; the sweep fits the log-log slope).
@@ -63,7 +65,7 @@ from scipy.special import gammaln
 
 from . import special
 from .eisenstein_gl2 import completed_eisenstein_f64
-from .modforms import Eigenform, eval_cusp_form_f64, hecke_eigenforms
+from .modforms import Eigenform, eval_cusp_form_f64
 from .precision import RangeError
 from .rankin_selberg import RankinSelbergPair
 
@@ -88,15 +90,13 @@ REG_EPS = 0.1
 
 @dataclass(frozen=True, eq=False)
 class _Part:
-    """One part of the nodes: x and y in broadcast shape, the weights
-    w0 = dx dy without the measure factor in the shape they broadcast to,
-    and estar, a memo of E*(., s) on the part keyed by s (read-only
-    arrays of w0's shape)."""
+    """One part of the nodes: x and y in broadcast shape and the weights
+    w0 = dx dy without the measure factor in the shape they broadcast to.
+    Hashed by identity, so a memo keyed by the part is keyed by its nodes."""
 
     x: np.ndarray
     y: np.ndarray
     w0: np.ndarray
-    estar: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for a in (self.x, self.y, self.w0):
@@ -130,6 +130,17 @@ def _lune(refine: int) -> _Part:
     y0 = np.sqrt(1.0 - xv * xv)
     mid, half = (1.0 + y0) / 2, (1.0 - y0) / 2
     return _Part(xv, mid + half * gl_y, gl_wy * half * xw)
+
+
+@cache
+def _part_estar(part: _Part, s: float, y_min: float) -> np.ndarray:
+    """E*(., s) on the nodes of part, its series truncated at y_min, as a
+    read-only array.  Keyed by everything it depends on: engines that
+    share a part and a y_min (every engine of one refine shares the lune,
+    and those of one ymax the strip) share its values."""
+    ev = completed_eisenstein_f64(part.x, part.y, s, y_min=y_min)
+    ev.flags.writeable = False
+    return ev
 
 
 @dataclass
@@ -192,15 +203,10 @@ class PeterssonEngine:
 
     def estar(self, s: float) -> np.ndarray:
         """E*(., s) at the nodes for real s, read-only.  Each part is
-        evaluated once per s (see _Part): the lune once per refine, the
-        strip once per ymax and refine."""
+        evaluated once per s (see _part_estar): the lune once per refine,
+        the strip once per ymax and refine."""
         s = float(s)
-        for p in self._parts:
-            if s not in p.estar:
-                ev = completed_eisenstein_f64(p.x, p.y, s, y_min=self.y_min)
-                ev.flags.writeable = False
-                p.estar[s] = ev
-        ev = self._flat([p.estar[s] for p in self._parts])
+        ev = self._flat([_part_estar(p, s, self.y_min) for p in self._parts])
         ev.flags.writeable = False
         return ev
 
@@ -292,36 +298,29 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
     """The E(., 1+eps) domination step with its constant surfaced, for the
     diagonal pair (f, f).
 
-    unfolded = <f E(., 1+eps), f> = Gamma(k+eps)/((4pi)^{1+eps}Gamma(k))
-               * L(f x f, 1+eps)/zeta(2+2eps), evaluated by the AFE.
-    c_fit    = max over the quadrature range of E*(z,1/2)^2 / E(z,1+eps);
-               the pointwise bound E*(z,1/2)^2 << y (1+log y)^2 makes this
-               finite but its size is measured, not assumed.
-    bound    = c_fit * unfolded  >=  ||f E*(., 1/2)||^2.
+    lambda_star = Lambda*(f x f, 1+eps) = <f E*(., 1+eps), f>, by the AFE.
+    unfolded    = <f E(., 1+eps), f> = lambda_star / lambda(2+2eps), as
+                  E = E* / lambda(2s) with lambda(s) = pi^{-s/2}Gamma(s/2)zeta(s).
+    c_fit       = max over the quadrature range of E*(z,1/2)^2 / E(z,1+eps);
+                  the pointwise bound E*(z,1/2)^2 << y (1+log y)^2 makes this
+                  finite but its size is measured, not assumed.
+    bound       = c_fit * unfolded  >=  ||f E*(., 1/2)||^2.
     An eps that takes unfolded or c_fit out of float64's finite nonzero
-    range raises RangeError.
+    range raises RangeError.  The AFE loses digits at large real s (about
+    1e-6 relative at s = 81 for k = 12), so an eps past ~70 is inaccurate
+    before it is out of range.
     """
     if pair.g is not pair.f:
         raise ValueError("regularized_bound takes a diagonal pair (f, f)")
-    k = pair.k
     with mp.workdps(30):
-        zeta2 = float(special.zeta(2 + 2 * eps))
         lam_norm = float(special.lam(2 + 2 * eps))
-    eng = petersson_engine(k, 1)
+    eng = petersson_engine(pair.k, 1)
     e_star_half = eng.estar(0.5)
     # past float64's range these overflow to inf or nan; the guard below
     # reports that as a RangeError, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        l_val = pair.l_value(1.0 + eps).real
-        try:
-            unfolded = (
-                math.exp(gammaln(k + eps) - gammaln(k))
-                / (4 * math.pi) ** (1 + eps)
-                * l_val
-                / zeta2
-            )
-        except OverflowError:
-            unfolded = math.inf
+        lambda_star = pair.completed_l_normalized(1.0 + eps).real
+        unfolded = lambda_star / lam_norm
         e_plain = eng.estar(1.0 + eps) / lam_norm
         c_fit = float(np.max(e_star_half**2 / e_plain))
     if not all(math.isfinite(v) and v != 0.0 for v in (unfolded, c_fit)):
@@ -329,27 +328,29 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
                          "(unfolded %g, c_fit %g)" % (eps, unfolded, c_fit))
     return {
         "eps": eps,
+        "lambda_star": lambda_star,
         "unfolded": unfolded,
         "c_fit": c_fit,
         "bound": c_fit * unfolded,
     }
 
 
-def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
-    """Central second-moment data at weight k.
+def moment_row(forms, eps: float = REG_EPS) -> dict:
+    """Central second-moment data at the weight k of forms, the
+    eigenbasis of S_k.
 
     Reference form f: smallest T_2 eigenvalue (construction order).  Norms
     <g,g> come from the theta route; the Bessel ceiling from quadrature.
     Every link of the chain in the module docstring is reported.  f, each
     g and E*(., 1/2) are evaluated on the nodes once, and each form's
     diagonal pair (g, g) is built once: it gives <g, g>, and for g = f
-    also L(f x f, 1/2), the regularized bound and Lambda*(f x f, 1 + eps).
+    also L(f x f, 1/2) and the regularized bound with its
+    Lambda*(f x f, 1 + eps).
     """
-    if forms is None:
-        forms = hecke_eigenforms(k)
     if not forms:
-        raise ValueError("no cusp forms at weight %d" % k)
+        raise ValueError("no cusp forms to pair")
     f = forms[0]
+    k = f.weight
     eng = petersson_engine(k, 1)
     fv = eng.form_values(f)
     e_half = eng.estar(0.5)
@@ -378,7 +379,6 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
         )
     ceiling = eng.integrate(np.abs(fv) ** 2 * e_half**2).real
     reg = regularized_bound(f_pair, eps=eps)
-    backbone_tail = f_pair.completed_l_normalized(1.0 + eps).real
     return {
         "k": k,
         "dim": len(forms),
@@ -389,18 +389,18 @@ def moment_row(k: int, forms=None, eps: float = REG_EPS) -> dict:
         "reg_unfolded": reg["unfolded"],
         "reg_c_fit": reg["c_fit"],
         "reg_bound": reg["bound"],
-        "lambda_star_1pe": backbone_tail,
+        "lambda_star_1pe": reg["lambda_star"],
         "central_values": central,
     }
 
 
-def moment_sweep(weights, forms_by_k=None, eps: float = REG_EPS) -> list:
-    """Rows for each weight plus cumulative log-log slope of S(k)."""
+def moment_sweep(forms_by_k, eps: float = REG_EPS) -> list:
+    """Rows for each weight of forms_by_k ({k: eigenforms of weight k}),
+    in ascending k, plus the cumulative log-log slope of S(k)."""
     rows = []
     logs = []
-    for k in weights:
-        forms = None if forms_by_k is None else forms_by_k.get(k)
-        row = moment_row(k, forms=forms, eps=eps)
+    for k in sorted(forms_by_k):
+        row = moment_row(forms_by_k[k], eps=eps)
         logs.append((math.log(k), math.log(row["S_k"])))
         if len(logs) >= 2:
             xs = np.array([p[0] for p in logs])

@@ -36,13 +36,13 @@ import math
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaln, kve, loggamma
+from scipy.special import gammaln, kve
 
 from .modforms import MAX_THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
 from .precision import PoleError
 from .special import _leggauss
 
-__all__ = ["RankinSelbergPair", "kappa_log", "gamma_factor_log"]
+__all__ = ["RankinSelbergPair", "kappa_log"]
 
 
 def kappa_log(k: int, x):
@@ -55,12 +55,6 @@ def kappa_log(k: int, x):
         + np.log(kve(k - 1, arg))
         - arg
     )
-
-
-def gamma_factor_log(k: int, s):
-    """log gamma(s) = -2s log(2 pi) + log Gamma(s+k-1) + log Gamma(s)."""
-    s = complex(s)
-    return -2 * s * math.log(2 * math.pi) + loggamma(s + k - 1) + loggamma(s)
 
 
 @cache
@@ -221,14 +215,6 @@ class RankinSelbergPair:
     def completed_l_normalized(self, s) -> complex:
         """Lambda(s) / Gamma(k): the object the unfolding route computes."""
         return self.completed_l(s) * math.exp(-gammaln(self.k))
-
-    def l_value(self, s) -> complex:
-        """L(s) = Lambda(s) / gamma(s)."""
-        s = complex(s)
-        val = self.completed_l(s) * np.exp(-gamma_factor_log(self.k, s))
-        if s.imag == 0:
-            return complex(val.real, 0.0)
-        return val
 
     def l_direct(self, s, n_max: int = None) -> complex:
         """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1.

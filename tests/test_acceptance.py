@@ -70,7 +70,9 @@ def stade2_run():
 def moment_run():
     weights = [k for k in range(12, 41, 2) if cusp_dim(k) >= 1]
     t0 = time.perf_counter()
-    rows = moment_sweep(weights)
+    # largest weight first, as the CLI builds them: smaller weights slice
+    # its Miller products
+    rows = moment_sweep({k: hecke_eigenforms(k) for k in reversed(weights)})
     return rows, time.perf_counter() - t0
 
 

@@ -153,6 +153,29 @@ def test_stade_n3_includes_diagonal_pi_row(tmp_path):
     assert abs(lhs - 3.141592653589793) < 1e-9
 
 
+def test_stade_n2_writes_the_complex_values(tmp_path):
+    # the normalized n = 2 sides are complex in general (at seed 0 the
+    # first pair's lhs has an imaginary part near its modulus): every lhs,
+    # lhs_str and rhs cell is stade_check's complex value, bit for bit,
+    # as %.17g round-trips a double
+    csv_p = tmp_path / "s.csv"
+    assert run(["stade", "--n", "2", "--samples", "2", "--seed", "0",
+                "--output", str(csv_p), "--summary", str(tmp_path / "s.json")]) == 0
+    lines = csv_p.read_text().splitlines()
+    header = lines[0].split(",")
+    assert header == ["n", "nu", "mu", "s", "lhs", "lhs_str", "rhs", "rel_err", "eq11_ratio"]
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        pn = spectral.spectral_params(2, [1j * float(row["nu"])])
+        pm = spectral.spectral_params(2, [1j * float(row["mu"])])
+        r = spectral.stade_check(pn, pm, float(row["s"]))
+        for cell, want in (("lhs", r["lhs"]), ("lhs_str", r["lhs"]), ("rhs", r["rhs"])):
+            got = complex(row[cell])
+            assert (got.real, got.imag) == (want.real, want.imag), (cell, row)
+    assert any(complex(row["lhs"]).imag != 0.0 for row in rows)
+
+
 # sha256 of the nu1,nu2,mu1,mu2 columns of `stade --n 3 --samples 20 --seed 0`,
 # one row per line: the 5 STADE3_GRID pairs, then 15 pairs drawn from the rng
 STADE3_SEED0_PAIRS_SHA256 = "6411f74b094e4c9c334782aadc7ecaf250214d93211c1e529a1e53e0ad8a9e69"

@@ -224,7 +224,7 @@ def test_deligne_bound_numeric():
 
 def test_eigenforms_sorted_and_distinct():
     forms = hecke_eigenforms(36, horizon=60)
-    vals = [f.t2_eigenvalue for f in forms]
+    vals = [f.a[2] for f in forms]
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
     assert [f.index for f in forms] == [0, 1, 2]
 
@@ -311,7 +311,7 @@ def test_eigenform_horizon_covers_every_reader():
         assert h >= afe_cutoff(k)
         assert h >= modforms._cusp_n_eval(k, eng.y_min)
         # the readers themselves on a form of exactly that horizon
-        form = Eigenform(weight=k, index=0, t2_eigenvalue=mpf(0), v=[mpf(0)], rows=[[0] * (h + 1)])
+        form = Eigenform(weight=k, index=0, v=[mpf(0)], rows=[[0] * (h + 1)])
         pair = RankinSelbergPair(form)
         assert pair.residue_consistency() == 0.0
         assert pair.completed_l(0.5) == 0.0
@@ -370,7 +370,7 @@ def test_lam_f64_is_float_of_lam():
             lam = f.lam_f64
             assert lam is f.lam_f64  # converted once
             assert lam.dtype == np.float64 and not lam.flags.writeable
-            assert lam[1] == 1.0 and f.a[2] == f.t2_eigenvalue
+            assert lam[1] == 1.0
             assert lam.tolist() == [float(v) for v in f.lam], (k, f.index)
 
 

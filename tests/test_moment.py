@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from periodmoments import eisenstein_gl2, modforms, moment
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64
@@ -128,9 +129,48 @@ def test_regularized_bound_dominates(delta, forms24):
         regularized_bound(RankinSelbergPair(*forms24))
 
 
+def _unfolded_by_gamma_ratio(l_value, k, eps):
+    """<f E(., 1+eps), f> = Gamma(k+eps)/((4pi)^{1+eps}Gamma(k))
+    * L(f x f, 1+eps)/zeta(2+2eps), with the factor at 30 digits."""
+    with mp.workdps(30):
+        factor = (mp.gamma(k + eps) / mp.gamma(k) / (4 * mp.pi) ** (1 + eps)
+                  / mp.zeta(2 + 2 * eps))
+    return l_value * float(factor)
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_regularized_bound_against_dirichlet_sum(k):
+    # the independent route: the partial Dirichlet sum of L(f x f, 1+eps)
+    # to n = 2000 converges to 1e-12 only deep in Re s > 1 (its tail is
+    # about R / (eps 2000^eps)); at eps = 0.1 and 1 the bound is pinned to
+    # Lambda(1+eps) / gamma(1+eps) with gamma from mp instead
+    pair = RankinSelbergPair(hecke_eigenforms(k)[0])
+    pair_2000 = RankinSelbergPair(hecke_eigenforms(k, horizon=2000)[0])
+    for eps in (5.0, 10.0):
+        want = _unfolded_by_gamma_ratio(pair_2000.l_direct(1 + eps).real, k, eps)
+        got = regularized_bound(pair, eps)["unfolded"]
+        assert abs(got - want) < 1e-12 * abs(want), eps
+    for eps in (0.1, 1.0, 10.0):
+        s = 1 + eps
+        with mp.workdps(30):
+            gamma_s = float((2 * mp.pi) ** (-2 * s) * mp.gamma(s + k - 1) * mp.gamma(s))
+        want = _unfolded_by_gamma_ratio(pair.completed_l(s).real / gamma_s, k, eps)
+        reg = regularized_bound(pair, eps)
+        assert abs(reg["unfolded"] - want) < 1e-12 * abs(want), eps
+        assert reg["bound"] == reg["c_fit"] * reg["unfolded"]
+
+
+def test_moment_row_takes_its_weight_from_its_forms(delta):
+    assert moment_row([delta], eps=1.0)["k"] == 12
+    with pytest.raises(ValueError):
+        moment_row([])
+    with pytest.raises(ValueError):
+        moment_row([delta] + hecke_eigenforms(24))
+
+
 def test_moment_row_k12_single_term(delta):
-    row = moment_row(12, forms=[delta])
-    assert row["dim"] == 1
+    row = moment_row([delta])
+    assert (row["k"], row["dim"]) == (12, 1)
     assert abs(row["S_k"] - L_DELTA_CENTRAL**2) < 1e-9
     assert row["bessel_slack"] > 0
     assert row["norm_fE"] <= row["reg_bound"]
@@ -140,7 +180,7 @@ def test_moment_row_k12_single_term(delta):
 
 
 def test_moment_row_k24(forms24):
-    row = moment_row(24, forms=forms24)
+    row = moment_row(forms24)
     assert row["dim"] == 2
     assert row["bessel_slack"] > 0
     assert row["bessel_sum"] <= row["norm_fE"]
@@ -149,7 +189,8 @@ def test_moment_row_k24(forms24):
 
 
 def test_sweep_slope_bookkeeping(delta):
-    rows = moment_sweep((12, 16))
+    rows = moment_sweep({16: hecke_eigenforms(16), 12: [delta]})
+    assert [r["k"] for r in rows] == [12, 16]
     assert math.isnan(rows[0]["slope_so_far"])
     assert math.isfinite(rows[1]["slope_so_far"])
     expected = (math.log(rows[1]["S_k"]) - math.log(rows[0]["S_k"])) / (
@@ -187,13 +228,13 @@ def test_estar_memo_matches_direct_evaluation(delta):
     assert eng24.y.max() > eng.y.max()
     assert np.array_equal(eng22.estar(0.5), ev)
     for part in (strip, lune):
-        assert not part.estar[0.5].flags.writeable
+        assert not moment._part_estar(part, 0.5, eng.y_min).flags.writeable
 
 
 def test_moment_row_reuse_is_bit_identical(forms24):
     # moment_row evaluates f, g and E*(., 1/2) once on the nodes; every
     # sum must equal the one summed from scratch here, in the same order
-    row = moment_row(24, forms=forms24)
+    row = moment_row(forms24)
     eng = petersson_engine(24, 1)
     fv = eng.form_values(forms24[0])
     e_half = completed_eisenstein_f64(eng.x, eng.y, 0.5)
@@ -371,11 +412,12 @@ def test_moment_row_builds_each_diagonal_pair_once(monkeypatch, forms24):
             super().__init__(f, g)
 
     monkeypatch.setattr(moment, "RankinSelbergPair", CountedPair)
-    row = moment_row(24, forms=forms24)
+    row = moment_row(forms24)
     assert pairs == Counter({(0, 0): 1, (1, 1): 1, (0, 1): 1})
     f = forms24[0]
     for g, cv in zip(forms24, row["central_values"]):
         assert cv["norm_g"] == RankinSelbergPair(g).norm_theta()
     reg = regularized_bound(RankinSelbergPair(f))
     assert (row["reg_unfolded"], row["reg_bound"]) == (reg["unfolded"], reg["bound"])
-    assert row["lambda_star_1pe"] == RankinSelbergPair(f).completed_l_normalized(1.0 + moment.REG_EPS).real
+    assert row["lambda_star_1pe"] == reg["lambda_star"]
+    assert reg["lambda_star"] == RankinSelbergPair(f).completed_l_normalized(1.0 + moment.REG_EPS).real
