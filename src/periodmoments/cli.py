@@ -508,7 +508,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     runner = EXPERIMENTS[args.experiment]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         header, rows, checks, extra = runner(args, rng)
     except (RangeError, PoleError) as exc:
@@ -519,7 +519,7 @@ def main(argv=None):
         print("numerical failure: %s (best=%s, last_delta=%s)"
               % (exc, exc.best, exc.last_delta), file=sys.stderr)
         return 1
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     report.write_csv(out_csv, header, rows)
     params = {"seed": args.seed}

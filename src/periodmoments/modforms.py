@@ -380,9 +380,9 @@ def _eigvec_from_matrix(cmat_mpf, lam_val, d):
 # Rankin-Selberg theta profile Phi(t) and the balanced AFE sum c(n) against
 # the kernel kappa(n t); the float64 evaluators sum the q-expansion.
 
-# largest theta split t0 that production reads (residue_consistency's
-# default splits end here); Phi(1/t0) reads the most coefficients
-MAX_THETA_SPLIT = 3.0
+# the theta split t0 that production reads: every R comes from
+# residue_theta at this split, and Phi(1/t0) reads the most coefficients
+THETA_SPLIT = 2.0
 
 # lowest height of the fundamental domain: every Petersson node lies above
 FUNDAMENTAL_Y_MIN = math.sqrt(3.0) / 2
@@ -413,17 +413,17 @@ def eigenform_horizon(k: int) -> int:
     """Default q-expansion horizon of hecke_eigenforms at weight k: the last
     index that a production reader of lam(n) reaches.
 
-    The readers are the theta profile at t = 1/MAX_THETA_SPLIT (the R of
-    residue_theta and of residue_consistency's default splits), the
-    balanced AFE, and the float64 evaluators down to FUNDAMENTAL_Y_MIN,
-    where every Petersson node lies.  The theta profile reads the most,
-    about 3((k+140)/4pi)^2: 440 at k = 12, 617 at k = 40.  lam(n) does
-    not depend on the horizon, so longer sums (l_direct deep in Re s > 1,
-    splits past MAX_THETA_SPLIT, heights below FUNDAMENTAL_Y_MIN) pass
+    The readers are the theta profile at t = 1/THETA_SPLIT (the R of
+    residue_theta at its default split), the balanced AFE, and the
+    float64 evaluators down to FUNDAMENTAL_Y_MIN, where every Petersson
+    node lies.  The theta profile reads the most, about
+    2((k+140)/4pi)^2: 294 at k = 12, 412 at k = 40.  lam(n) does not
+    depend on the horizon, so longer sums (l_direct deep in Re s > 1,
+    splits past THETA_SPLIT, heights below FUNDAMENTAL_Y_MIN) pass
     hecke_eigenforms a larger horizon and read the same values.
     """
     return max(
-        theta_cutoff(k, 1.0 / MAX_THETA_SPLIT),
+        theta_cutoff(k, 1.0 / THETA_SPLIT),
         afe_cutoff(k),
         _cusp_n_eval(k, FUNDAMENTAL_Y_MIN),
     )

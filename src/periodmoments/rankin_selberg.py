@@ -29,16 +29,18 @@ route (moment module).
 
 Incomplete Mellin integrals are evaluated on sqrt-spaced panels with a
 shared Gauss-Legendre rule, log-space shifts per panel, and a suffix
-accumulation that yields all n cutoffs in one pass.
+accumulation that yields all n cutoffs in one pass.  The nodes and
+K_{k-1} on them depend on (k, n) only, so every w of a weight reads one
+node table (_bessel_nodes) and evaluates kve once.
 """
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, kve
 
-from .modforms import MAX_THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
+from .modforms import THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
 from .precision import PoleError
 from .special import _leggauss
 
@@ -57,28 +59,45 @@ def kappa_log(k: int, x):
     )
 
 
-@cache
-def _mellin_suffix_table(k: int, w: complex, n_max: int):
-    """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
+@lru_cache(maxsize=1)
+def _bessel_nodes(k: int, n_max: int):
+    """(u, log u, log kve(k-1, u), half, gl_weights): the panel nodes of
+    _mellin_suffix_table and the w-independent part of its integrand.
 
-    Returns read-only (shift, scaled) arrays indexed 1..n_max:
-    I(n) = exp(shift) * scaled.  Panels between consecutive 4 pi sqrt(j);
-    the continuation panels past n_max stop once their contribution falls
-    60 e-folds under the running maximum.  Built once per process and
-    (k, w, n_max): it depends on nothing else, and every pair of weight k
-    reads the same table at the same s (both halves of the AFE at s = 1/2).
+    Panels run between consecutive 4 pi sqrt(j), j = 1..n_max, then up to
+    240 continuation panels; u has shape (panels, 12) and half holds the
+    panel half-widths.  Read-only.  One entry: the callers read every w
+    of one weight before the next weight (moment_row, unfold_rows).
     """
-    exponent = k + 2 * w - 2
-    # panels 1..n_max, then up to 240 continuation panels
     breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
     lo = breaks[:-1]
     hi = breaks[1:]
     mid = (hi + lo) / 2
     half = (hi - lo) / 2
-    # nodes: (n_panels, 12)
     gl_nodes, gl_weights = _leggauss(12)
     u = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    log_l = exponent * np.log(u) + np.log(kve(k - 1, u)) - u
+    log_u = np.log(u)
+    log_kv = np.log(kve(k - 1, u))
+    for a in (u, log_u, log_kv, half):
+        a.flags.writeable = False
+    return u, log_u, log_kv, half, gl_weights
+
+
+@cache
+def _mellin_suffix_table(k: int, w: complex, n_max: int):
+    """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
+
+    Returns read-only (shift, scaled) arrays indexed 1..n_max:
+    I(n) = exp(shift) * scaled.  The integrand on the panels of
+    _bessel_nodes is exp((k+2w-2) log u + log kve - u); the continuation
+    panels past n_max stop once their contribution falls 60 e-folds under
+    the running maximum.  Built once per process and (k, w, n_max): it
+    depends on nothing else, and every pair of weight k reads the same
+    table at the same s (both halves of the AFE at s = 1/2).
+    """
+    exponent = k + 2 * w - 2
+    u, log_u, log_kv, half, gl_weights = _bessel_nodes(k, n_max)
+    log_l = exponent * log_u + log_kv - u
     shift = np.max(log_l.real, axis=1)
     panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
     # drop negligible continuation panels (they only pad the last suffix)
@@ -149,8 +168,9 @@ class RankinSelbergPair:
     def c_table(self, n_max: int):
         """c(1..n_max) as a read-only float array (index 0 unused)."""
         if n_max >= len(self._pair_coeff):
-            raise ValueError("eigenform horizon %d too small for c(%d)" %
-                             (len(self._pair_coeff) - 1, n_max))
+            raise ValueError("eigenform horizon %d too small for c(%d); build the "
+                             "forms with hecke_eigenforms(%d, horizon=%d)"
+                             % (len(self._pair_coeff) - 1, n_max, self.k, n_max))
         return self._c[: n_max + 1]
 
     # ---------------- theta profile and residue ----------------
@@ -165,7 +185,7 @@ class RankinSelbergPair:
         ns = np.arange(1, n + 1, dtype=float)
         return float(np.sum(c[1:] * np.exp(kappa_log(self.k, ns * t))))
 
-    def residue_theta(self, t0: float = 2.0) -> float:
+    def residue_theta(self, t0: float = THETA_SPLIT) -> float:
         """R = res_{s=1} Lambda(s) from Phi(1/t0) = t0 Phi(t0) + R t0 - R."""
         t0 = float(t0)
         if t0 <= 0 or abs(t0 - 1.0) < 1e-6:
@@ -177,8 +197,13 @@ class RankinSelbergPair:
         # R at the default split, computed once per pair
         return self.residue_theta()
 
-    def residue_consistency(self, t0s=(1.6, 2.0, MAX_THETA_SPLIT)) -> float:
-        """Max |R(t0) - R(t0_ref)| over split points, absolute scale."""
+    def residue_consistency(self, t0s) -> float:
+        """Max |R(t0) - R(t0_ref)| over split points, absolute scale.
+
+        A split t0 reads c(n) up to theta_cutoff(k, 1/t0); the default
+        horizon reaches t0 <= THETA_SPLIT, further splits want forms built
+        with a larger horizon.
+        """
         vals = [self.residue_theta(t) for t in t0s]
         return max(vals) - min(vals)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_epstein_fe_roundtrip(tmp_path):
     for c in doc["checks"]:
         assert set(c) == {"name", "value", "tolerance", "pass"}
         assert c["pass"] is True
+
+
+def test_wall_time_survives_a_clock_step(tmp_path, monkeypatch):
+    # the system clock steps back an hour mid-run (a time-sync correction):
+    # the run is timed on a monotonic clock, so wall_time_s stays >= 0
+    real_time = time.time
+    runner = cli.EXPERIMENTS["epstein-fe"]
+
+    def stepped(args, rng):
+        monkeypatch.setattr(time, "time", lambda: real_time() - 3600.0)
+        return runner(args, rng)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "epstein-fe", stepped)
+    json_p = tmp_path / "out.json"
+    rc = run(["epstein-fe", "--n", "2", "--samples", "2",
+              "--output", str(tmp_path / "out.csv"), "--summary", str(json_p)])
+    assert rc == 0
+    assert json.loads(json_p.read_text())["wall_time_s"] >= 0
 
 
 def test_csv_byte_identical_across_runs(tmp_path):

@@ -300,23 +300,29 @@ def test_miller_basis_matches_rational_echelon():
 
 def test_eigenform_horizon_covers_every_reader():
     # the default horizon reaches every index production reads: the theta
-    # profile at the largest split's 1/t0, the AFE and the Petersson grid
+    # profile at 1/t0 of residue_theta's split, the AFE and the Petersson
+    # grid
     from periodmoments.moment import PeterssonEngine
     from periodmoments.rankin_selberg import RankinSelbergPair
 
     for k in DEFAULT_WEIGHTS + (128,):
         h = eigenform_horizon(k)
         eng = PeterssonEngine(k)
-        assert h >= theta_cutoff(k, 1.0 / 3.0)
+        assert h >= theta_cutoff(k, 1.0 / 2.0)
         assert h >= afe_cutoff(k)
         assert h >= modforms._cusp_n_eval(k, eng.y_min)
-        # the readers themselves on a form of exactly that horizon
+        # the production readers themselves on a form of exactly that horizon
         form = Eigenform(weight=k, index=0, v=[mpf(0)], rows=[[0] * (h + 1)])
         pair = RankinSelbergPair(form)
-        assert pair.residue_consistency() == 0.0
+        assert pair.norm_theta() == 0.0
         assert pair.completed_l(0.5) == 0.0
         assert not np.any(eng.form_values(form))
-    assert [eigenform_horizon(k) for k in (12, 40)] == [440, 617]
+    assert [eigenform_horizon(k) for k in (12, 40)] == [294, 412]
+    # a split past THETA_SPLIT reads past the default horizon, and the
+    # error names the fix
+    pair = RankinSelbergPair(hecke_eigenforms(12)[0])
+    with pytest.raises(ValueError, match="hecke_eigenforms"):
+        pair.residue_consistency((1.6, 2.0, 3.0))
 
 
 @pytest.mark.parametrize("k", [12, 24, 40])

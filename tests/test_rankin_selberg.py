@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.special import kve
 
 from periodmoments import rankin_selberg
 from periodmoments.modforms import afe_cutoff, hecke_eigenforms
+from periodmoments.moment import unfold_rows
 from periodmoments.precision import PoleError
 from periodmoments.rankin_selberg import RankinSelbergPair, kappa_log
 
@@ -26,8 +28,8 @@ def delta_pair():
 
 @pytest.fixture(scope="module")
 def delta_pair_2000():
-    # past the default horizon: splits beyond MAX_THETA_SPLIT and direct
-    # sums deep in Re s > 1 read further than production does
+    # past the default horizon: splits beyond residue_theta's default and
+    # direct sums deep in Re s > 1 read further than production does
     return RankinSelbergPair(hecke_eigenforms(12, horizon=2000)[0])
 
 
@@ -86,9 +88,9 @@ def test_theta_relation_unused_splits(delta_pair_2000):
         assert abs(resid) < 1e-12 * (abs(R) + 1.0), t0
 
 
-def test_residue_split_independence(delta_pair):
-    R = delta_pair.residue_theta(2.0)
-    assert delta_pair.residue_consistency((1.6, 2.0, 3.0)) < 1e-12 * abs(R)
+def test_residue_split_independence(delta_pair_2000):
+    R = delta_pair_2000.residue_theta(2.0)
+    assert delta_pair_2000.residue_consistency((1.6, 2.0, 3.0)) < 1e-12 * abs(R)
 
 
 def test_afe_matches_direct_sum(delta_pair_2000):
@@ -192,3 +194,77 @@ def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
                 if n % (d * d) == 0:
                     want += coeff[n // (d * d)]
             assert c[n] == want
+
+
+def mellin_table_from_scratch(k, w, n_max):
+    # oracle: the suffix table with kve evaluated on the nodes for this w
+    # alone, written out in full
+    exponent = k + 2 * w - 2
+    breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
+    lo = breaks[:-1]
+    hi = breaks[1:]
+    mid = (hi + lo) / 2
+    half = (hi - lo) / 2
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
+    u = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    log_l = exponent * np.log(u) + np.log(kve(k - 1, u)) - u
+    shift = np.max(log_l.real, axis=1)
+    panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
+    peak = shift.max()
+    last = len(panel)
+    for j in range(n_max, len(panel)):
+        if shift[j] < peak - 60.0 - math.log1p(abs(panel[j])):
+            last = j + 1
+            break
+    out_shift = np.empty(n_max)
+    out_val = np.empty(n_max, dtype=complex)
+    run_m = -np.inf
+    run_s = 0.0 + 0.0j
+    for j in range(last - 1, -1, -1):
+        if shift[j] > run_m:
+            run_s = run_s * math.exp(run_m - shift[j]) + panel[j]
+            run_m = shift[j]
+        else:
+            run_s = run_s + panel[j] * math.exp(shift[j] - run_m)
+        if j < n_max:
+            out_shift[j] = run_m
+            out_val[j] = run_s
+    return out_shift, out_val
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_mellin_tables_from_shared_nodes_match_from_scratch(k):
+    # every w of a weight reads one node table; each table equals, bit for
+    # bit, the one built with kve evaluated for that w alone
+    n = afe_cutoff(k)
+    rankin_selberg._mellin_suffix_table.cache_clear()
+    rankin_selberg._bessel_nodes.cache_clear()
+    for w in (0.5, 0.75, 1.1, -0.1, 0.5 + 3j):
+        got = rankin_selberg._mellin_suffix_table(k, w, n)
+        want = mellin_table_from_scratch(k, w, n)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), (k, w)
+    assert rankin_selberg._bessel_nodes.cache_info()[:2] == (4, 1)  # hits, misses
+    for a in rankin_selberg._bessel_nodes(k, n):
+        assert not a.flags.writeable
+
+
+def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
+    # five w (s and 1 - s at three s) share one node table: kve runs on the
+    # (panels, 12) node grid once; the theta profile's kve is 1-d
+    forms = hecke_eigenforms(40)
+    rankin_selberg._mellin_suffix_table.cache_clear()
+    rankin_selberg._bessel_nodes.cache_clear()
+    grids = []
+    real = rankin_selberg.kve
+
+    def counted(v, u):
+        if np.ndim(u) == 2:
+            grids.append(np.shape(u))
+        return real(v, u)
+
+    monkeypatch.setattr(rankin_selberg, "kve", counted)
+    rows = unfold_rows(forms, (0.5, 0.75, 1.25))
+    assert len(rows) == len(forms) ** 2 * 3
+    assert rankin_selberg._mellin_suffix_table.cache_info().currsize == 5
+    assert grids == [(afe_cutoff(40) + 240, 12)]
