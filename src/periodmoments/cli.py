@@ -92,7 +92,7 @@ def run_moment(args, rng):
     weights = [k for k in range(k_lo, args.k_max + 1, 2) if cusp_dim(k) >= 1]
     if not weights:
         raise RangeError("no weights with cusp forms in [%d, %d]" % (args.k_min, args.k_max))
-    rows_data = moment_sweep(_forms_by_weight(weights), eps=args.eps)
+    rows_data = moment_sweep(_forms_by_weight(weights))
     header = ["k", "dim", "S_k", "S_k_str", "norm_fE", "bessel_slack", "slope_so_far"]
     rows = [
         [r["k"], r["dim"], r["S_k"], report.hp_str(r["S_k"]), r["norm_fE"],
@@ -104,8 +104,7 @@ def run_moment(args, rng):
     if len(rows_data) >= 2:
         slope = rows_data[-1]["slope_so_far"]
         checks.append(report.check("loglog_slope", slope, SLOPE_MAX, slope <= SLOPE_MAX))
-    extra = {"weights": weights, "eps": args.eps}
-    return header, rows, checks, extra
+    return header, rows, checks, {"weights": weights}
 
 
 def run_unfold_check(args, rng):
@@ -371,15 +370,6 @@ def nonnegative_int(text):
     return value
 
 
-def positive_float(text):
-    """argparse type of moment's eps: a finite float > 0 (eps <= 0 puts
-    the regularized bound on or past the pole of L(f x f, s) at s = 1)."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a finite number above 0, got %r" % text)
-    return value
-
-
 def finite_float(text):
     """argparse type of unfold-check's s and lemma1's eps: a finite float
     (nan or inf would reach the checks as a nan error or a nan slope)."""
@@ -408,7 +398,6 @@ def build_parser():
     p = sub.add_parser("moment", help="second-moment sweep over even weights")
     p.add_argument("--k-min", type=int, default=12)
     p.add_argument("--k-max", type=int, default=40)
-    p.add_argument("--eps", type=positive_float, default=0.1)
     subparsers["moment"] = p
 
     p = sub.add_parser("unfold-check", help="two-route unfolding agreement at one weight")
@@ -490,13 +479,17 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, _ = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
         if args.config is not None:
             # config values go through the parser as flags placed before
             # the explicit ones, so explicit flags still win
             known = set(vars(args)) - {"experiment"}
             tokens = _config_tokens(args.config, known)
-            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            args, extra = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+        if extra:
+            # parse_args would exit through argparse's own error(), which
+            # exit_on_error=False does not cover for leftover tokens
+            raise ValueError("unrecognized arguments: %s" % " ".join(extra))
         out_csv = _writable(args.output or ("%s.csv" % args.experiment))
         out_json = _writable(args.summary or (os.path.splitext(out_csv)[0] + ".json"))
         if os.path.realpath(out_csv) == os.path.realpath(out_json):

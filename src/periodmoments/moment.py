@@ -22,8 +22,8 @@ separable (radial factor in y times a phase in x per Fourier term), and
 their one float64 evaluator each tabulates both factors before they
 broadcast, so the strip costs a 1-D table per axis.  Both parts are
 truncated at the smallest height of the nodes, a lune node's.  Form
-values are not memoized: moment_row and unfold_rows evaluate each form
-once per weight and pair the arrays they keep.
+values are not memoized: unfold_rows evaluates each form once per weight,
+moment_row its reference form, and each pairs the arrays it keeps.
 
 Unfolding identity driving the cross-checks: for eigenforms f, g and the
 completed degenerate series E*,
@@ -33,8 +33,8 @@ completed degenerate series E*,
 
 so quadrature on the left meets the approximate-functional-equation route
 on the right through entirely different machinery.  unfold_rows pairs
-every two forms of one weight this way, moment_row the reference form
-with each form at s = 1/2, and inner_product gives <f, g>_k alone (the
+every two forms of one weight this way (at s = 1/2 it is the period route
+to the central values), and inner_product gives <f, g>_k alone (the
 Petersson norm); each has one code path.  The node-doubling shift of a
 pairing is its value at refine 2 minus its value at refine 1.
 
@@ -51,8 +51,10 @@ the eigenform with smallest T_2 eigenvalue, B_k the eigenbasis):
       (the unfolding identity at s = 1+eps, with E = E*/lambda(2s);
       Lambda* by the AFE)
 
-and the growth exponent of S(k) in k is the monitored quantity (predicted
-1 + eps; the sweep fits the log-log slope).
+moment_row reports the first three links, regularized_bound(pair, eps)
+the last two for the diagonal pair (f, f); the growth exponent of S(k) in
+k is the monitored quantity (predicted 1 + eps; the sweep fits the
+log-log slope).
 """
 
 import math
@@ -335,17 +337,17 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
     }
 
 
-def moment_row(forms, eps: float = REG_EPS) -> dict:
+def moment_row(forms) -> dict:
     """Central second-moment data at the weight k of forms, the
-    eigenbasis of S_k.
+    eigenbasis of S_k: the first three links of the chain in the module
+    docstring.
 
     Reference form f: smallest T_2 eigenvalue (construction order).  Norms
     <g,g> come from the theta route; the Bessel ceiling from quadrature.
-    Every link of the chain in the module docstring is reported.  f, each
-    g and E*(., 1/2) are evaluated on the nodes once, and each form's
-    diagonal pair (g, g) is built once: it gives <g, g>, and for g = f
-    also L(f x f, 1/2) and the regularized bound with its
-    Lambda*(f x f, 1 + eps).
+    Central values come from the AFE; unfold_rows(forms, [0.5]) is their
+    period route.  f and E*(., 1/2) are evaluated on the nodes once, and
+    each form's diagonal pair (g, g) is built once: it gives <g, g>, and
+    for g = f also L(f x f, 1/2).
     """
     if not forms:
         raise ValueError("no cusp forms to pair")
@@ -367,18 +369,8 @@ def moment_row(forms, eps: float = REG_EPS) -> dict:
         norm_g = g_pair.norm_theta()
         s_k += l_afe**2
         bessel_sum += lam_star**2 / norm_g
-        gv = fv if g is f else eng.form_values(g)
-        quad = _pairing(eng, fv, gv, e_half).real
-        central.append(
-            {
-                "g_index": g.index,
-                "L_afe": l_afe,
-                "L_period": quad * rescale,
-                "norm_g": norm_g,
-            }
-        )
+        central.append({"g_index": g.index, "L_afe": l_afe, "norm_g": norm_g})
     ceiling = eng.integrate(np.abs(fv) ** 2 * e_half**2).real
-    reg = regularized_bound(f_pair, eps=eps)
     return {
         "k": k,
         "dim": len(forms),
@@ -386,21 +378,17 @@ def moment_row(forms, eps: float = REG_EPS) -> dict:
         "bessel_sum": bessel_sum,
         "norm_fE": ceiling,
         "bessel_slack": (ceiling - bessel_sum) / ceiling,
-        "reg_unfolded": reg["unfolded"],
-        "reg_c_fit": reg["c_fit"],
-        "reg_bound": reg["bound"],
-        "lambda_star_1pe": reg["lambda_star"],
         "central_values": central,
     }
 
 
-def moment_sweep(forms_by_k, eps: float = REG_EPS) -> list:
+def moment_sweep(forms_by_k) -> list:
     """Rows for each weight of forms_by_k ({k: eigenforms of weight k}),
     in ascending k, plus the cumulative log-log slope of S(k)."""
     rows = []
     logs = []
     for k in sorted(forms_by_k):
-        row = moment_row(forms_by_k[k], eps=eps)
+        row = moment_row(forms_by_k[k])
         logs.append((math.log(k), math.log(row["S_k"])))
         if len(logs) >= 2:
             xs = np.array([p[0] for p in logs])

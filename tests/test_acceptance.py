@@ -40,7 +40,7 @@ from periodmoments import cli, spectral
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64, residue_at_one
 from periodmoments.epstein import gln_completed_eisenstein_f64
 from periodmoments.modforms import cusp_dim, hecke_eigenforms
-from periodmoments.moment import moment_sweep, norm_quadrature, unfold_rows
+from periodmoments.moment import moment_sweep, norm_quadrature, regularized_bound, unfold_rows
 from periodmoments.rankin_selberg import RankinSelbergPair
 from periodmoments.special import gamma_r, zeta
 
@@ -72,8 +72,9 @@ def moment_run():
     t0 = time.perf_counter()
     # largest weight first, as the CLI builds them: smaller weights slice
     # its Miller products
-    rows = moment_sweep({k: hecke_eigenforms(k) for k in reversed(weights)})
-    return rows, time.perf_counter() - t0
+    forms_by_k = {k: hecke_eigenforms(k) for k in reversed(weights)}
+    rows = moment_sweep(forms_by_k)
+    return rows, time.perf_counter() - t0, forms_by_k
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ def test_eisenstein_residue_constant():
 
 
 def test_moment_bessel_inequality(moment_run):
-    rows, wall = moment_run
+    rows, wall, _ = moment_run
     worst = np.min([r["bessel_slack"] / r["norm_fE"] for r in rows])
     ok = worst >= -1e-9 and wall <= 3600
     assert report("Bessel inequality at every even k in [12,40]", ok,
@@ -195,16 +196,19 @@ def test_moment_slope_bound(moment_run):
     # The growth exponent, measured on the moment of L2-normalized f and g that
     # the period integral sees (central_values[0] is f):
     #   M(k) = sum_g L(f x g, 1/2)^2 / (<f,f><g,g>) = R(k) bessel_sum / <f,f>
-    #       <= R(k) reg_bound / <f,f> = B(k),   R(k) = 4 pi (Gamma(k)/Gamma(k-1/2))^2.
+    #       <= R(k) bound / <f,f> = B(k),   R(k) = 4 pi (Gamma(k)/Gamma(k-1/2))^2,
+    # with bound = C_fit <f E(., 1+eps), f> from regularized_bound.
     # B(k) carries k^{1+eps} through R(k) Gamma(k+eps)/Gamma(k).  S(k) weights
     # every g alike, so its slope follows the diagonal term g = f.
-    rows, _ = moment_run
+    rows, _, forms_by_k = moment_run
     ks = np.array([r["k"] for r in rows], dtype=float)
     r_k = 4 * math.pi * np.exp(2 * (gammaln(ks) - gammaln(ks - 0.5)))
     norm_f = np.array([r["central_values"][0]["norm_g"] for r in rows])
     harmonic = np.array([sum(c["L_afe"] ** 2 / c["norm_g"] for c in r["central_values"])
                          for r in rows]) / norm_f
-    bound = r_k * np.array([r["reg_bound"] for r in rows]) / norm_f
+    reg = np.array([regularized_bound(RankinSelbergPair(forms_by_k[r["k"]][0]))["bound"]
+                    for r in rows])
+    bound = r_k * reg / norm_f
     m_slope, m_err = loglog_fit(ks, harmonic)
     b_slope, b_err = loglog_fit(ks, bound)
     _, s_err = loglog_fit(ks, [r["S_k"] for r in rows])

@@ -116,10 +116,19 @@ def test_bad_config_exits_2(tmp_path):
     assert run(["epstein-fe", "--config", str(missing)]) == 2
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["stade", "--badflag"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(tmp_path, capsys):
+    # tokens no option takes (an unknown flag, the removed moment --eps, a
+    # config list for a one-value option) are config errors like any other,
+    # not argparse's own exit with a usage dump
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": [3, 4]}))
+    out = tmp_path / "o.csv"
+    for argv in (["stade", "--badflag"], ["moment", "--eps", "0.1"],
+                 ["epstein-fe", "--config", str(cfg)]):
+        rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+        assert rc == 2, argv
+        _one_config_error_line(capsys)
+        assert not out.exists()
 
 
 def test_empty_weight_range_exits_2(tmp_path):
@@ -365,16 +374,14 @@ def test_empty_or_degenerate_counts_exit_2(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["unfold-check", "--k", "12", "--s", "1e-9"],
     ["unfold-check", "--k", "12", "--s", "1.00000001"],
-    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "0"],
-    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "-1"],
     ["unfold-check", "--k", "12", "--s", "nan"],
     ["unfold-check", "--k", "12", "--s", "inf"],
     ["lemma1", "--eps", "nan"],
 ])
 def test_poles_exit_2(tmp_path, capsys, argv):
-    # s on a pole of Lambda(f x g, s), or eps that puts the regularized
-    # bound there, is a configuration error, not a traceback; so is a nan
-    # or infinite s or eps (--s nan used to PASS: max(0.0, nan) is 0.0)
+    # s on a pole of Lambda(f x g, s) is a configuration error, not a
+    # traceback; so is a nan or infinite s or eps (--s nan used to PASS:
+    # max(0.0, nan) is 0.0)
     out = tmp_path / "o.csv"
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
@@ -520,13 +527,12 @@ def test_negative_seed_exits_2_before_the_run(tmp_path, capsys, monkeypatch, sou
 @pytest.mark.parametrize("argv", [
     ["lemma1", "--n", "2", "--samples", "5", "--eps=1000"],
     ["lemma1", "--n", "2", "--samples", "5", "--eps=-1000"],
-    ["moment", "--k-min", "12", "--k-max", "12", "--eps", "200"],
-], ids=["lemma1-overflow", "lemma1-underflow", "moment-overflow"])
+], ids=["lemma1-overflow", "lemma1-underflow"])
 def test_eps_out_of_float64_range_exits_2(tmp_path, capsys, recwarn, argv):
-    # det^(1/2 + eps) or Gamma(k + eps) / Gamma(k) past float64's range is
-    # a configuration error, not an OverflowError or ZeroDivisionError, and
-    # its one line is all of stderr: a warning on the way (numpy's overflow
-    # warnings, which pytest records instead of printing) would be more
+    # det^(1/2 + eps) past float64's range is a configuration error, not
+    # an OverflowError or ZeroDivisionError, and its one line is all of
+    # stderr: a warning on the way (numpy's overflow warnings, which pytest
+    # records instead of printing) would be more
     out = tmp_path / "o.csv"
     rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
     assert rc == 2
