@@ -374,6 +374,8 @@ def test_empty_or_degenerate_counts_exit_2(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["unfold-check", "--k", "12", "--s", "1e-9"],
     ["unfold-check", "--k", "12", "--s", "1.00000001"],
+    ["unfold-check", "--k", "12", "--s", "0"],
+    ["unfold-check", "--k", "12", "--s", "1"],
     ["unfold-check", "--k", "12", "--s", "nan"],
     ["unfold-check", "--k", "12", "--s", "inf"],
     ["lemma1", "--eps", "nan"],
