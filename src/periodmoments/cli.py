@@ -35,7 +35,7 @@ from .epstein import (
 from .modforms import cusp_dim, hecke_eigenforms
 from .moment import moment_sweep, norm_quadrature, petersson_engine, unfold_rows
 from .precision import NonConvergenceError, PoleError, RangeError
-from .rankin_selberg import RankinSelbergPair
+from .rankin_selberg import RankinSelbergPair, check_float64_range
 from .special import dirichlet_beta, zeta
 
 # The max_*_rel_err checks fold their errors with np.maximum, which
@@ -72,14 +72,16 @@ def _forms(k):
 
 
 def _forms_by_weight(weights):
-    """Eigenforms of each weight, once every weight has passed the
-    Petersson engine's range check, so that a weight out of its range
-    exits 2 before any form is built.  The largest weight comes first:
-    its horizon is the largest, so the shared Miller products are built
-    once and every smaller weight slices them."""
+    """Eigenforms of each weight, once every weight has passed the range
+    checks of the Petersson engine and of the theta profile and AFE, so
+    that a weight out of either range exits 2 before any form is built.
+    The largest weight comes first: its horizon is the largest, so the
+    shared Miller products are built once and every smaller weight slices
+    them."""
     weights = sorted(set(weights), reverse=True)
     for k in weights:
         petersson_engine(k, 1)
+        check_float64_range(k)
     return {k: _forms(k) for k in weights}
 
 
@@ -392,7 +394,9 @@ def build_parser():
         description="numerical experiments for period integrals and Rankin-Selberg moments",
         exit_on_error=False,
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    # not required: argparse reports a missing required subcommand through
+    # its own error(), which exits even with exit_on_error=False
+    sub = parser.add_subparsers(dest="experiment")
     subparsers = {}
 
     p = sub.add_parser("moment", help="second-moment sweep over even weights")
@@ -480,6 +484,8 @@ def main(argv=None):
     parser, _ = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
+        if args.experiment is None:
+            raise ValueError("no experiment given; choose one of %s" % ", ".join(EXPERIMENTS))
         if args.config is not None:
             # config values go through the parser as flags placed before
             # the explicit ones, so explicit flags still win

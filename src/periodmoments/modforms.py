@@ -1,12 +1,13 @@
 """Exact holomorphic cusp forms for the full modular group.
 
 Everything up to the Hecke eigenbasis is exact: the q-expansions of E4,
-E6, Delta, the Miller (echelon) basis of S_k, the Hecke matrices and
-their characteristic polynomials are integer arithmetic.  The T_2
-eigenvalues and eigenvectors v are found in high-precision floating
-point; the expansions stay exact: a(n) = sum_i v_i g_i(n) is an integer
-combination of the binary mantissas of v, up to the horizon that the
-readers of lam(n) need (eigenform_horizon).  Coefficients are
+E6, Delta, the Miller (echelon) basis of S_k and the Hecke matrices are
+integer arithmetic.  The T_2 eigenvectors v come from one eigen-solve of
+the balanced T_2 matrix in high-precision floating point (the exact
+characteristic polynomial, charpoly, is the tests' oracle for the
+eigenvalues); the expansions stay exact: a(n) = sum_i v_i g_i(n) is an
+integer combination of the binary mantissas of v, up to the horizon that
+the readers of lam(n) need (eigenform_horizon).  Coefficients are
 Hecke-normalized:
 
     lam(n) = a(n) / n^{(k-1)/2},   a(1) = 1,
@@ -53,7 +54,7 @@ __all__ = [
 # even weights with dim S_k >= 1 up to 40; 14 enters nothing (dim 0)
 DEFAULT_WEIGHTS = (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
 
-# decimal digits for the Hecke roots and eigenvectors in hecke_eigenforms
+# decimal digits of the T_2 eigen-solve in hecke_eigenforms
 HECKE_DPS = 60
 
 
@@ -337,43 +338,48 @@ def _rounded_lam(a_n: int, e: int, n: int, k: int) -> float:
     return -mag if a_n < 0 else mag
 
 
-def _polyroots_real(coeffs):
-    # coeffs: monic integer coefficients, highest degree first; real roots sorted
+def _t2_eigenbasis(cmat, k: int):
+    """Eigenvectors v of C^T, v_1 = 1, for the T_2 matrix C on the Miller
+    basis, sorted by their real, distinct eigenvalues: one mp.eig in
+    HECKE_DPS digits of B = D^-1 C^T D, D = diag(2^e_i), and v = D w.
+
+    By Deligne the entries of C span hundreds of orders of magnitude; D
+    balances B (Parlett and Reinsch, Numer. Math. 13, 1969), without which
+    the eigenvectors lose every digit from k = 120 on.  Each index is
+    rescaled while that cuts its off-diagonal row plus column sum by 5%.
+    """
+    d = len(cmat)
     with mp.workdps(HECKE_DPS):
-        cs = [mpf(c) for c in coeffs]
+        b = [[mpf(cmat[j][i]) for j in range(d)] for i in range(d)]
+        e = [0] * d
+        moved = True
+        while moved:
+            moved = False
+            for i in range(d):
+                col = sum(abs(b[j][i]) for j in range(d) if j != i)
+                row = sum(abs(b[i][j]) for j in range(d) if j != i)
+                m = (mp.mag(row) - mp.mag(col)) // 2 if col and row else 0
+                if m and mp.ldexp(col, m) + mp.ldexp(row, -m) < mpf(0.95) * (col + row):
+                    moved = True
+                    e[i] += m
+                    for j in range(d):
+                        b[j][i] = mp.ldexp(b[j][i], m)
+                        b[i][j] = mp.ldexp(b[i][j], -m)
         try:
-            roots = mp.polyroots(cs, maxsteps=200, extraprec=80)
-        except mp.NoConvergence as exc:
+            lams, w = mp.eig(mp.matrix(b))
+        except RuntimeError as exc:
             # mpmath keeps neither the last iterate nor its step
-            raise NonConvergenceError(
-                "Hecke polynomial of degree %d: %s" % (len(cs) - 1, exc)
-            ) from exc
-        out = []
-        for r in roots:
-            if abs(mp.im(r)) > mpf(10) ** (-HECKE_DPS // 2) * (1 + abs(r)):
-                raise NonConvergenceError("nonreal Hecke root %s" % r)
-            out.append(mp.re(r))
-        return sorted(out)
-
-
-def _eigvec_from_matrix(cmat_mpf, lam_val, d):
-    # solve C^T v = lam v with v_1 = 1; rows of (C^T - lam I)
-    # give an overdetermined consistent system for v_2..v_d
-    if d == 1:
-        return [mpf(1)]
-    with mp.workdps(HECKE_DPS):
-        A = mp.matrix(d, d)
-        for i in range(d):
-            for j in range(d):
-                A[i, j] = cmat_mpf[j][i] - (lam_val if i == j else 0)
-        B = mp.matrix(d, d - 1)
-        rhs = mp.matrix(d, 1)
-        for r in range(d):
-            for c in range(1, d):
-                B[r, c - 1] = A[r, c]
-            rhs[r] = -A[r, 0]
-        sol = mp.qr_solve(B, rhs)[0]
-        return [mpf(1)] + [sol[i] for i in range(d - 1)]
+            raise NonConvergenceError("T_2 eigen-solve of size %d: %s" % (d, exc)) from exc
+        for lam in lams:
+            if abs(mp.im(lam)) > mpf(10) ** (-HECKE_DPS // 2) * (1 + abs(lam)):
+                raise NonConvergenceError("nonreal T_2 eigenvalue %s" % lam)
+        order = sorted(range(d), key=lambda c: mp.re(lams[c]))
+        spectrum = [mp.re(lams[c]) for c in order]
+        sep = min((y - x for x, y in zip(spectrum, spectrum[1:])), default=mpf(1))
+        if sep < (1 + max(abs(x) for x in spectrum)) * mpf(10) ** (-HECKE_DPS // 3):
+            raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
+        dw = [[w[i, c] * mp.ldexp(1, e[i]) for i in range(d)] for c in order]
+        return [[mpf(1)] + [mp.re(x / v[0]) for x in v[1:]] for v in dw]
 
 
 # The production readers of lam(n) and the last index each reads.  The
@@ -432,15 +438,17 @@ def eigenform_horizon(k: int) -> int:
 def hecke_eigenforms(k: int, horizon: int = None):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue,
     with coefficients for n <= horizon (default eigenform_horizon(k)).
-    Only the T_2 roots and the eigenvectors are computed here in
-    HECKE_DPS digits; lam(n) is read from the exact expansion (Eigenform).
+    Only the T_2 eigenvectors come from floating point, one balanced
+    eigen-solve in HECKE_DPS digits (_t2_eigenbasis); lam(n) is read from
+    the exact expansion (Eigenform).
 
     Each coefficient is the same at any horizon that includes it: the
     echelon basis is unique and the eigenvectors come from the T_2 matrix
     alone.  T_2 alone separates the forms: its characteristic polynomial is
     irreducible over Q, so its roots are simple (Maeda's conjecture,
-    verified far beyond these weights).  Roots too close to tell apart
-    raise NonConvergenceError.
+    verified far beyond these weights).  Eigenvalues too close to tell
+    apart, and an eigen-solve that does not converge, raise
+    NonConvergenceError.
     """
     d = cusp_dim(k)
     if d == 0:
@@ -448,19 +456,8 @@ def hecke_eigenforms(k: int, horizon: int = None):
     if horizon is None:
         horizon = eigenform_horizon(k)
     basis = miller_basis(k, horizon)
-    cmat = hecke_matrix(k, 2, basis)
-    with mp.workdps(HECKE_DPS):
-        roots = _polyroots_real(charpoly(cmat))
-        scale = 1 + max(abs(r) for r in roots)
-        sep = min((b - a for a, b in zip(roots, roots[1:])), default=mpf(1))
-        if sep < scale * mpf(10) ** (-HECKE_DPS // 3):
-            raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
-        cmat_mpf = [[mpf(c) for c in row] for row in cmat]
-        forms = []
-        for idx, lam_val in enumerate(roots):
-            v = _eigvec_from_matrix(cmat_mpf, lam_val, d)
-            forms.append(Eigenform(weight=k, index=idx, v=v, rows=basis))
-        return forms
+    vecs = _t2_eigenbasis(hecke_matrix(k, 2, basis), k)
+    return [Eigenform(weight=k, index=i, v=v, rows=basis) for i, v in enumerate(vecs)]
 
 
 def _cusp_series(form: Eigenform, y_min: float):
@@ -481,7 +478,7 @@ def _cusp_series(form: Eigenform, y_min: float):
     lam = form.lam_f64[1 : n_eval + 1]
     sign = np.where(lam >= 0, 1.0, -1.0)
     with np.errstate(divide="ignore"):
-        log_abs_lam = np.where(lam != 0.0, np.log(np.abs(np.where(lam == 0, 1.0, lam))), -np.inf)
+        log_abs_lam = np.log(np.abs(lam))  # -inf where lam(n) = 0
     log_c = log_abs_lam + 0.5 * (k - 1) * np.log(4 * np.pi * ns) - 0.5 * gammaln(k)
     return ns, log_c, sign
 

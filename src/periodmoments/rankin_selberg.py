@@ -41,10 +41,10 @@ import numpy as np
 from scipy.special import gammaln, kve
 
 from .modforms import THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
-from .precision import PoleError
+from .precision import PoleError, RangeError
 from .special import _leggauss
 
-__all__ = ["RankinSelbergPair", "kappa_log"]
+__all__ = ["RankinSelbergPair", "kappa_log", "check_float64_range"]
 
 
 def kappa_log(k: int, x):
@@ -126,6 +126,55 @@ def _mellin_suffix_table(k: int, w: complex, n_max: int):
             out_val[j] = run_s
     out_shift.flags.writeable = out_val.flags.writeable = False
     return out_shift, out_val
+
+
+def _afe_kernel(k: int, w: complex, n_max: int):
+    """(log_pref, val) with g_w(n) = exp(log_pref) val for n = 1..n_max."""
+    shift, val = _mellin_suffix_table(k, w, n_max)
+    ns = np.arange(1, n_max + 1, dtype=float)
+    log_pref = (3 - k) * math.log(2.0) - w * np.log(16 * math.pi**2 * ns) + shift
+    return log_pref, val
+
+
+def check_float64_range(k: int):
+    """Raise RangeError where a weight-k theta profile at the production
+    split, or the balanced AFE at s = 1/2, can leave float64.
+
+    By Deligne |lam(m)| <= d(m), the number of divisors, so |c(n)| <=
+    sum_{d^2 m = n} d(m)^2 for every pair of weight k.  The sums of that
+    bound against kappa(n t), t = THETA_SPLIT and 1/THETA_SPLIT, and
+    against both halves g_{1/2}(n) of the AFE bound every term and partial
+    sum the two routes form; from k alone, before any form is built.
+    """
+    n_afe = afe_cutoff(k)
+    n_max = max(theta_cutoff(k, 1.0 / THETA_SPLIT), n_afe)
+    roots = range(1, math.isqrt(n_max) + 1)
+    divisors = np.zeros(n_max + 1)
+    for d in roots:
+        divisors[d * d :: d] += 2  # d and n/d, for each divisor d <= sqrt(n)
+        divisors[d * d] -= 1  # d = n/d
+    c_bound = np.zeros(n_max + 1)
+    for d in roots:
+        m = np.arange(1, n_max // (d * d) + 1)
+        c_bound[d * d * m] += divisors[m] ** 2
+    log_c = np.log(c_bound[1:])
+    log_terms = []
+    for t in (THETA_SPLIT, 1.0 / THETA_SPLIT):
+        n = theta_cutoff(k, t)
+        log_terms.append(log_c[:n] + kappa_log(k, np.arange(1, n + 1) * t))
+    # w complex, as completed_l passes it: the cache keys 0.5 and 0.5 + 0j
+    # alike, and the table built from a real w differs in its last bits
+    log_pref, val = _afe_kernel(k, 0.5 + 0j, n_afe)
+    # completed_l forms c(n) exp(log_pref) before the product with val;
+    # both halves of the AFE are the same sum at s = 1/2
+    log_g = log_pref.real + np.log(np.maximum(np.abs(val), 1.0))
+    log_terms.append(math.log(2.0) + log_c[:n_afe] + log_g)
+    log_sums = [a.max() + math.log(np.sum(np.exp(a - a.max()))) for a in log_terms]
+    if max(log_sums) >= math.log(np.finfo(float).max):
+        raise RangeError(
+            "theta profile and AFE of weight %d can leave float64 (Deligne bound e^%.1f)"
+            % (k, max(log_sums))
+        )
 
 
 class RankinSelbergPair:
@@ -221,15 +270,9 @@ class RankinSelbergPair:
             raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
         n = afe_cutoff(self.k)
         c = self.c_table(n)
-        ns = np.arange(1, n + 1, dtype=float)
         total = 0.0 + 0.0j
         for w in (s, 1 - s):
-            shift, val = _mellin_suffix_table(self.k, w, n)
-            log_pref = (
-                (3 - self.k) * math.log(2.0)
-                - w * np.log(16 * math.pi**2 * ns)
-                + shift
-            )
+            log_pref, val = _afe_kernel(self.k, w, n)
             total += np.sum(c[1:] * np.exp(log_pref) * val)
         total += self._residue * (1.0 / (s - 1.0) - 1.0 / s)
         if s.imag == 0:

@@ -392,19 +392,20 @@ def test_poles_exit_2(tmp_path, capsys, argv):
 
 
 def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch, cold_forms):
-    # mpmath's NoConvergence from the Hecke root finder reaches the CLI as
+    # mpmath's RuntimeError from the T_2 eigen-solve reaches the CLI as
     # NonConvergenceError: exit 1 and one stderr line, no traceback
     def stuck(*args, **kwargs):
-        raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+        raise RuntimeError("qr: failed to converge after 31 steps")
 
-    monkeypatch.setattr(modforms.mp, "polyroots", stuck)
+    monkeypatch.setattr(modforms.mp, "eig", stuck)
     out = tmp_path / "n.csv"
     rc = run(["norm-crosscheck", "--k", "12",
               "--output", str(out), "--summary", str(tmp_path / "n.json")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert "maxsteps=200" in err[0] and "best=" in err[0] and "last_delta=" in err[0]
+    assert "failed to converge after 31 steps" in err[0]
+    assert "best=" in err[0] and "last_delta=" in err[0]
     assert not out.exists()
 
 
@@ -502,6 +503,33 @@ def test_weight_out_of_engine_range_exits_2_before_any_form(tmp_path, capsys, mo
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "k=2000" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm-crosscheck", "--k", "196"],
+    ["moment", "--k-min", "160", "--k-max", "176"],
+])
+def test_weight_out_of_theta_afe_range_exits_2_before_any_form(tmp_path, capsys, recwarn,
+                                                               monkeypatch, cold_forms, argv):
+    # inside the Petersson engine's range, the theta profile and the AFE
+    # leave float64 first: the weight is rejected before any form is built,
+    # with no numpy overflow warning and no nan in a check
+    built = []
+    monkeypatch.setattr(cli, "hecke_eigenforms", lambda k: built.append(k))
+    out = tmp_path / "o.csv"
+    rc = run(argv + ["--output", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert built == []
+    _one_config_error_line(capsys)
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+def test_no_experiment_exits_2(capsys):
+    # argparse reports a missing subcommand through its own error(): a
+    # usage dump and SystemExit(2) from inside main
+    assert run([]) == 2
+    _one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

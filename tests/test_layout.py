@@ -17,6 +17,7 @@ ENTRY_POINTS = {"__init__", "cli"}
 TEST_ONLY_PUBLIC_NAMES = {
     "epstein.gln_completed_eisenstein",
     "epstein.iwasawa_y",
+    "modforms.charpoly",
     "moment.regularized_bound",
     "rankin_selberg.RankinSelbergPair.l_direct",
     "rankin_selberg.RankinSelbergPair.residue_consistency",

@@ -8,6 +8,7 @@ Oracles:
     x^2 - 1080 x - 20468736, eigenvalues 540 +- 12 sqrt(144169).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -186,11 +187,11 @@ def test_charpoly_integer_cayley_hamilton():
 
 
 def test_degenerate_t2_spectrum_raises(monkeypatch):
-    # a double T_2 root leaves no eigenvector to choose: NonConvergenceError
-    def double_root(coeffs):
-        return [mpf(540), mpf(540)]
+    # a double T_2 eigenvalue leaves no eigenvector to choose: NonConvergenceError
+    def double_root(a, *args, **kwargs):
+        return [mpf(540), mpf(540)], mp.eye(2)
 
-    monkeypatch.setattr(modforms, "_polyroots_real", double_root)
+    monkeypatch.setattr(modforms.mp, "eig", double_root)
     with pytest.raises(NonConvergenceError, match="T_2 spectrum degenerate at k=24"):
         hecke_eigenforms(24, horizon=60)
 
@@ -380,6 +381,38 @@ def test_lam_f64_is_float_of_lam():
             assert lam.tolist() == [float(v) for v in f.lam], (k, f.index)
 
 
+def _primes(n):
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("k", [132, 144, 176, 196])
+def test_hecke_basis_at_dimension_11_and_up(k):
+    # d = 11..16: the balanced T_2 eigen-solve gives the whole basis, each
+    # T_2 eigenvalue a(2) a root of the exact characteristic polynomial
+    forms = hecke_eigenforms(k, horizon=60)
+    d = cusp_dim(k)
+    assert d >= 11 and len(forms) == d
+    cp = charpoly(hecke_matrix(k, 2, forms[0].rows))
+    with mp.workdps(modforms.HECKE_DPS):
+        a2 = [f.a[2] for f in forms]
+        assert all(isinstance(x, mpf) for f in forms for x in f.v)  # real
+        assert all(x < y for x, y in zip(a2, a2[1:]))  # sorted and distinct
+        for x in a2:
+            terms = [c * x ** (d - i) for i, c in enumerate(cp)]
+            assert abs(mp.fsum(terms)) <= mpf("1e-50") * mp.fsum(abs(t) for t in terms)
+    for f in forms:
+        lam = f.lam_f64
+        for m in range(2, 61):
+            for n in range(m + 1, 60 // m + 1):
+                if math.gcd(m, n) == 1:
+                    assert abs(lam[m * n] - lam[m] * lam[n]) <= 1e-14, (k, f.index, m, n)
+        for p in _primes(60):
+            assert abs(lam[p]) <= 2.0, (k, f.index, p)
+            if p * p <= 60:
+                assert abs(lam[p * p] - (lam[p] ** 2 - 1)) <= 1e-14, (k, f.index, p)
+        assert lam.tolist() == [float(v) for v in f.lam], (k, f.index)
+
+
 def test_miller_basis_guards():
     with pytest.raises(ValueError):
         miller_basis(24, 5)
@@ -387,11 +420,14 @@ def test_miller_basis_guards():
 
 
 def test_polyroots_nonconvergence_is_wrapped(monkeypatch):
-    def stuck(*args, **kwargs):
-        raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+    # mpmath's QR iteration reports non-convergence as a RuntimeError
+    stuck_error = RuntimeError("qr: failed to converge after 31 steps")
 
-    monkeypatch.setattr(modforms.mp, "polyroots", stuck)
+    def stuck(*args, **kwargs):
+        raise stuck_error
+
+    monkeypatch.setattr(modforms.mp, "eig", stuck)
     with pytest.raises(NonConvergenceError) as exc:
         hecke_eigenforms(24)
-    assert "degree 2" in str(exc.value)
-    assert isinstance(exc.value.__cause__, mp.NoConvergence)
+    assert "size 2" in str(exc.value)
+    assert exc.value.__cause__ is stuck_error

@@ -17,8 +17,8 @@ from scipy.special import kve
 from periodmoments import rankin_selberg
 from periodmoments.modforms import afe_cutoff, hecke_eigenforms
 from periodmoments.moment import unfold_rows
-from periodmoments.precision import PoleError
-from periodmoments.rankin_selberg import RankinSelbergPair, kappa_log
+from periodmoments.precision import PoleError, RangeError
+from periodmoments.rankin_selberg import RankinSelbergPair, check_float64_range, kappa_log
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +268,25 @@ def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
     assert len(rows) == len(forms) ** 2 * 3
     assert rankin_selberg._mellin_suffix_table.cache_info().currsize == 5
     assert grids == [(afe_cutoff(40) + 240, 12)]
+
+
+def test_float64_range_of_theta_and_afe():
+    # Deligne's bound on |c(n)| against the production kernels: the sums
+    # stay finite up to k = 170 and leave float64 at 172, where the theta
+    # profile Phi(1/2) reaches e^711 > 1.8e308
+    for k in (12, 40, 128, 170):
+        check_float64_range(k)
+    for k in (172, 196):
+        with pytest.raises(RangeError, match="weight %d" % k):
+            check_float64_range(k)
+
+
+def test_float64_range_check_leaves_the_afe_table_of_production():
+    # the check builds the s = 1/2 table that the AFE then reads from the
+    # cache; it is the table production builds, bit for bit
+    n = afe_cutoff(40)
+    rankin_selberg._mellin_suffix_table.cache_clear()
+    check_float64_range(40)
+    got = rankin_selberg._mellin_suffix_table(40, complex(0.5), n)
+    for a, b in zip(got, mellin_table_from_scratch(40, complex(0.5), n)):
+        assert a.tobytes() == b.tobytes()
