@@ -21,7 +21,11 @@ import sys
 import time
 
 import numpy as np
+# np.polyfit (lemma1, moment) loads numpy.ma on first call: load it with
+# the module, not inside main
+import numpy.ma  # noqa: F401
 from mpmath import mp
+from numpy.random import default_rng
 
 from . import report, spectral
 from .eisenstein_gl2 import residue_at_one
@@ -504,7 +508,7 @@ def main(argv=None):
     except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     runner = EXPERIMENTS[args.experiment]
 
     t0 = time.perf_counter()

@@ -23,7 +23,8 @@ q(u) = exp(-2 pi y cosh u),
   sum_n c_n K_nu(2 pi n y) = int_0^inf cosh(nu u) sum_n c_n q(u)^n du,
 
 which special._k_sum_ex sums by one nested trapezoid.  The float64 tier
-(completed_eisenstein_f64) keeps scipy's kv per term on its grids.
+(completed_eisenstein_f64) takes K per term on its grids, as
+special.kve_f64 times e^-x; its argument 2 pi n y needs y >= 1/pi.
 """
 
 import math
@@ -31,10 +32,9 @@ from functools import cache
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import kv
 
 from .precision import PoleError
-from .special import _heights, _k_sum_ex, _term_sum, lam
+from .special import _heights, _k_sum_ex, _term_sum, kve_f64, lam
 
 __all__ = [
     "completed_eisenstein",
@@ -128,6 +128,11 @@ def _constant_lams(s: float):
         return float(lam(2 * mpf(s))), float(lam(2 - 2 * mpf(s)))
 
 
+def _kv(nu, x):
+    """K_nu(x) for x >= 2 (RangeError below)."""
+    return kve_f64(nu, x) * np.exp(-x)
+
+
 def _eisenstein_radial(y, s: float, n_terms: int):
     """Radial table of E*(., s): (const(y), coef_n K_{s-1/2}(2 pi n y)),
     shapes y.shape and y.shape + (n_terms,), with coef_n = d(n) at the
@@ -137,14 +142,14 @@ def _eisenstein_radial(y, s: float, n_terms: int):
     yy = y[..., None]
     if abs(s - 0.5) <= CENTER_SNAP:
         dn = np.array([len(_divisors(n)) for n in range(1, n_terms + 1)], dtype=float)
-        kvals = kv(0.0, 2 * np.pi * ns * yy)
+        kvals = _kv(0.0, 2 * np.pi * ns * yy)
         const = np.sqrt(y) * (np.log(y) + float(mp.euler) - math.log(4 * math.pi))
         return const, dn * kvals
     c1, c2 = _constant_lams(s)
     sig = np.array(
         [sum(d ** (1.0 - 2 * s) for d in _divisors(n)) for n in range(1, n_terms + 1)]
     )
-    kvals = kv(s - 0.5, 2 * np.pi * ns * yy)
+    kvals = _kv(s - 0.5, 2 * np.pi * ns * yy)
     const = c1 * y**s + c2 * y ** (1.0 - s)
     return const, ns ** (s - 0.5) * sig * kvals
 

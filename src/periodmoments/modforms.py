@@ -28,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import gammaln
 
 from .precision import NonConvergenceError
 from .special import _heights, _term_sum
@@ -479,7 +478,7 @@ def _cusp_series(form: Eigenform, y_min: float):
     sign = np.where(lam >= 0, 1.0, -1.0)
     with np.errstate(divide="ignore"):
         log_abs_lam = np.log(np.abs(lam))  # -inf where lam(n) = 0
-    log_c = log_abs_lam + 0.5 * (k - 1) * np.log(4 * np.pi * ns) - 0.5 * gammaln(k)
+    log_c = log_abs_lam + 0.5 * (k - 1) * np.log(4 * np.pi * ns) - 0.5 * math.lgamma(k)
     return ns, log_c, sign
 
 

@@ -63,7 +63,6 @@ from functools import cache
 
 import numpy as np
 from mpmath import mp
-from scipy.special import gammaln
 
 from . import special
 from .eisenstein_gl2 import completed_eisenstein_f64
@@ -250,7 +249,7 @@ def norm_quadrature(f: Eigenform) -> float:
 
 def _gamma_k_over_gamma_half(k: int) -> float:
     """Gamma(k) (2pi)^{2s} / (Gamma(s+k-1)Gamma(s)) at s = 1/2."""
-    return math.exp(gammaln(k) - gammaln(k - 0.5)) * 2 * math.pi / math.sqrt(math.pi)
+    return math.exp(math.lgamma(k) - math.lgamma(k - 0.5)) * 2 * math.pi / math.sqrt(math.pi)
 
 
 def unfold_rows(forms, s_values) -> list:

@@ -31,18 +31,17 @@ Incomplete Mellin integrals are evaluated on sqrt-spaced panels with a
 shared Gauss-Legendre rule, log-space shifts per panel, and a suffix
 accumulation that yields all n cutoffs in one pass.  The nodes and
 K_{k-1} on them depend on (k, n) only, so every w of a weight reads one
-node table (_bessel_nodes) and evaluates kve once.
+node table (_bessel_nodes) and evaluates special.kve_f64 once.
 """
 
 import math
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, kve
 
 from .modforms import THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
 from .precision import PoleError, RangeError
-from .special import _leggauss
+from .special import _leggauss, kve_f64
 
 __all__ = ["RankinSelbergPair", "kappa_log", "check_float64_range"]
 
@@ -54,14 +53,14 @@ def kappa_log(k: int, x):
     return (
         math.log(2.0)
         + 0.5 * (k - 1) * np.log(4 * math.pi**2 * x)
-        + np.log(kve(k - 1, arg))
+        + np.log(kve_f64(k - 1, arg))
         - arg
     )
 
 
 @lru_cache(maxsize=1)
 def _bessel_nodes(k: int, n_max: int):
-    """(u, log u, log kve(k-1, u), half, gl_weights): the panel nodes of
+    """(u, log u, log kve_f64(k-1, u), half, gl_weights): the panel nodes of
     _mellin_suffix_table and the w-independent part of its integrand.
 
     Panels run between consecutive 4 pi sqrt(j), j = 1..n_max, then up to
@@ -77,24 +76,33 @@ def _bessel_nodes(k: int, n_max: int):
     gl_nodes, gl_weights = _leggauss(12)
     u = mid[:, None] + half[:, None] * gl_nodes[None, :]
     log_u = np.log(u)
-    log_kv = np.log(kve(k - 1, u))
+    log_kv = np.log(kve_f64(k - 1, u))
     for a in (u, log_u, log_kv, half):
         a.flags.writeable = False
     return u, log_u, log_kv, half, gl_weights
 
 
-@cache
 def _mellin_suffix_table(k: int, w: complex, n_max: int):
     """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
 
     Returns read-only (shift, scaled) arrays indexed 1..n_max:
     I(n) = exp(shift) * scaled.  The integrand on the panels of
-    _bessel_nodes is exp((k+2w-2) log u + log kve - u); the continuation
+    _bessel_nodes is exp((k+2w-2) log u + log kve_f64 - u); the continuation
     panels past n_max stop once their contribution falls 60 e-folds under
-    the running maximum.  Built once per process and (k, w, n_max): it
-    depends on nothing else, and every pair of weight k reads the same
-    table at the same s (both halves of the AFE at s = 1/2).
+    the running maximum.  Built once per process and (k, w, n_max) by
+    _mellin_table: it depends on nothing else, and every pair of weight k
+    reads the same table at the same s (both halves of the AFE at
+    s = 1/2).  w is taken as complex before the cache lookup: Python keys
+    0.5 and 0.5 + 0j alike, and a table built in real arithmetic differs
+    in its last bits, so a real w would otherwise decide what every later
+    caller reads.
     """
+    return _mellin_table(k, complex(w), n_max)
+
+
+@cache
+def _mellin_table(k: int, w: complex, n_max: int):
+    """The cached body of _mellin_suffix_table (w complex)."""
     exponent = k + 2 * w - 2
     u, log_u, log_kv, half, gl_weights = _bessel_nodes(k, n_max)
     log_l = exponent * log_u + log_kv - u
@@ -162,9 +170,7 @@ def check_float64_range(k: int):
     for t in (THETA_SPLIT, 1.0 / THETA_SPLIT):
         n = theta_cutoff(k, t)
         log_terms.append(log_c[:n] + kappa_log(k, np.arange(1, n + 1) * t))
-    # w complex, as completed_l passes it: the cache keys 0.5 and 0.5 + 0j
-    # alike, and the table built from a real w differs in its last bits
-    log_pref, val = _afe_kernel(k, 0.5 + 0j, n_afe)
+    log_pref, val = _afe_kernel(k, 0.5, n_afe)
     # completed_l forms c(n) exp(log_pref) before the product with val;
     # both halves of the AFE are the same sum at s = 1/2
     log_g = log_pref.real + np.log(np.maximum(np.abs(val), 1.0))
@@ -259,7 +265,7 @@ class RankinSelbergPair:
     def norm_theta(self) -> float:
         """<f, f> = 2 R / Gamma(k) in the arithmetically normalized
         evaluation convention (diagonal pairs)."""
-        return 2.0 * self._residue * math.exp(-gammaln(self.k))
+        return 2.0 * self._residue * math.exp(-math.lgamma(self.k))
 
     # ---------------- completed L via the balanced AFE ----------------
 
@@ -282,7 +288,7 @@ class RankinSelbergPair:
 
     def completed_l_normalized(self, s) -> complex:
         """Lambda(s) / Gamma(k): the object the unfolding route computes."""
-        return self.completed_l(s) * math.exp(-gammaln(self.k))
+        return self.completed_l(s) * math.exp(-math.lgamma(self.k))
 
     def l_direct(self, s, n_max: int = None) -> complex:
         """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1.

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from numpy.random import default_rng
 
 from . import special
 from .precision import RangeError
@@ -219,7 +220,7 @@ def plancherel_ball(
             t = a + radius * gn
             integral = float(np.sum(gw * plancherel_g_tanh(2 * t)) * radius)
         elif scheme == "mc":
-            rng = np.random.default_rng(seed)
+            rng = default_rng(seed)
             t = rng.uniform(a - radius, a + radius, BALL_MC_SAMPLES)
             vals = plancherel_g_tanh(2 * t)
             integral = float(np.mean(vals) * 2 * radius)
@@ -246,7 +247,7 @@ def plancherel_ball(
             vals = g(3 * T1) * g(3 * T2) * gsum * inside
             integral = float(np.sum(vals) * step * step)
         elif scheme == "mc":
-            rng = np.random.default_rng(seed)
+            rng = default_rng(seed)
             t1 = rng.uniform(a1 - radius, a1 + radius, BALL_MC_SAMPLES)
             t2 = rng.uniform(a2 - radius, a2 + radius, BALL_MC_SAMPLES)
             inside = (t1 - a1) ** 2 + (t2 - a2) ** 2 <= radius**2
@@ -297,12 +298,10 @@ def _mb_diagonals(alpha):
     b_j = sum_k log Gamma_R(u_j + alpha_k): the only alpha-dependent part of
     the Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b))."""
     u, _ = _mb_nodes()
-    a = np.zeros_like(u)
-    b = np.zeros_like(u)
-    for al in alpha:
-        a = a + special.log_gamma_r_f64(u - al)
-        b = b + special.log_gamma_r_f64(u + al)
-    return np.exp(a), np.exp(b)
+    # one call for all 2 n shifted node vectors, summed in the order of alpha
+    shifted = np.concatenate([u - al for al in alpha] + [u + al for al in alpha])
+    lg = special.log_gamma_r_f64(shifted).reshape(2, len(alpha), len(u))
+    return np.exp(lg[0].sum(axis=0)), np.exp(lg[1].sum(axis=0))
 
 
 def _mb_kernel(alpha):
@@ -325,7 +324,7 @@ def _mb_sketch(width: int):
     once per width.
     """
     m = len(_mb_nodes()[0])
-    rng = np.random.default_rng(MB_SKETCH_SEED)
+    rng = default_rng(MB_SKETCH_SEED)
     omega_test = rng.standard_normal((m, MB_TEST_COLS))
     omega = rng.standard_normal((m, width))
     omega.flags.writeable = omega_test.flags.writeable = False

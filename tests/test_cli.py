@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,3 +645,104 @@ def test_moment_builds_one_petersson_engine_per_weight(tmp_path):
     weights = [k for k in range(12, 25, 2) if modforms.cusp_dim(k) >= 1]
     info = moment.petersson_engine.cache_info()
     assert info.misses == info.currsize == len(weights) == 6
+
+
+# The exit contract at the boundaries of every subcommand, as one table:
+# (argv, exit code, start of the one stderr line).  Exit 2 writes nothing;
+# the smallest valid runs exit 0 and write their CSV.
+EXIT_CONTRACT = [
+    ([], 2, "config error: no experiment given"),
+    (["foo"], 2, "config error: argument experiment: invalid choice: 'foo'"),
+    (["moment", "--k-min", "40", "--k-max", "12"], 2,
+     "config error: no weights with cusp forms in [40, 12]"),
+    (["moment", "--k-min", "13", "--k-max", "13"], 2,
+     "config error: no weights with cusp forms in [13, 13]"),
+    (["moment", "--k-min", "2", "--k-max", "10"], 2,
+     "config error: no weights with cusp forms in [2, 10]"),
+    (["moment", "--k-min", "12", "--k-max", "12"], 0, None),
+    (["unfold-check", "--k", "11"], 2, "config error: no cusp forms at weight 11"),
+    (["unfold-check", "--k", "198"], 2,
+     "config error: Petersson weights y^(k-2) overflow float64 at k=198"),
+    (["unfold-check", "--k", "12", "--s", "0.5+1j"], 2,
+     "config error: argument --s: invalid finite_float value"),
+    (["unfold-check", "--k", "12", "--s", "1e-320"], 2,
+     "config error: E*(z,s) has poles at s = 0 and s = 1"),
+    (["unfold-check", "--k", "12", "--s"], 2,
+     "config error: argument --s: expected at least one argument"),
+    (["stade", "--s", "-3"], 2, "config error: s must lie in [1/2, 3/2]"),
+    (["stade", "--n", "4"], 2, "config error: argument --n: invalid choice: 4"),
+    (["stade", "--samples", "1"], 0, None),
+    (["plancherel", "--radius", "3"], 2, "config error: radius must lie in (0, 2]"),
+    (["plancherel", "--radius", "0"], 2, "config error: radius must lie in (0, 2]"),
+    (["plancherel", "--n", "1"], 2, "config error: argument --n: invalid choice: 1"),
+    (["epstein-fe", "--n", "5"], 2, "config error: argument --n: invalid choice: 5"),
+    (["epstein-fe", "--samples", "1"], 0, None),
+    (["lemma1", "--samples", "1"], 2,
+     "config error: lemma1 fits a slope and needs at least 2 samples"),
+    (["lemma1", "--eps", "inf"], 2, "config error: argument --eps: must be a finite number"),
+    (["eisenstein-residue", "--seed", "-1"], 2,
+     "config error: argument --seed: must be at least 0, got -1"),
+    (["eisenstein-residue", "extra"], 2, "config error: unrecognized arguments: extra"),
+    (["norm-crosscheck", "--k"], 2, "config error: argument --k: expected at least one argument"),
+    (["norm-crosscheck", "--k", "10"], 2, "config error: no cusp forms at weight 10"),
+    (["norm-crosscheck", "--k", "196"], 2,
+     "config error: theta profile and AFE of weight 196 can leave float64"),
+    (["norm-crosscheck", "--k", "198"], 2,
+     "config error: Petersson weights y^(k-2) overflow float64 at k=198"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", EXIT_CONTRACT,
+                         ids=[" ".join(a) or "no-experiment" for a, _, _ in EXIT_CONTRACT])
+def test_exit_contract_table(tmp_path, capsys, monkeypatch, argv, code, prefix):
+    monkeypatch.chdir(tmp_path)
+    paths = ["--output", "o.csv", "--summary", "o.json"] if argv[:1] and argv[0] in SUBCOMMANDS else []
+    assert run(argv + paths) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith(prefix), err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert err == []
+        assert (tmp_path / "o.csv").exists() and (tmp_path / "o.json").exists()
+
+
+# every subcommand at its smallest sizes, each n of the analytic ones
+SMALLEST_RUNS = [
+    ["moment", "--k-min", "12", "--k-max", "12"],
+    ["unfold-check", "--k", "12", "--s", "0.5", "0.75"],
+    ["stade", "--n", "2", "--samples", "1"],
+    ["stade", "--n", "3", "--samples", "1"],
+    ["plancherel", "--n", "2", "--centers", "1"],
+    ["plancherel", "--n", "3", "--centers", "1"],
+    ["epstein-fe", "--n", "2", "--samples", "1"],
+    ["epstein-fe", "--n", "3", "--samples", "1"],
+    ["epstein-fe", "--n", "4", "--samples", "1"],
+    ["lemma1", "--n", "2", "--samples", "2"],
+    ["lemma1", "--n", "3", "--samples", "2"],
+    ["lemma1", "--n", "4", "--samples", "2"],
+    ["eisenstein-residue"],
+    ["norm-crosscheck", "--k", "12"],
+]
+
+
+def test_production_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only (the tests use it as a reference, so
+    # this runs in a fresh interpreter): importing the CLI and running every
+    # subcommand leaves no scipy module in sys.modules
+    script = (
+        "import json, sys\n"
+        "import periodmoments.cli as cli\n"
+        "codes = [cli.main(a + ['--output', 'r%d.csv' % i, '--summary', 'r%d.json' % i])\n"
+        "         for i, a in enumerate(json.loads(sys.argv[1]))]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(SMALLEST_RUNS)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(c in (0, 1) for c in codes), codes
+    assert loaded == []

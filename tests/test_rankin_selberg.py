@@ -12,9 +12,8 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpf
-from scipy.special import kve
 
-from periodmoments import rankin_selberg
+from periodmoments import rankin_selberg, special
 from periodmoments.modforms import afe_cutoff, hecke_eigenforms
 from periodmoments.moment import unfold_rows
 from periodmoments.precision import PoleError, RangeError
@@ -156,7 +155,7 @@ def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
     # the suffix table depends only on (k, w, n) and R only on the pair:
     # a cold pair and a warm one give the same value bit for bit
     f, g = k24_forms
-    tables = rankin_selberg._mellin_suffix_table
+    tables = rankin_selberg._mellin_table
     tables.cache_clear()
     residues = []
     theta = RankinSelbergPair.residue_theta
@@ -173,7 +172,7 @@ def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
     diag.norm_theta()
     diag.completed_l(0.5)
     assert residues == [cold, warm, diag]
-    for a in tables(f.weight, 0.5, afe_cutoff(f.weight)):
+    for a in tables(f.weight, 0.5 + 0j, afe_cutoff(f.weight)):
         assert not a.flags.writeable
 
 
@@ -197,9 +196,10 @@ def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
 
 
 def mellin_table_from_scratch(k, w, n_max):
-    # oracle: the suffix table with kve evaluated on the nodes for this w
-    # alone, written out in full
-    exponent = k + 2 * w - 2
+    # oracle: the suffix table with the production K routine evaluated on
+    # the nodes for this w alone, written out in full (w complex, as the
+    # table's cache key takes it)
+    exponent = k + 2 * complex(w) - 2
     breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
     lo = breaks[:-1]
     hi = breaks[1:]
@@ -207,7 +207,7 @@ def mellin_table_from_scratch(k, w, n_max):
     half = (hi - lo) / 2
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
     u = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    log_l = exponent * np.log(u) + np.log(kve(k - 1, u)) - u
+    log_l = exponent * np.log(u) + np.log(special.kve_f64(k - 1, u)) - u
     shift = np.max(log_l.real, axis=1)
     panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
     peak = shift.max()
@@ -235,9 +235,9 @@ def mellin_table_from_scratch(k, w, n_max):
 @pytest.mark.parametrize("k", [12, 40])
 def test_mellin_tables_from_shared_nodes_match_from_scratch(k):
     # every w of a weight reads one node table; each table equals, bit for
-    # bit, the one built with kve evaluated for that w alone
+    # bit, the one built with kve_f64 evaluated for that w alone
     n = afe_cutoff(k)
-    rankin_selberg._mellin_suffix_table.cache_clear()
+    rankin_selberg._mellin_table.cache_clear()
     rankin_selberg._bessel_nodes.cache_clear()
     for w in (0.5, 0.75, 1.1, -0.1, 0.5 + 3j):
         got = rankin_selberg._mellin_suffix_table(k, w, n)
@@ -250,23 +250,23 @@ def test_mellin_tables_from_shared_nodes_match_from_scratch(k):
 
 
 def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
-    # five w (s and 1 - s at three s) share one node table: kve runs on the
-    # (panels, 12) node grid once; the theta profile's kve is 1-d
+    # five w (s and 1 - s at three s) share one node table: kve_f64 runs on
+    # the (panels, 12) node grid once; the theta profile's kve_f64 is 1-d
     forms = hecke_eigenforms(40)
-    rankin_selberg._mellin_suffix_table.cache_clear()
+    rankin_selberg._mellin_table.cache_clear()
     rankin_selberg._bessel_nodes.cache_clear()
     grids = []
-    real = rankin_selberg.kve
+    real = rankin_selberg.kve_f64
 
     def counted(v, u):
         if np.ndim(u) == 2:
             grids.append(np.shape(u))
         return real(v, u)
 
-    monkeypatch.setattr(rankin_selberg, "kve", counted)
+    monkeypatch.setattr(rankin_selberg, "kve_f64", counted)
     rows = unfold_rows(forms, (0.5, 0.75, 1.25))
     assert len(rows) == len(forms) ** 2 * 3
-    assert rankin_selberg._mellin_suffix_table.cache_info().currsize == 5
+    assert rankin_selberg._mellin_table.cache_info().currsize == 5
     assert grids == [(afe_cutoff(40) + 240, 12)]
 
 
@@ -285,8 +285,25 @@ def test_float64_range_check_leaves_the_afe_table_of_production():
     # the check builds the s = 1/2 table that the AFE then reads from the
     # cache; it is the table production builds, bit for bit
     n = afe_cutoff(40)
-    rankin_selberg._mellin_suffix_table.cache_clear()
+    rankin_selberg._mellin_table.cache_clear()
     check_float64_range(40)
     got = rankin_selberg._mellin_suffix_table(40, complex(0.5), n)
     for a, b in zip(got, mellin_table_from_scratch(40, complex(0.5), n)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_mellin_table_key_is_complex(k24_forms):
+    # Python hashes w = 0.5 and 0.5 + 0j as one key, and a table built in
+    # real arithmetic differs in its last bits: a first caller that passes
+    # a real 0.5 must not decide which bits completed_l reads
+    f, g = k24_forms
+    n = afe_cutoff(f.weight)
+    rankin_selberg._mellin_table.cache_clear()
+    cold = RankinSelbergPair(f, g).completed_l(0.5)
+    rankin_selberg._mellin_table.cache_clear()
+    first = rankin_selberg._mellin_suffix_table(f.weight, 0.5, n)
+    for a, b in zip(first, mellin_table_from_scratch(f.weight, 0.5 + 0j, n)):
+        assert a.tobytes() == b.tobytes()
+    warm = RankinSelbergPair(f, g).completed_l(0.5)
+    assert rankin_selberg._mellin_table.cache_info()[:2] == (2, 1)  # hits, misses
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()

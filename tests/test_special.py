@@ -14,13 +14,15 @@ from mpmath import mp, mpc, mpf
 from scipy.special import gammaincc, gammaln
 
 from periodmoments import special, spectral
-from periodmoments.precision import NonConvergenceError, PoleError
+from periodmoments.precision import NonConvergenceError, PoleError, RangeError
 from periodmoments.special import (
     bessel_k,
     dirichlet_beta,
     gamma_r,
     kit_f64,
+    kve_f64,
     lam,
+    log_gamma_f64,
     log_gamma_r_f64,
     upper_gamma_f64,
     upper_incomplete_gamma,
@@ -337,3 +339,93 @@ def test_precision_env_and_context():
         inner = zeta(2)
         assert abs(inner - mp.pi**2 / 6) < mpf("1e-50")
     assert mp.dps == before
+
+
+# Accuracy of the float64 kernels against mpmath at 30 digits.  Each bound
+# sits a little above the largest error measured on the same points:
+# real-order K 8.7e-16, order k - 1 3.3e-15, log Gamma 1.3e-15 (relative to
+# max(1, |log Gamma|)), Gamma(a, x) 8.3e-15, the K_0 series 2.0e-15.
+
+
+def _kve_ref(nu, x):
+    with mp.workdps(30):
+        return float(mp.besselk(nu, mpf(x)) * mp.exp(mpf(x)))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.75, 1.3, 10.0])
+def test_kve_f64_real_order_matches_mpmath(nu):
+    # the batch's smallest x picks the node count: one batch per count
+    x = np.geomspace(2.0, 700.0, 41)
+    ref = np.array([_kve_ref(nu, v) for v in x])
+    for lo in (2.0, 3.0, 5.0):
+        part = x >= lo
+        assert np.max(np.abs(kve_f64(nu, x[part]) - ref[part]) / ref[part]) <= 1.2e-15, lo
+    # K_-nu = K_nu, and a shape comes back as given
+    assert np.array_equal(kve_f64(-nu, x.reshape(41, 1)), kve_f64(nu, x).reshape(41, 1))
+
+
+@pytest.mark.parametrize("k", [12, 40, 120, 170])
+def test_kve_f64_order_k_minus_1_on_the_afe_nodes(k):
+    # the AFE reads e^u K_{k-1}(u) at u >= 4 pi, up to the order the
+    # theta/AFE range check admits (k <= 170)
+    u = 4 * math.pi * np.sqrt(np.geomspace(1.0, 1500.0, 25))
+    ref = np.array([_kve_ref(k - 1, v) for v in u])
+    assert np.max(np.abs(kve_f64(k - 1, u) - ref) / ref) <= 5e-15
+
+
+def test_kve_f64_range():
+    # below x = 2 the Laguerre rule loses digits: RangeError, not a value
+    with pytest.raises(RangeError, match="x >= 2"):
+        kve_f64(0.25, np.array([1.99, 3.0]))
+
+
+def test_log_gamma_f64_matches_mpmath():
+    rng = np.random.default_rng(5)
+    right = rng.uniform(0.01, 20, 300) + 1j * rng.uniform(-40, 40, 300)
+    left = rng.uniform(-30, 0, 100) + 1j * rng.uniform(-5, 5, 100)
+    for z in (right, left, np.array([0.25 + 0.5j, 1.0, 3.7, 0.5 - 7j, -3.7 + 2j, -0.5 + 1e-9j])):
+        with mp.workdps(30):
+            ref = np.array([complex(mp.loggamma(mpc(v.real, v.imag))) for v in z])
+        scale = np.maximum(1.0, np.abs(ref))
+        got = log_gamma_f64(z)  # the array path
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - ref) / scale) <= 3e-15
+        # the cmath path of calls with a few points
+        for v, r, c in zip(z[:40], ref, scale):
+            one = log_gamma_f64(v)
+            assert one.shape == () and abs(one - r) / c <= 3e-15, v
+
+
+def test_upper_gamma_f64_matches_mpmath():
+    # every branch: the series below a + 1, the Gauss-Legendre panel up to
+    # a + 8 and the continued fraction beyond
+    x = np.concatenate([np.geomspace(1e-6, 42.0, 300), np.linspace(1.0, 10.0, 200)])
+    for a in np.linspace(0.3, 2.5, 12):
+        with mp.workdps(30):
+            ref = np.array([float(mp.gammainc(mpf(a), mpf(v))) for v in x])
+        assert np.max(np.abs(upper_gamma_f64(a, x) - ref) / ref) <= 1e-14, a
+        # the continued fraction alone is at its floor (4.1e-16 measured),
+        # two levels short of its depth it is not (4.4e-15)
+        far = np.linspace(a + 8.0, 42.0, 60)
+        with mp.workdps(30):
+            ref = np.array([float(mp.gammainc(mpf(a), mpf(v))) for v in far])
+        assert np.max(np.abs(upper_gamma_f64(a, far) - ref) / ref) <= 1e-15, a
+
+
+@pytest.mark.parametrize("a", [-0.5, -0.75, -1.5, -2.25])
+def test_upper_gamma_f64_walk_down(a):
+    # a <= 0 climbs to a + m in (0, 1] and walks back down; each step can
+    # cost a digit (measured at most 9.1e-13 at a = -2.25, x = 12)
+    x = np.array([1e-6, 0.01, 0.3, 1.0, 4.0, 12.0])
+    with mp.workdps(30):
+        ref = np.array([float(mp.gammainc(mpf(a), mpf(v))) for v in x])
+    assert np.max(np.abs(upper_gamma_f64(a, x) - ref) / np.abs(ref)) <= 2e-12
+
+
+def test_k0_series_matches_mpmath():
+    # kit_f64's t = 0 branch below x = 2, down to the 2.5e-30 of the n = 2
+    # Stade log-grid
+    x = np.concatenate([np.geomspace(2.5e-30, 1.999, 60), [1.0, 1.5, 1.9999999]])
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselk(0, mpf(v))) for v in x])
+    assert np.max(np.abs(special._k0_series_f64(x) - ref) / ref) <= 4e-15
