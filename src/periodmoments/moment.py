@@ -29,10 +29,11 @@ Unfolding identity driving the cross-checks: for eigenforms f, g and the
 completed degenerate series E*,
 
   <f E*(., s), g>_k = L(f x g, s) Gamma(s+k-1)Gamma(s) / ((2pi)^{2s}Gamma(k))
-                    = Lambda*(f x g, s),
+                    = Lambda*(f x g, s) = Lambda(f x g, s) / Gamma(k),
 
 so quadrature on the left meets the approximate-functional-equation route
-on the right through entirely different machinery.  unfold_rows pairs
+on the right (RankinSelbergPair.completed_l, which returns Lambda*)
+through entirely different machinery.  unfold_rows pairs
 every two forms of one weight this way (at s = 1/2 it is the period route
 to the central values), and inner_product gives <f, g>_k alone (the
 Petersson norm); each has one code path.  The node-doubling shift of a
@@ -285,7 +286,7 @@ def unfold_rows(forms, s_values) -> list:
                 pair = RankinSelbergPair(f, g)
                 for s in s_values:
                     quad = _pairing(eng, values[i], values[j], estar[s]).real
-                    afe = pair.completed_l_normalized(s).real
+                    afe = pair.completed_l(s).real
                     if not (math.isfinite(quad) and math.isfinite(afe)):
                         raise RangeError("s = %r takes the unfolding out of float64 range "
                                          "(quadrature %g, afe %g)" % (s, quad, afe))
@@ -320,7 +321,7 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
     # past float64's range these overflow to inf or nan; the guard below
     # reports that as a RangeError, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lambda_star = pair.completed_l_normalized(1.0 + eps).real
+        lambda_star = pair.completed_l(1.0 + eps).real
         unfolded = lambda_star / lam_norm
         e_plain = eng.estar(1.0 + eps) / lam_norm
         c_fit = float(np.max(e_star_half**2 / e_plain))
@@ -363,7 +364,7 @@ def moment_row(forms) -> dict:
     for g in forms:
         g_pair = f_pair if g is f else RankinSelbergPair(g)
         pair = f_pair if g is f else RankinSelbergPair(f, g)
-        lam_star = pair.completed_l_normalized(0.5).real
+        lam_star = pair.completed_l(0.5).real
         l_afe = lam_star * rescale
         norm_g = g_pair.norm_theta()
         s_k += l_afe**2

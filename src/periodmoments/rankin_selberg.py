@@ -27,6 +27,16 @@ genuine correctness checks are the direct Dirichlet sum deep in the
 convergence region, split-point independence of R, and the unfolding
 route (moment module).
 
+The class works in units of Gamma(k) from end to end: the theta profile,
+R and Lambda(s) it returns are Phi / Gamma(k), R / Gamma(k) and
+Lambda(s) / Gamma(k), the object the unfolding route computes, and
+<f, f> = 2 R / Gamma(k).  Gamma(k) is subtracted inside the log-space
+exponents, so no term leaves float64 at any weight the Petersson engine
+takes (k <= 196): x^nu K_nu(x) <= 2^{nu-1} Gamma(nu) gives
+kappa(x) / Gamma(k) <= 1/(k-1), and the Mellin integral over all u > 0
+gives g_{1/2}(n) / Gamma(k) <= Gamma(1/2) Gamma(k-1/2) / (2 pi sqrt(n)
+Gamma(k)) = O(k^{-1/2}).
+
 Incomplete Mellin integrals are evaluated on sqrt-spaced panels with a
 shared Gauss-Legendre rule, log-space shifts per panel, and a suffix
 accumulation that yields all n cutoffs in one pass.  The nodes and
@@ -40,10 +50,10 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .modforms import THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
-from .precision import PoleError, RangeError
+from .precision import PoleError
 from .special import _leggauss, kve_f64
 
-__all__ = ["RankinSelbergPair", "kappa_log", "check_float64_range"]
+__all__ = ["RankinSelbergPair", "kappa_log"]
 
 
 def kappa_log(k: int, x):
@@ -136,59 +146,13 @@ def _mellin_table(k: int, w: complex, n_max: int):
     return out_shift, out_val
 
 
-def _afe_kernel(k: int, w: complex, n_max: int):
-    """(log_pref, val) with g_w(n) = exp(log_pref) val for n = 1..n_max."""
-    shift, val = _mellin_suffix_table(k, w, n_max)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    log_pref = (3 - k) * math.log(2.0) - w * np.log(16 * math.pi**2 * ns) + shift
-    return log_pref, val
-
-
-def check_float64_range(k: int):
-    """Raise RangeError where a weight-k theta profile at the production
-    split, or the balanced AFE at s = 1/2, can leave float64.
-
-    By Deligne |lam(m)| <= d(m), the number of divisors, so |c(n)| <=
-    sum_{d^2 m = n} d(m)^2 for every pair of weight k.  The sums of that
-    bound against kappa(n t), t = THETA_SPLIT and 1/THETA_SPLIT, and
-    against both halves g_{1/2}(n) of the AFE bound every term and partial
-    sum the two routes form; from k alone, before any form is built.
-    """
-    n_afe = afe_cutoff(k)
-    n_max = max(theta_cutoff(k, 1.0 / THETA_SPLIT), n_afe)
-    roots = range(1, math.isqrt(n_max) + 1)
-    divisors = np.zeros(n_max + 1)
-    for d in roots:
-        divisors[d * d :: d] += 2  # d and n/d, for each divisor d <= sqrt(n)
-        divisors[d * d] -= 1  # d = n/d
-    c_bound = np.zeros(n_max + 1)
-    for d in roots:
-        m = np.arange(1, n_max // (d * d) + 1)
-        c_bound[d * d * m] += divisors[m] ** 2
-    log_c = np.log(c_bound[1:])
-    log_terms = []
-    for t in (THETA_SPLIT, 1.0 / THETA_SPLIT):
-        n = theta_cutoff(k, t)
-        log_terms.append(log_c[:n] + kappa_log(k, np.arange(1, n + 1) * t))
-    log_pref, val = _afe_kernel(k, 0.5, n_afe)
-    # completed_l forms c(n) exp(log_pref) before the product with val;
-    # both halves of the AFE are the same sum at s = 1/2
-    log_g = log_pref.real + np.log(np.maximum(np.abs(val), 1.0))
-    log_terms.append(math.log(2.0) + log_c[:n_afe] + log_g)
-    log_sums = [a.max() + math.log(np.sum(np.exp(a - a.max()))) for a in log_terms]
-    if max(log_sums) >= math.log(np.finfo(float).max):
-        raise RangeError(
-            "theta profile and AFE of weight %d can leave float64 (Deligne bound e^%.1f)"
-            % (k, max(log_sums))
-        )
-
-
 class RankinSelbergPair:
     """Convolution L-function of two eigenforms of the same weight.
 
     g=None takes the diagonal pair (f, f).  All heavy values are double
-    precision with log-space assembly; coefficient input comes from the
-    exact eigenform expansions.
+    precision with log-space assembly, and every value a method returns
+    is divided by Gamma(k), as the module docstring bounds it; coefficient
+    input comes from the exact eigenform expansions.
     """
 
     def __init__(self, f: Eigenform, g: Eigenform = None):
@@ -231,17 +195,19 @@ class RankinSelbergPair:
     # ---------------- theta profile and residue ----------------
 
     def theta_profile(self, t: float) -> float:
-        """Phi(t) = sum_n c(n) kappa(n t)."""
+        """Phi(t) / Gamma(k) = sum_n c(n) kappa(n t) / Gamma(k)."""
         t = float(t)
         if t <= 0:
             raise ValueError("theta profile needs t > 0")
         n = theta_cutoff(self.k, t)
         c = self.c_table(n)
         ns = np.arange(1, n + 1, dtype=float)
-        return float(np.sum(c[1:] * np.exp(kappa_log(self.k, ns * t))))
+        log_terms = kappa_log(self.k, ns * t) - math.lgamma(self.k)
+        return float(np.sum(c[1:] * np.exp(log_terms)))
 
     def residue_theta(self, t0: float = THETA_SPLIT) -> float:
-        """R = res_{s=1} Lambda(s) from Phi(1/t0) = t0 Phi(t0) + R t0 - R."""
+        """R / Gamma(k), R = res_{s=1} Lambda(s), from the theta relation
+        Phi(1/t0) = t0 Phi(t0) + R t0 - R."""
         t0 = float(t0)
         if t0 <= 0 or abs(t0 - 1.0) < 1e-6:
             raise ValueError("need a split t0 > 0 bounded away from 1")
@@ -249,11 +215,12 @@ class RankinSelbergPair:
 
     @cached_property
     def _residue(self) -> float:
-        # R at the default split, computed once per pair
+        # R / Gamma(k) at the default split, computed once per pair
         return self.residue_theta()
 
     def residue_consistency(self, t0s) -> float:
-        """Max |R(t0) - R(t0_ref)| over split points, absolute scale.
+        """Max |R(t0) - R(t0_ref)| / Gamma(k) over split points, absolute
+        scale.
 
         A split t0 reads c(n) up to theta_cutoff(k, 1/t0); the default
         horizon reaches t0 <= THETA_SPLIT, further splits want forms built
@@ -265,30 +232,31 @@ class RankinSelbergPair:
     def norm_theta(self) -> float:
         """<f, f> = 2 R / Gamma(k) in the arithmetically normalized
         evaluation convention (diagonal pairs)."""
-        return 2.0 * self._residue * math.exp(-math.lgamma(self.k))
+        return 2.0 * self._residue
 
     # ---------------- completed L via the balanced AFE ----------------
 
     def completed_l(self, s) -> complex:
-        """Lambda(s) for s away from 0 and 1 (exact AFE, balanced split)."""
+        """Lambda(s) / Gamma(k) for s away from 0 and 1 (exact AFE, balanced
+        split): the object the unfolding route computes."""
         s = complex(s)
         if min(abs(s), abs(s - 1)) < 1e-8:
             raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
         n = afe_cutoff(self.k)
         c = self.c_table(n)
+        log_16pi2n = np.log(16 * math.pi**2 * np.arange(1, n + 1, dtype=float))
         total = 0.0 + 0.0j
         for w in (s, 1 - s):
-            log_pref, val = _afe_kernel(self.k, w, n)
+            shift, val = _mellin_suffix_table(self.k, w, n)
+            # g_w(n) / Gamma(k) = exp(log_pref) val
+            log_pref = ((3 - self.k) * math.log(2.0) - w * log_16pi2n + shift
+                        - math.lgamma(self.k))
             total += np.sum(c[1:] * np.exp(log_pref) * val)
         total += self._residue * (1.0 / (s - 1.0) - 1.0 / s)
         if s.imag == 0:
             # real s: Lambda is real by symmetry and real coefficients
             return complex(total.real, 0.0)
         return total
-
-    def completed_l_normalized(self, s) -> complex:
-        """Lambda(s) / Gamma(k): the object the unfolding route computes."""
-        return self.completed_l(s) * math.exp(-math.lgamma(self.k))
 
     def l_direct(self, s, n_max: int = None) -> complex:
         """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1.

@@ -582,9 +582,13 @@ def upper_gamma_f64(a, x):
     back down with
         Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,
     which costs about one digit per unit of |a| in the worst case; fine for
-    the |a| <= 3 this artifact uses.
+    the |a| <= 3 this artifact uses.  The walk divides by zero at
+    a = 0, -1, -2, ...: RangeError there.
     """
     x = np.asarray(x, dtype=float)
+    if a <= 0 and a == math.floor(a):
+        raise RangeError("upper_gamma_f64 cannot walk down to a = %r, a non-positive "
+                         "integer" % a)
     if a == 1.0:
         g = np.negative(x, out=np.empty_like(x))
         np.exp(g, out=g)

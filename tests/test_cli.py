@@ -510,14 +510,16 @@ def test_weight_out_of_engine_range_exits_2_before_any_form(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("argv", [
-    ["norm-crosscheck", "--k", "196"],
-    ["moment", "--k-min", "160", "--k-max", "176"],
+    ["norm-crosscheck", "--k", "196", "198"],
+    ["moment", "--k-min", "160", "--k-max", "198"],
 ])
 def test_weight_out_of_theta_afe_range_exits_2_before_any_form(tmp_path, capsys, recwarn,
                                                                monkeypatch, cold_forms, argv):
-    # inside the Petersson engine's range, the theta profile and the AFE
-    # leave float64 first: the weight is rejected before any form is built,
-    # with no numpy overflow warning and no nan in a check
+    # the theta profile and the AFE, in units of Gamma(k), stay in float64
+    # at every weight the Petersson engine takes, so their range ends
+    # where the engine's does: k = 198 beside valid weights up to 196 is
+    # rejected before any form is built, with no numpy overflow warning
+    # and no nan in a check
     built = []
     monkeypatch.setattr(cli, "hecke_eigenforms", lambda k: built.append(k))
     out = tmp_path / "o.csv"
@@ -685,8 +687,8 @@ EXIT_CONTRACT = [
     (["eisenstein-residue", "extra"], 2, "config error: unrecognized arguments: extra"),
     (["norm-crosscheck", "--k"], 2, "config error: argument --k: expected at least one argument"),
     (["norm-crosscheck", "--k", "10"], 2, "config error: no cusp forms at weight 10"),
-    (["norm-crosscheck", "--k", "196"], 2,
-     "config error: theta profile and AFE of weight 196 can leave float64"),
+    (["norm-crosscheck", "--k", "196", "198"], 2,
+     "config error: Petersson weights y^(k-2) overflow float64 at k=198"),
     (["norm-crosscheck", "--k", "198"], 2,
      "config error: Petersson weights y^(k-2) overflow float64 at k=198"),
 ]
@@ -729,13 +731,15 @@ SMALLEST_RUNS = [
 def test_production_loads_no_scipy(tmp_path):
     # scipy is a test dependency only (the tests use it as a reference, so
     # this runs in a fresh interpreter): importing the CLI and running every
-    # subcommand leaves no scipy module in sys.modules
+    # subcommand leaves no scipy module in sys.modules, and no numpy.ma
+    # (np.median loads it, about 10 ms of import)
     script = (
         "import json, sys\n"
         "import periodmoments.cli as cli\n"
         "codes = [cli.main(a + ['--output', 'r%d.csv' % i, '--summary', 'r%d.json' % i])\n"
         "         for i, a in enumerate(json.loads(sys.argv[1]))]\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

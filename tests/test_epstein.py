@@ -30,7 +30,7 @@ from periodmoments.epstein import (
     iwasawa_y,
     z_from_y,
 )
-from periodmoments.precision import PoleError
+from periodmoments.precision import PoleError, RangeError
 from periodmoments.special import dirichlet_beta, upper_gamma_f64, zeta
 
 
@@ -161,6 +161,16 @@ def test_poles_and_domain():
         epstein_xi_f64(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         epstein_xi_f64(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.7)  # indefinite
+
+
+def test_f64_order_at_a_non_positive_integer_raises(recwarn):
+    # at n = 2, rho = 2 the dual half sum needs Gamma(-1, x), which the
+    # float64 walk-down cannot reach: a RangeError, not a silent nan
+    with pytest.raises(RangeError, match="a = -1"):
+        epstein_xi_f64(np.eye(2), 2.0)
+    with pytest.raises(RangeError, match="a = -1"):
+        gln_completed_eisenstein_f64([1.3], 2.0)
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_iwasawa_roundtrip_scale_invariant():

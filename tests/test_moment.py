@@ -143,7 +143,8 @@ def test_regularized_bound_against_dirichlet_sum(k):
     # the independent route: the partial Dirichlet sum of L(f x f, 1+eps)
     # to n = 2000 converges to 1e-12 only deep in Re s > 1 (its tail is
     # about R / (eps 2000^eps)); at eps = 0.1 and 1 the bound is pinned to
-    # Lambda(1+eps) / gamma(1+eps) with gamma from mp instead
+    # Lambda(1+eps) / gamma(1+eps) with gamma from mp instead (completed_l
+    # and the gamma below both come divided by Gamma(k))
     pair = RankinSelbergPair(hecke_eigenforms(k)[0])
     pair_2000 = RankinSelbergPair(hecke_eigenforms(k, horizon=2000)[0])
     for eps in (5.0, 10.0):
@@ -153,7 +154,8 @@ def test_regularized_bound_against_dirichlet_sum(k):
     for eps in (0.1, 1.0, 10.0):
         s = 1 + eps
         with mp.workdps(30):
-            gamma_s = float((2 * mp.pi) ** (-2 * s) * mp.gamma(s + k - 1) * mp.gamma(s))
+            gamma_s = float((2 * mp.pi) ** (-2 * s) * mp.gamma(s + k - 1) * mp.gamma(s)
+                            / mp.gamma(k))
         want = _unfolded_by_gamma_ratio(pair.completed_l(s).real / gamma_s, k, eps)
         reg = regularized_bound(pair, eps)
         assert abs(reg["unfolded"] - want) < 1e-12 * abs(want), eps
@@ -385,7 +387,7 @@ def test_unfold_rows_evaluate_each_form_once(monkeypatch, forms24):
         ev = completed_eisenstein_f64(eng.x, eng.y, r["s"])
         quad = eng.integrate(values[r["i"]] * np.conjugate(values[r["j"]]) * ev).real
         pair = RankinSelbergPair(forms24[r["i"]], forms24[r["j"]])
-        afe = pair.completed_l_normalized(r["s"]).real
+        afe = pair.completed_l(r["s"]).real
         assert r == {"i": r["i"], "j": r["j"], "s": r["s"], "quadrature": quad, "afe": afe,
                      "rel_err": abs(quad - afe) / abs(afe)}
         assert r["rel_err"] < 1e-4
@@ -439,7 +441,7 @@ def test_moment_row_evaluates_only_what_it_reports(monkeypatch, forms24):
 
 
 def test_regularized_bound_eps_out_of_float64_range_raises(delta, recwarn):
-    # Lambda*(f x f, 1 + eps) past float64's range at k = 12 (eps >= 166)
+    # Lambda*(f x f, 1 + eps) past float64's range at k = 12 (eps >= 170)
     # is a RangeError, and numpy warns of nothing on the way
     with pytest.raises(RangeError):
         regularized_bound(RankinSelbergPair(delta), 200.0)

@@ -422,6 +422,14 @@ def test_upper_gamma_f64_walk_down(a):
     assert np.max(np.abs(upper_gamma_f64(a, x) - ref) / np.abs(ref)) <= 2e-12
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, -2.0])
+def test_upper_gamma_f64_non_positive_integer_order_raises(a, recwarn):
+    # the walk-down's last step would divide by a + m - 1 - j = 0
+    with pytest.raises(RangeError, match="a = %r" % a):
+        upper_gamma_f64(a, np.array([0.3, 1.0, 4.0]))
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_k0_series_matches_mpmath():
     # kit_f64's t = 0 branch below x = 2, down to the 2.5e-30 of the n = 2
     # Stade log-grid
