@@ -146,12 +146,14 @@ def delta_qexp(n_terms: int):
 
 
 class _MillerProducts:
-    """Delta^j E4^a E6^b, truncated at one horizon: the largest requested so far.
+    """Delta^j E4^a E6^b, each entry truncated at the horizon that built it.
 
     A truncated product's first n coefficients depend only on the first n
-    coefficients of its factors, so a smaller horizon is an exact slice
-    and only a larger request rebuilds.  Each entry costs one product: it
-    chains one factor E6 (b > 0), E4 (a > 0) or Delta onto an earlier
+    coefficients of its factors, so a request no longer than an entry
+    reads a prefix of it, and an entry is rebuilt from its chain only when
+    a longer horizon asks for it; a long request never lengthens the
+    entries that later, shorter ones build.  Each entry costs one product:
+    it chains one factor E6 (b > 0), E4 (a > 0) or Delta onto an earlier
     entry.  Nothing is built until the first request.
     """
 
@@ -159,27 +161,35 @@ class _MillerProducts:
         self.clear()
 
     def clear(self):
-        self.n_terms = -1
         self._entries = {}
+        self._series = {}
 
     def get(self, j: int, a: int, b: int, n_terms: int):
-        if n_terms > self.n_terms:
-            self.n_terms = n_terms
-            self._e4 = e4_qexp(n_terms)
-            self._e6 = e6_qexp(n_terms)
-            self._entries = {(1, 0, 0): delta_qexp(n_terms)}
-        return self._entry(j, a, b)[: n_terms + 1]
+        return self._entry(j, a, b, n_terms)[: n_terms + 1]
 
-    def _entry(self, j: int, a: int, b: int):
-        if (j, a, b) not in self._entries:
+    def _eisenstein(self, qexp, n_terms: int):
+        # E4 or E6 to at least n_terms, kept at the longest length asked
+        have = self._series.get(qexp)
+        if have is None or len(have) <= n_terms:
+            have = self._series[qexp] = qexp(n_terms)
+        return have
+
+    def _entry(self, j: int, a: int, b: int, n_terms: int):
+        have = self._entries.get((j, a, b))
+        if have is not None and len(have) > n_terms:
+            return have
+        if (j, a, b) == (1, 0, 0):
+            row = delta_qexp(n_terms)
+        else:
             if b:
-                prev, factor = self._entry(j, a, b - 1), self._e6
+                prev, factor = self._entry(j, a, b - 1, n_terms), self._eisenstein(e6_qexp, n_terms)
             elif a:
-                prev, factor = self._entry(j, a - 1, 0), self._e4
+                prev, factor = self._entry(j, a - 1, 0, n_terms), self._eisenstein(e4_qexp, n_terms)
             else:
-                prev, factor = self._entry(j - 1, 0, 0), self._entries[1, 0, 0]
-            self._entries[j, a, b] = poly_mul_trunc(prev, factor, self.n_terms)
-        return self._entries[j, a, b]
+                prev, factor = self._entry(j - 1, 0, 0, n_terms), self._entry(1, 0, 0, n_terms)
+            row = poly_mul_trunc(prev, factor, n_terms)
+        self._entries[j, a, b] = row
+        return row
 
 
 _MILLER_PRODUCTS = _MillerProducts()

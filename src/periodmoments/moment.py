@@ -13,6 +13,16 @@ the lune between the unit circle and that line:
 <F, G>_k = int F(z) conj(G(z)) y^{k-2} dx dy.  Ymax = max(10, (k+40)/2pi)
 keeps the tail of the cusp-form factor below 1e-30.
 
+Only the right half of each part carries nodes: the strip's midpoint
+columns in x in (0, 1/2] and the lune's positive Gauss-Legendre columns,
+each with its x-weight doubled.  Every integrand summed here obeys
+v(-x + iy) = conj v(x + iy): level-1 eigenforms have real coefficients,
+so f(-conj z) = conj f(z), and E*(., s) at real s is real and even in x.
+The domain and both rules are symmetric under x -> -x (the midpoint
+abscissae are dyadic and numpy's leggauss symmetrizes its nodes and
+weights), so each integral is 2 Re of its half over x > 0, and the
+engine evaluates every form and E*(., s) on half the nodes.
+
 The two parts are cached separately: the strip per (Ymax, refine), the
 lune per refine alone, each with x and y in broadcast shape (the strip as
 the tensor grid xs[:, None] x ys[None, :], the lune as columns of
@@ -82,6 +92,7 @@ __all__ = [
     "moment_sweep",
 ]
 
+# x-rules on all of [-1/2, 1/2]; the engine keeps their x > 0 half
 STRIP_X_POINTS = 128
 STRIP_Y_POINTS = 200
 LUNE_X_POINTS = 64
@@ -107,12 +118,14 @@ class _Part:
 
 @cache
 def _strip(ymax: float, refine: int) -> _Part:
-    """The strip below ymax as the tensor grid x = xs[:, None],
-    y = ys[None, :]; every engine with the same ymax and refine (all
-    k <= 22 have ymax = 10) shares it."""
+    """The right half of the strip below ymax as the tensor grid
+    x = xs[:, None], y = ys[None, :]: the x > 0 columns of the midpoint
+    rule of STRIP_X_POINTS * refine columns on [-1/2, 1/2], weighted
+    twice.  Every engine with the same ymax and refine (all k <= 22 have
+    ymax = 10) shares it."""
     nx, ny = STRIP_X_POINTS * refine, STRIP_Y_POINTS * refine
-    xs = -0.5 + (np.arange(nx) + 0.5) / nx
-    wx = np.full(nx, 1.0 / nx)
+    xs = (np.arange(nx // 2) + 0.5) / nx
+    wx = np.full(nx // 2, 2.0 / nx)
     gl_u, gl_wu = special._leggauss(ny)
     umax = math.log(ymax)
     uu = umax / 2 * (gl_u + 1.0)
@@ -123,12 +136,16 @@ def _strip(ymax: float, refine: int) -> _Part:
 
 @cache
 def _lune(refine: int) -> _Part:
-    """The lune as columns of constant x: x of shape (columns, 1), y of
-    shape (columns, nodes per column).  It does not depend on ymax, so
-    every engine with the same refine shares it."""
+    """The right half of the lune as columns of constant x: x of shape
+    (columns, 1), y of shape (columns, nodes per column).  The columns
+    are the positive half of the LUNE_X_POINTS * refine Gauss-Legendre
+    abscissae (ascending, symmetric), weighted twice.  It does not
+    depend on ymax, so every engine with the same refine shares it."""
     gl_x, gl_wx = special._leggauss(LUNE_X_POINTS * refine)
     gl_y, gl_wy = special._leggauss(LUNE_Y_POINTS * refine)
-    xv, xw = (gl_x / 2)[:, None], (gl_wx / 2)[:, None]
+    right = slice(len(gl_x) // 2, None)
+    # x = gl_x / 2 on [-1/2, 1/2] has weight gl_wx / 2, twice over
+    xv, xw = (gl_x[right] / 2)[:, None], gl_wx[right][:, None]
     y0 = np.sqrt(1.0 - xv * xv)
     mid, half = (1.0 + y0) / 2, (1.0 - y0) / 2
     return _Part(xv, mid + half * gl_y, gl_wy * half * xw)
@@ -149,6 +166,10 @@ def _part_estar(part: _Part, s: float, y_min: float) -> np.ndarray:
 class PeterssonEngine:
     """Quadrature nodes/weights for weight-k Petersson integrals.
 
+    The nodes cover the right half of the fundamental domain, x > 0, with
+    doubled x-weights, so the engine integrates only functions v with
+    v(-x + iy) = conj v(x + iy) (see the module docstring): the integral
+    over the whole domain is then the real part of twice the half.
     Weights fold in the measure factor y^{k-2}; Ymax grows with k so the
     mass peak of |f|^2 y^k near y ~ k/4pi stays interior.  refine scales
     every node count for convergence probes.  Weights that overflow
@@ -192,9 +213,12 @@ class PeterssonEngine:
     def y(self) -> np.ndarray:
         return self._flat([p.y for p in self._parts])
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Weighted sum over the nodes; values evaluated at (self.x, self.y)."""
-        return complex(np.sum(values * self.w))
+    def integrate(self, values: np.ndarray) -> float:
+        """The integral over the fundamental domain of a v with
+        v(-x + iy) = conj v(x + iy), from values = v at (self.x, self.y):
+        sum w Re v.  Only the real part is returned, since the imaginary
+        parts of mirror nodes cancel."""
+        return float(np.sum(values.real * self.w))
 
     def form_values(self, form: Eigenform) -> np.ndarray:
         """The cusp form at the nodes, part by part.  Not memoized:
@@ -221,7 +245,7 @@ def petersson_engine(k: int, refine: int) -> PeterssonEngine:
     return PeterssonEngine(k, refine)
 
 
-def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
+def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> float:
     # one operation order for every <f h, g> from grid values, so callers
     # that reuse f, g or h on the nodes get bit-identical sums
     vals = fv * np.conjugate(gv)
@@ -230,9 +254,10 @@ def _pairing(eng: PeterssonEngine, fv, gv, hv=None) -> complex:
     return eng.integrate(vals)
 
 
-def inner_product(f: Eigenform, g: Eigenform = None, refine: int = 1) -> complex:
-    """<f, g>_k on the nodes of petersson_engine(k, refine); g=None takes
-    <f, f>.  The node-doubling shift is the difference from refine 2."""
+def inner_product(f: Eigenform, g: Eigenform = None, refine: int = 1) -> float:
+    """<f, g>_k on the nodes of petersson_engine(k, refine), real for
+    level-1 eigenforms; g=None takes <f, f>.  The node-doubling shift is
+    the difference from refine 2."""
     if g is None:
         g = f
     if f.weight != g.weight:
@@ -245,7 +270,7 @@ def inner_product(f: Eigenform, g: Eigenform = None, refine: int = 1) -> complex
 
 def norm_quadrature(f: Eigenform) -> float:
     """<f, f>_k over the fundamental domain."""
-    return inner_product(f).real
+    return inner_product(f)
 
 
 def _gamma_k_over_gamma_half(k: int) -> float:
@@ -285,7 +310,7 @@ def unfold_rows(forms, s_values) -> list:
             for j, g in enumerate(forms):
                 pair = RankinSelbergPair(f, g)
                 for s in s_values:
-                    quad = _pairing(eng, values[i], values[j], estar[s]).real
+                    quad = _pairing(eng, values[i], values[j], estar[s])
                     afe = pair.completed_l(s).real
                     if not (math.isfinite(quad) and math.isfinite(afe)):
                         raise RangeError("s = %r takes the unfolding out of float64 range "
@@ -305,7 +330,9 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
                   E = E* / lambda(2s) with lambda(s) = pi^{-s/2}Gamma(s/2)zeta(s).
     c_fit       = max over the quadrature range of E*(z,1/2)^2 / E(z,1+eps);
                   the pointwise bound E*(z,1/2)^2 << y (1+log y)^2 makes this
-                  finite but its size is measured, not assumed.
+                  finite but its size is measured, not assumed.  The
+                  ratio is even in x, so its max on the engine's x > 0
+                  nodes is its max on the mirrored ones.
     bound       = c_fit * unfolded  >=  ||f E*(., 1/2)||^2.
     An eps that takes unfolded or c_fit out of float64's finite nonzero
     range raises RangeError.  The AFE loses digits at large real s (about
@@ -370,7 +397,7 @@ def moment_row(forms) -> dict:
         s_k += l_afe**2
         bessel_sum += lam_star**2 / norm_g
         central.append({"g_index": g.index, "L_afe": l_afe, "norm_g": norm_g})
-    ceiling = eng.integrate(np.abs(fv) ** 2 * e_half**2).real
+    ceiling = eng.integrate(np.abs(fv) ** 2 * e_half**2)
     return {
         "k": k,
         "dim": len(forms),

@@ -41,7 +41,9 @@ Incomplete Mellin integrals are evaluated on sqrt-spaced panels with a
 shared Gauss-Legendre rule, log-space shifts per panel, and a suffix
 accumulation that yields all n cutoffs in one pass.  The nodes and
 K_{k-1} on them depend on (k, n) only, so every w of a weight reads one
-node table (_bessel_nodes) and evaluates special.kve_f64 once.
+node table (_bessel_nodes) and evaluates special.kve_f64 once.  The
+theta kernel kappa(n t) / Gamma(k) likewise depends on (k, t) only: every
+pair of a weight reads one table per split point (_theta_kernel).
 """
 
 import math
@@ -66,6 +68,17 @@ def kappa_log(k: int, x):
         + np.log(kve_f64(k - 1, arg))
         - arg
     )
+
+
+@cache
+def _theta_kernel(k: int, t: float) -> np.ndarray:
+    """kappa(n t) / Gamma(k) for n = 1..theta_cutoff(k, t), read-only.
+    It depends on (k, t) alone, so every pair of weight k reads one table
+    per split point and kappa_log runs once per (k, t) per process."""
+    ns = np.arange(1, theta_cutoff(k, t) + 1, dtype=float)
+    kernel = np.exp(kappa_log(k, ns * t) - math.lgamma(k))
+    kernel.flags.writeable = False
+    return kernel
 
 
 @lru_cache(maxsize=1)
@@ -199,11 +212,8 @@ class RankinSelbergPair:
         t = float(t)
         if t <= 0:
             raise ValueError("theta profile needs t > 0")
-        n = theta_cutoff(self.k, t)
-        c = self.c_table(n)
-        ns = np.arange(1, n + 1, dtype=float)
-        log_terms = kappa_log(self.k, ns * t) - math.lgamma(self.k)
-        return float(np.sum(c[1:] * np.exp(log_terms)))
+        c = self.c_table(theta_cutoff(self.k, t))
+        return float(np.sum(c[1:] * _theta_kernel(self.k, t)))
 
     def residue_theta(self, t0: float = THETA_SPLIT) -> float:
         """R / Gamma(k), R = res_{s=1} Lambda(s), from the theta relation

@@ -336,7 +336,8 @@ def test_lam_independent_of_horizon(k):
 
 
 def test_miller_basis_independent_of_request_order():
-    # the shared product table holds one horizon; smaller ones slice it
+    # each shared product keeps the horizon that built it; shorter
+    # requests read a prefix, longer ones rebuild its chain
     requests = [(36, 40), (24, 90), (40, 150), (28, 150), (36, 220)]
     cold = {}
     for k, n in requests:
@@ -350,7 +351,30 @@ def test_miller_basis_independent_of_request_order():
 
 def test_miller_products_built_once_largest_first(monkeypatch):
     # count guard, no timing: every default weight at its eigenform
-    # horizon, largest first, from a cold table
+    # horizon, largest first, from a cold table; each product is built
+    # once, at the horizon of the weight that first needs it
+    calls = []
+    real = modforms.poly_mul_trunc
+
+    def counted(a, b, n_terms):
+        calls.append((k, n_terms))
+        return real(a, b, n_terms)
+
+    monkeypatch.setattr(modforms, "poly_mul_trunc", counted)
+    modforms._MILLER_PRODUCTS.clear()
+    for k in sorted(DEFAULT_WEIGHTS, reverse=True):
+        assert len(miller_basis(k, eigenform_horizon(k))) == cusp_dim(k)
+    assert len(calls) <= 30
+    assert all(n == eigenform_horizon(k) for k, n in calls)
+
+
+def test_miller_products_at_the_requested_horizon(monkeypatch):
+    # a long request leaves the table with long entries, but products
+    # that a later, shorter request builds stop at its own horizon
+    h = eigenform_horizon(16)
+    cold = miller_basis(16, h)
+    modforms._MILLER_PRODUCTS.clear()
+    miller_basis(12, 2000)  # what hecke_eigenforms(12, horizon=2000) asks
     calls = []
     real = modforms.poly_mul_trunc
 
@@ -359,11 +383,8 @@ def test_miller_products_built_once_largest_first(monkeypatch):
         return real(a, b, n_terms)
 
     monkeypatch.setattr(modforms, "poly_mul_trunc", counted)
-    modforms._MILLER_PRODUCTS.clear()
-    for k in sorted(DEFAULT_WEIGHTS, reverse=True):
-        assert len(miller_basis(k, eigenform_horizon(k))) == cusp_dim(k)
-    assert len(calls) <= 30
-    assert set(calls) == {eigenform_horizon(max(DEFAULT_WEIGHTS))}
+    assert miller_basis(16, h) == cold
+    assert calls and max(calls) <= h
 
 
 def test_lam_f64_is_float_of_lam():

@@ -446,3 +446,73 @@ def test_regularized_bound_eps_out_of_float64_range_raises(delta, recwarn):
     with pytest.raises(RangeError):
         regularized_bound(RankinSelbergPair(delta), 200.0)
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_integrands_mirror_bit_for_bit(k, forms40):
+    # the engine keeps the x > 0 half of the nodes because every integrand
+    # is conjugate-symmetric under x -> -x: f(-conj z) = conj f(z) for real
+    # coefficients and E*(., s) even in x at real s, exactly at every node
+    eng = petersson_engine(k, 1)
+    forms = forms40 if k == 40 else hecke_eigenforms(k)
+    for part in eng._parts:
+        assert np.all(part.x > 0)
+        for f in forms:
+            right = eval_cusp_form_f64(f, part.x, part.y, y_min=eng.y_min)
+            left = eval_cusp_form_f64(f, -part.x, part.y, y_min=eng.y_min)
+            assert np.array_equal(left, np.conjugate(right))
+        for s in (0.5, 0.75, 1.25):
+            right = completed_eisenstein_f64(part.x, part.y, s, y_min=eng.y_min)
+            left = completed_eisenstein_f64(-part.x, part.y, s, y_min=eng.y_min)
+            assert np.array_equal(left, right)
+
+
+def _mirrored_parts(k, refine):
+    """The strip and lune on all of [-1/2, 1/2], built here from the rules
+    themselves: (x, y, w) per part in broadcast shape, w = dx dy y^(k-2)."""
+    ymax = max(10.0, (k + 40.0) / (2 * math.pi))
+    nx, ny = 128 * refine, 200 * refine
+    u, wu = np.polynomial.legendre.leggauss(ny)
+    umax = math.log(ymax)
+    ys = np.exp(umax / 2 * (u + 1.0))
+    xs = -0.5 + (np.arange(nx) + 0.5) / nx
+    strip = (xs[:, None], ys[None, :], np.outer(np.full(nx, 1.0 / nx), wu * umax / 2 * ys))
+    gx, gwx = np.polynomial.legendre.leggauss(64 * refine)
+    gy, gwy = np.polynomial.legendre.leggauss(48 * refine)
+    xv = (gx / 2)[:, None]
+    y0 = np.sqrt(1.0 - xv * xv)
+    lune = (xv, (1.0 + y0) / 2 + (1.0 - y0) / 2 * gy, gwy * (1.0 - y0) / 2 * (gwx / 2)[:, None])
+    return [(x, y, w * y ** (k - 2)) for x, y, w in (strip, lune)]
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_half_domain_matches_the_mirrored_sum(forms24, refine):
+    # <f, f> and <f E*(., s), g> on the x > 0 half equal the explicit sum
+    # over every mirrored node, whose imaginary part cancels
+    f, g = forms24
+    eng = petersson_engine(24, refine)
+    # the x > 0 halves: 64 x 200 strip and 32 x 48 lune nodes at refine 1
+    assert [p.w0.shape for p in eng._parts] == [(64 * refine, 200 * refine),
+                                                (32 * refine, 48 * refine)]
+    assert eng.w.size == 14336 * refine**2
+    parts = _mirrored_parts(24, refine)
+    assert sum(np.broadcast(x, y).size for x, y, _ in parts) == 28672 * refine**2
+    y_min = min(float(np.min(y)) for _, y, _ in parts)
+    assert y_min == eng.y_min
+
+    def mirrored(fn):
+        return sum(complex(np.sum(fn(x, y) * w)) for x, y, w in parts)
+
+    def cusp(form):
+        return lambda x, y: eval_cusp_form_f64(form, x, y, y_min=y_min)
+
+    want = mirrored(lambda x, y: np.abs(cusp(f)(x, y)) ** 2)
+    got = inner_product(f, refine=refine)
+    assert abs(got - want.real) <= 1e-14 * want.real and want.imag == 0
+    fv, gv = eng.form_values(f), eng.form_values(g)
+    for s in (0.5, 1.25):
+        want = mirrored(lambda x, y: cusp(f)(x, y) * np.conjugate(cusp(g)(x, y))
+                        * completed_eisenstein_f64(x, y, s, y_min=y_min))
+        got = moment._pairing(eng, fv, gv, eng.estar(s))
+        assert abs(got - want.real) <= 1e-14 * abs(want.real)
+        assert abs(want.imag) <= 1e-14 * abs(want.real)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from periodmoments import modforms, rankin_selberg, special
+from periodmoments import rankin_selberg, special
 from periodmoments.cli import NORM_TOL, UNFOLD_TOL
-from periodmoments.modforms import afe_cutoff, hecke_eigenforms
+from periodmoments.modforms import afe_cutoff, hecke_eigenforms, theta_cutoff
 from periodmoments.moment import norm_quadrature, unfold_rows
 from periodmoments.precision import PoleError
 from periodmoments.rankin_selberg import RankinSelbergPair, kappa_log
@@ -180,6 +180,31 @@ def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
         assert not a.flags.writeable
 
 
+def test_theta_kernel_once_per_weight_and_split(monkeypatch, k24_forms):
+    # kappa(n t) / Gamma(k) depends on (k, t) alone: three pairs of one
+    # weight, each reading t = 1/2 and 2, evaluate kappa_log twice, and
+    # every profile equals the per-pair sum from scratch bit for bit
+    k = 24
+    rankin_selberg._theta_kernel.cache_clear()
+    calls = []
+    real = rankin_selberg.kappa_log
+    monkeypatch.setattr(rankin_selberg, "kappa_log",
+                        lambda k, x: calls.append(k) or real(k, x))
+    f, g = k24_forms
+    pairs = [RankinSelbergPair(f), RankinSelbergPair(g), RankinSelbergPair(f, g)]
+    for pair in pairs:
+        pair.residue_theta()
+    assert calls == [k, k]
+    for t in (0.5, 2.0):
+        assert not rankin_selberg._theta_kernel(k, t).flags.writeable
+        ns = np.arange(1, theta_cutoff(k, t) + 1, dtype=float)
+        for pair in pairs:
+            c = pair.c_table(len(ns))
+            want = float(np.sum(c[1:] * np.exp(real(k, ns * t) - math.lgamma(k))))
+            assert pair.theta_profile(t) == want
+    assert len(calls) == 2
+
+
 def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
     # c(n) = sum over d^2 | n of lam_f lam_g(n / d^2), added in increasing
     # d: every prefix is the table built to its own end, bit for bit
@@ -274,14 +299,11 @@ def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
     assert grids == [(afe_cutoff(40) + 240, 12)]
 
 
-def test_theta_and_afe_past_k170_stay_in_float64(monkeypatch, recwarn):
+def test_theta_and_afe_past_k170_stay_in_float64(recwarn):
     # in units of Gamma(k) no term of the theta profile or the AFE leaves
     # float64 at any weight the Petersson engine takes; at k = 172 their
     # unnormalized terms reach Gamma(171) ~ e^706.6, within e^3.2 of the
-    # largest float64, and their sums may leave it.  The Miller products start
-    # empty, at the default horizon of k = 172 rather than at the largest
-    # one an earlier test asked for (2000 terms take twice as long)
-    monkeypatch.setattr(modforms, "_MILLER_PRODUCTS", modforms._MillerProducts())
+    # largest float64, and their sums may leave it
     forms = hecke_eigenforms(172)
     f = forms[0]
     nq = norm_quadrature(f)
