@@ -192,8 +192,12 @@ def run_stade(args, rng):
                                    lo <= max(eq11) <= hi))
     params = {"n": args.n, "samples": args.samples, "s": s_values}
     if args.n == 3:
-        # the ranks the range finder chose for the Mellin-Barnes kernels
-        params.update(kernel_rank_min=min(ranks), kernel_rank_max=max(ranks))
+        # the ranks the range finder chose for the Mellin-Barnes kernels,
+        # the Stade grid of each s and the kernels' node count
+        sizes = [spectral.stade3_sizes(s) for s in s_values]
+        params.update(kernel_rank_min=min(ranks), kernel_rank_max=max(ranks),
+                      grid_shapes=[list(shape) for shape, _ in sizes],
+                      mb_nodes=sizes[0][1])
     return header, rows, checks, params
 
 

@@ -39,7 +39,10 @@ _whittaker3_completed_grid, used by whittaker) forms C and contracts the
 dense product e1 C e2.  The production tier of stade_check
 (_mb_kernel_factors) never forms C: a randomized range finder with a
 fixed-seed sketch returns C ~ Q B of rank r, sized by a residual bound
-tied to float64 round-off, and each Stade grid is (f1 Q)(B f2).
+tied to float64 round-off.  Nor does it form a Whittaker grid: with
+A1 = f1 Q and A2 = B f2, each grid would be A1 A2, and the Stade sum
+over the grid of W_nu conj(W_mu) is the trace of the r x r product
+(A1_mu^H A1_nu)(A2_nu A2_mu^H).
 
 Plancherel density: G(ix) = |Gamma_R(1+ix)/Gamma_R(ix)|^2
 = (x/2pi) tanh(pi x/2) (both forms implemented and compared), and the
@@ -73,6 +76,7 @@ __all__ = [
     "plancherel_ball",
     "whittaker",
     "stade_check",
+    "stade3_sizes",
     "stade_rhs_simple",
 ]
 
@@ -339,7 +343,10 @@ def _mb_kernel_factors(alpha):
     C acts only as an operator, C x = exp(a) * (H (exp(b) * x)).  The rank
     starts at MB_RANK0 and doubles, up to the node count, until the
     residual on the separate test columns satisfies
-    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.
+    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.  The first width
+    applies C to its sketch and the test columns in one product, so a
+    kernel that stops there streams H twice (that product, then B); each
+    doubled width applies C to its own sketch only.
     """
     _, hankel = _mb_nodes()
     ea, eb = _mb_diagonals(alpha)
@@ -349,15 +356,17 @@ def _mb_kernel_factors(alpha):
 
     m = len(ea)
     width = MB_RANK0
-    omega_test = _mb_sketch(width)[1]
-    c_test = apply(omega_test)
+    omega, omega_test = _mb_sketch(width)
+    c_both = apply(np.hstack((omega, omega_test)))
+    y, c_test = c_both[:, :width], c_both[:, width:]
     while True:
-        q, _ = np.linalg.qr(apply(_mb_sketch(width)[0]))
+        q, _ = np.linalg.qr(y)
         b = ((q.conj().T * ea[None, :]) @ hankel) * eb[None, :]
         resid = np.linalg.norm(c_test - q @ (b @ omega_test))
         if width == m or resid <= MB_TOL * np.linalg.norm(c_test):
             return q, b
         width = min(2 * width, m)
+        y = apply(_mb_sketch(width)[0])
 
 
 def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
@@ -477,6 +486,13 @@ def _stade3_axes(s: float):
     return l1, l2
 
 
+def stade3_sizes(s: float):
+    """((rows, columns), nodes): the shape of the n=3 Stade log-grid at s
+    and the Mellin-Barnes node count of its kernels."""
+    l1, l2 = _stade3_axes(s)
+    return (len(l1), len(l2)), len(_mb_nodes()[0])
+
+
 @functools.cache
 def _stade3_grid(s: float):
     """(f1, f2): the Mellin-Barnes exponentials e1, e2 of the n=3 Stade
@@ -484,9 +500,10 @@ def _stade3_grid(s: float):
 
     W*(y1, y2) = MB_PREF y1 y2 (e1 C e2) and the measure weight
     w1 w2 = y1^(2s-2) y2^(s-2) enter as sqrt(MB_PREF w1) y1 on the rows of
-    e1 and sqrt(MB_PREF w2) y2 on the columns of e2, so the integral is
-    STADE3_H^2 sum((f1 C_nu f2) conj(f1 C_mu f2)).  The grid depends only
-    on s: every (nu, mu) pair at that s shares it.
+    e1 and sqrt(MB_PREF w2) y2 on the columns of e2, so with C ~ Q B the
+    integral is STADE3_H^2 trace((A1_mu^H A1_nu)(A2_nu A2_mu^H)) for
+    A1 = f1 Q and A2 = B f2.  The grid depends only on s: every (nu, mu)
+    pair at that s shares it.
     """
     l1, l2 = _stade3_axes(s)
     y1, y2 = np.exp(l1), np.exp(l2)
@@ -499,16 +516,25 @@ def _stade3_grid(s: float):
 
 def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float):
     """The n=3 Stade integral from the low-rank kernels C ~ Q B of nu and
-    mu, and their ranks: each grid is (f1 Q)(B f2), never f1 C f2."""
+    mu, and their ranks, without forming a Whittaker grid.
+
+    Each grid is A1 A2 with A1 = f1 Q (rows x r) and A2 = B f2
+    (r x columns), so sum(W_nu conj(W_mu)) is the trace of g1 g2 with
+    g1 = A1_mu^H A1_nu (r_mu x r_nu) and g2 = A2_nu A2_mu^H (r_nu x r_mu);
+    the ranks may differ.  A pair with mu = nu factors one kernel.
+    """
     f1, f2 = _stade3_grid(s)
 
-    def grid(params):
+    def factors(params):
         q, b = _mb_kernel_factors(params.alpha)
-        return (f1 @ q) @ (b @ f2), q.shape[1]
+        return f1 @ q, b @ f2
 
-    wn, rank_nu = grid(nu)
-    wm, rank_mu = (wn, rank_nu) if mu == nu else grid(mu)
-    return complex(np.sum(wn * np.conjugate(wm)) * STADE3_H**2), (rank_nu, rank_mu)
+    a1n, a2n = factors(nu)
+    a1m, a2m = (a1n, a2n) if mu == nu else factors(mu)
+    g1 = a1m.conj().T @ a1n
+    g2 = a2n @ a2m.conj().T
+    ranks = (a1n.shape[1], a1m.shape[1])
+    return complex(STADE3_H**2 * np.sum(g1 * g2.T)), ranks
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:

@@ -183,6 +183,14 @@ def test_stade_n3_includes_diagonal_pi_row(tmp_path):
     assert row[:6] == ["3", "0.5", "0.5", "0.5", "0.5", "1"]
     lhs = complex(row[6])
     assert abs(lhs - 3.141592653589793) < 1e-9
+    # the summary records the Stade grid of each s and the kernels' node count
+    params = json.loads((tmp_path / "s.json").read_text())["params"]
+    assert params["grid_shapes"] == [[441, 841]]
+    assert params["mb_nodes"] == 734
+    assert run(["stade", "--n", "3", "--samples", "1", "--s", "0.5", "1.5",
+                "--output", str(csv_p), "--summary", str(tmp_path / "s.json")]) == 0
+    params = json.loads((tmp_path / "s.json").read_text())["params"]
+    assert params["grid_shapes"] == [[841, 1641], [441, 574]]
 
 
 def test_stade_n2_writes_the_complex_values(tmp_path):

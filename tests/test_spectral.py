@@ -10,6 +10,7 @@ every nu-dependent factor cancels analytically.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -403,6 +404,91 @@ def test_stade3_lowrank_matches_full_gemm():
     full = abs(_full_gemm_lhs(p, p, 0.5) - r["rhs_completed"]) / abs(r["rhs_completed"])
     for err in (r["rel_err"], full):
         assert err == pytest.approx(1.8e-6, rel=0.02) and err <= cli.STADE3_TOL
+
+
+def _params3(t):
+    return sp.spectral_params(3, [1j * v for v in t])
+
+
+def _grid_sum_lhs(nu, mu, s):
+    """The n=3 Stade integral from the same low-rank factors as
+    _stade_lhs_3, but summed over the explicit Whittaker grids
+    W = (f1 Q)(B f2) elementwise; also that sum of |W_nu| |W_mu|, the
+    scale of its round-off."""
+    f1, f2 = sp._stade3_grid(s)
+
+    def grid(params):
+        q, b = sp._mb_kernel_factors(params.alpha)
+        return (f1 @ q) @ (b @ f2)
+
+    wn = grid(nu)
+    wm = wn if mu == nu else grid(mu)
+    h2 = sp.STADE3_H**2
+    return complex(np.sum(wn * np.conjugate(wm)) * h2), float(np.sum(abs(wn) * abs(wm)) * h2)
+
+
+def test_stade3_trace_equals_grid_sum():
+    # trace((A1_mu^H A1_nu)(A2_nu A2_mu^H)) is the elementwise grid sum,
+    # reordered: the CLI's 20 seed-0 pairs at s = 1, its grid pairs at
+    # every s, and a pair of unequal ranks, (3i, 3i) against rank 16
+    cases = [(nu, mu, 1.0) for nu, mu in cli.stade3_pairs(20, np.random.default_rng(0))]
+    cases += [(nu, mu, s) for nu, mu in cli.STADE3_GRID for s in (0.5, 1.0, 1.5)]
+    cases.append(((3.0, 3.0), (2.5, 2.5), 1.0))
+    for nu, mu, s in cases:
+        got, ranks = sp._stade_lhs_3(_params3(nu), _params3(mu), s)
+        want, _ = _grid_sum_lhs(_params3(nu), _params3(mu), s)
+        assert abs(got - want) <= 1e-14 * abs(want), (nu, mu, s, got, want)
+    assert ranks == (32, 16)
+    # against (0.5i, 0.5i) the sum cancels 6,400-fold (1.8e-18 of a
+    # 1.1e-14 scale): both orders then agree to round-off of the scale
+    nu, mu = _params3((3.0, 3.0)), _params3((0.5, 0.5))
+    got, ranks = sp._stade_lhs_3(nu, mu, 1.0)
+    want, scale = _grid_sum_lhs(nu, mu, 1.0)
+    assert ranks == (32, 16) and scale > 1000 * abs(want)
+    assert abs(got - want) <= 1e-14 * scale, (got, want, scale)
+
+
+def test_stade3_trace_forms_no_grid():
+    # one _stade_lhs_3 call, kernel factoring included, peaks below half
+    # of one 441 x 841 complex grid at s = 1 (the elementwise sum held two
+    # or three); the bound keeps a 2x margin over the measured peak
+    grid_bytes = np.prod(sp.stade3_sizes(1.0)[0]) * np.dtype(complex).itemsize
+    sp._stade3_grid(1.0)
+    sp._mb_sketch(sp.MB_RANK0)
+    nu, mu = _params3((0.7, -0.3)), _params3((0.2, 0.4))
+    for pair in ((nu, nu), (nu, mu)):
+        tracemalloc.start()
+        try:
+            sp._stade_lhs_3(*pair, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 2, (pair, peak, grid_bytes)
+
+
+class _CountingArray(np.ndarray):
+    """An ndarray view that records in .calls the name of every ufunc,
+    np.matmul included, that takes it as an operand; results are plain
+    ndarrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingArray) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_mb_kernel_factors_stream_hankel_once_per_product(monkeypatch):
+    # the first width applies C to its sketch and the test columns in one
+    # product, then forms B: two passes over H; (3i, 3i) doubles once and
+    # applies C to its new sketch only, then forms B again
+    u, hankel = sp._mb_nodes()
+    counted = hankel.view(_CountingArray)
+    monkeypatch.setattr(sp, "_mb_nodes", lambda: (u, counted))
+    for t, passes in (((0.5, 0.5), 2), ((-0.9, 0.4), 2), ((3.0, 3.0), 4)):
+        counted.calls = []
+        q, b = sp._mb_kernel_factors(_params3(t).alpha)
+        assert counted.calls == ["matmul"] * passes, (t, counted.calls)
+        assert type(q) is np.ndarray and type(b) is np.ndarray
 
 
 def _per_s_lhs_2(nu, mu, s):
