@@ -37,7 +37,7 @@ from .epstein import (
     epstein_z_f64,
     gln_completed_eisenstein_f64,
 )
-from .modforms import cusp_dim, hecke_eigenforms
+from .modforms import cusp_dim, eigenform_horizon, hecke_eigenforms
 from .moment import moment_sweep, norm_quadrature, petersson_engine, unfold_rows
 from .precision import NonConvergenceError, PoleError, RangeError
 from .rankin_selberg import RankinSelbergPair
@@ -68,9 +68,9 @@ LEMMA1_MAX_OVER_MEDIAN = 3.0
 
 
 @functools.cache
-def _forms(k):
-    """The eigenforms of weight k, built once per process."""
-    forms = hecke_eigenforms(k)
+def _forms(k, horizon):
+    """The eigenforms of weight k to horizon, built once per process."""
+    forms = hecke_eigenforms(k, horizon)
     if not forms:
         raise RangeError("no cusp forms at weight %d" % k)
     return forms
@@ -81,13 +81,15 @@ def _forms_by_weight(weights):
     check of the Petersson engine (k <= 196), so that a weight out of
     range exits 2 before any form is built.  It is the only range check:
     the theta profile and the AFE work in units of Gamma(k) and stay in
-    float64 at every weight the engine takes.  The largest weight comes
-    first: its horizon is the largest, so the shared Miller products are
-    built once and every smaller weight slices them."""
+    float64 at every weight the engine takes; the largest weight is
+    checked first, so the error names it.  Every weight is built at one
+    horizon, that of the largest weight, so the weights share the Miller
+    products cached at it; lam(n) does not depend on the horizon."""
     weights = sorted(set(weights), reverse=True)
     for k in weights:
         petersson_engine(k, 1)
-    return {k: _forms(k) for k in weights}
+    horizon = eigenform_horizon(weights[0])
+    return {k: _forms(k, horizon) for k in weights}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .precision import PoleError
-from .special import _heights, _k_sum_ex, _term_sum, kve_f64, lam
+from .special import _EULER_GAMMA, _heights, _k_sum_ex, _term_sum, kve_f64, lam
 
 __all__ = [
     "completed_eisenstein",
@@ -143,7 +143,7 @@ def _eisenstein_radial(y, s: float, n_terms: int):
     if abs(s - 0.5) <= CENTER_SNAP:
         dn = np.array([len(_divisors(n)) for n in range(1, n_terms + 1)], dtype=float)
         kvals = _kv(0.0, 2 * np.pi * ns * yy)
-        const = np.sqrt(y) * (np.log(y) + float(mp.euler) - math.log(4 * math.pi))
+        const = np.sqrt(y) * (np.log(y) + _EULER_GAMMA - math.log(4 * math.pi))
         return const, dn * kvals
     c1, c2 = _constant_lams(s)
     sig = np.array(

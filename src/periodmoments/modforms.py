@@ -24,7 +24,7 @@ so that downstream norm and moment integrals stay O(1) across weights.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -130,80 +130,62 @@ def poly_mul_trunc(a, b, n_terms: int):
     return [int.from_bytes(raw[m * i : m * (i + 1)], "little") - half for i in range(n)]
 
 
-def delta_qexp(n_terms: int):
-    """Discriminant cusp form: (E4^3 - E6^2) / 1728, integer coefficients."""
-    e4 = e4_qexp(n_terms)
-    e4c = poly_mul_trunc(poly_mul_trunc(e4, e4, n_terms), e4, n_terms)
-    e6 = e6_qexp(n_terms)
-    e6c = poly_mul_trunc(e6, e6, n_terms)
-    out = []
-    for x, y in zip(e4c, e6c):
+@cache
+def _eisenstein_products(n_terms: int):
+    """(E4, E6, E4^3, Delta) to n_terms, as tuples, once per n_terms: three
+    products (E4^2, E4^3, E6^2) and Delta = (E4^3 - E6^2) / 1728."""
+    e4, e6 = e4_qexp(n_terms), e6_qexp(n_terms)
+    e4_cubed = poly_mul_trunc(poly_mul_trunc(e4, e4, n_terms), e4, n_terms)
+    delta = []
+    for x, y in zip(e4_cubed, poly_mul_trunc(e6, e6, n_terms)):
         q, r = divmod(x - y, 1728)
         if r:
             raise ArithmeticError("discriminant coefficients must be integral")
-        out.append(q)
-    return out
+        delta.append(q)
+    return tuple(e4), tuple(e6), tuple(e4_cubed), tuple(delta)
 
 
-class _MillerProducts:
-    """Delta^j E4^a E6^b, each entry truncated at the horizon that built it.
+def delta_qexp(n_terms: int):
+    """Discriminant cusp form: (E4^3 - E6^2) / 1728, integer coefficients
+    (read from the cached _eisenstein_products)."""
+    return list(_eisenstein_products(n_terms)[3])
 
-    A truncated product's first n coefficients depend only on the first n
-    coefficients of its factors, so a request no longer than an entry
-    reads a prefix of it, and an entry is rebuilt from its chain only when
-    a longer horizon asks for it; a long request never lengthens the
-    entries that later, shorter ones build.  Each entry costs one product:
-    it chains one factor E6 (b > 0), E4 (a > 0) or Delta onto an earlier
-    entry.  Nothing is built until the first request.
+
+@cache
+def _miller_product(j: int, a: int, b: int, n_terms: int) -> tuple:
+    """Delta^j E4^a E6^b (j >= 1) to n_terms, as a tuple.
+
+    Each entry is one product onto an earlier entry of the same n_terms:
+    an E6 step while b > 0, then an E4^3 step while a >= 3, otherwise one
+    E4 or Delta step.  The factors come from _eisenstein_products, so
+    Delta itself costs nothing beyond them.  E6 goes first so that
+    neighbouring weights, whose (a, b) alternate b = 0 and 1, share one
+    E4^3 chain per residue of a mod 3 and j: the entries built are then
+    never more than one E4 factor per entry would build.
     """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self._entries = {}
-        self._series = {}
-
-    def get(self, j: int, a: int, b: int, n_terms: int):
-        return self._entry(j, a, b, n_terms)[: n_terms + 1]
-
-    def _eisenstein(self, qexp, n_terms: int):
-        # E4 or E6 to at least n_terms, kept at the longest length asked
-        have = self._series.get(qexp)
-        if have is None or len(have) <= n_terms:
-            have = self._series[qexp] = qexp(n_terms)
-        return have
-
-    def _entry(self, j: int, a: int, b: int, n_terms: int):
-        have = self._entries.get((j, a, b))
-        if have is not None and len(have) > n_terms:
-            return have
-        if (j, a, b) == (1, 0, 0):
-            row = delta_qexp(n_terms)
-        else:
-            if b:
-                prev, factor = self._entry(j, a, b - 1, n_terms), self._eisenstein(e6_qexp, n_terms)
-            elif a:
-                prev, factor = self._entry(j, a - 1, 0, n_terms), self._eisenstein(e4_qexp, n_terms)
-            else:
-                prev, factor = self._entry(j - 1, 0, 0, n_terms), self._entry(1, 0, 0, n_terms)
-            row = poly_mul_trunc(prev, factor, n_terms)
-        self._entries[j, a, b] = row
-        return row
-
-
-_MILLER_PRODUCTS = _MillerProducts()
+    e4, e6, e4_cubed, delta = _eisenstein_products(n_terms)
+    if b:
+        prev, factor = _miller_product(j, a, b - 1, n_terms), e6
+    elif a >= 3:
+        prev, factor = _miller_product(j, a - 3, 0, n_terms), e4_cubed
+    elif a:
+        prev, factor = _miller_product(j, a - 1, 0, n_terms), e4
+    elif j > 1:
+        prev, factor = _miller_product(j - 1, 0, 0, n_terms), delta
+    else:
+        return delta
+    return tuple(poly_mul_trunc(prev, factor, n_terms))
 
 
 def miller_basis(k: int, n_terms: int):
     """Echelonized integral basis of S_k: g_i(j) = delta_ij for j <= dim.
 
     Spanning set Delta^j E4^a E6^b with 12j + 4a + 6b = k, j = 1..dim and
-    b in {0, 1} (shared across weights, see _MillerProducts).  Row j is
-    q^j + O(q^{j+1}) with integer coefficients, so the set is
-    unitriangular on columns 1..dim and back substitution with integer
-    multipliers gives the reduced echelon form (W. Stein, Modular Forms:
-    A Computational Approach, 2.3).
+    b in {0, 1}, from _miller_product (weights asked at one n_terms share
+    its entries).  Row j is q^j + O(q^{j+1}) with integer coefficients, so
+    the set is unitriangular on columns 1..dim and back substitution with
+    integer multipliers gives the reduced echelon form (W. Stein, Modular
+    Forms: A Computational Approach, 2.3).
     """
     d = cusp_dim(k)
     if d == 0:
@@ -213,7 +195,7 @@ def miller_basis(k: int, n_terms: int):
     rows = []
     for j in range(1, d + 1):
         b = (k - 12 * j) % 4 // 2
-        row = _MILLER_PRODUCTS.get(j, (k - 12 * j - 6 * b) // 4, b, n_terms)
+        row = list(_miller_product(j, (k - 12 * j - 6 * b) // 4, b, n_terms))
         if row[: j + 1] != [0] * j + [1]:
             raise ArithmeticError("Miller row %d at k=%d is not q^%d + O(q^%d)" % (j, k, j, j + 1))
         rows.append(row)

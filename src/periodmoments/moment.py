@@ -73,10 +73,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from mpmath import mp
 
 from . import special
-from .eisenstein_gl2 import completed_eisenstein_f64
+from .eisenstein_gl2 import _constant_lams, completed_eisenstein_f64
 from .modforms import Eigenform, eval_cusp_form_f64
 from .precision import RangeError
 from .rankin_selberg import RankinSelbergPair
@@ -341,8 +340,8 @@ def regularized_bound(pair: RankinSelbergPair, eps: float = REG_EPS) -> dict:
     """
     if pair.g is not pair.f:
         raise ValueError("regularized_bound takes a diagonal pair (f, f)")
-    with mp.workdps(30):
-        lam_norm = float(special.lam(2 + 2 * eps))
+    # lambda(2 + 2 eps), cached with the constant term of E*(., 1 + eps)
+    lam_norm = _constant_lams(1.0 + eps)[0]
     eng = petersson_engine(pair.k, 1)
     e_star_half = eng.estar(0.5)
     # past float64's range these overflow to inf or nan; the guard below

@@ -39,7 +39,7 @@ import periodmoments
 from periodmoments import cli, spectral
 from periodmoments.eisenstein_gl2 import completed_eisenstein_f64, residue_at_one
 from periodmoments.epstein import gln_completed_eisenstein_f64
-from periodmoments.modforms import cusp_dim, hecke_eigenforms
+from periodmoments.modforms import cusp_dim, eigenform_horizon, hecke_eigenforms
 from periodmoments.moment import moment_sweep, norm_quadrature, regularized_bound, unfold_rows
 from periodmoments.rankin_selberg import RankinSelbergPair
 from periodmoments.special import gamma_r, zeta
@@ -70,9 +70,9 @@ def stade2_run():
 def moment_run():
     weights = [k for k in range(12, 41, 2) if cusp_dim(k) >= 1]
     t0 = time.perf_counter()
-    # largest weight first, as the CLI builds them: smaller weights slice
-    # its Miller products
-    forms_by_k = {k: hecke_eigenforms(k) for k in reversed(weights)}
+    # every weight at the horizon of the largest, as the CLI builds them:
+    # the weights share its Miller products
+    forms_by_k = {k: hecke_eigenforms(k, eigenform_horizon(weights[-1])) for k in weights}
     rows = moment_sweep(forms_by_k)
     return rows, time.perf_counter() - t0, forms_by_k
 

@@ -426,8 +426,8 @@ def test_moment_never_builds_the_mp_oracle(tmp_path, monkeypatch, cold_forms):
     # and lam of an Eigenform are built only when read
     built = []
 
-    def recorded(k):
-        forms = modforms.hecke_eigenforms(k)
+    def recorded(k, horizon):
+        forms = modforms.hecke_eigenforms(k, horizon)
         built.extend(forms)
         return forms
 
@@ -624,24 +624,40 @@ def test_plancherel_ball_underflow_exits_2(tmp_path, capsys):
     assert out.exists()
 
 
-def test_outputs_do_not_depend_on_the_mpmath_precision(tmp_path):
+def test_outputs_do_not_depend_on_the_mpmath_precision(tmp_path, cold_forms):
     # every mp computation sets its own digits: the CSV bytes and the
     # checks are the same whatever precision the caller left, and main
     # leaves that precision as it found it
     argvs = [["stade", "--n", "2", "--samples", "3"], ["eisenstein-residue"],
-             ["epstein-fe", "--n", "2", "--samples", "2"]]
+             ["epstein-fe", "--n", "2", "--samples", "2"],
+             ["unfold-check", "--k", "12", "--s", "0.5"],
+             ["moment", "--k-min", "12", "--k-max", "16"]]
     outputs = {}
-    for dps in (15, 50):
+    for dps in (5, 15, 50):
         with mp.workdps(dps):
-            spectral._gamma_normalizer.cache_clear()  # float64: must not read dps
+            # float64 memos, not keyed by dps: each must not read it
+            spectral._gamma_normalizer.cache_clear()
+            moment._part_estar.cache_clear()
+            cli._forms.cache_clear()
             for i, argv in enumerate(argvs):
                 csv_p, json_p = tmp_path / ("%d_%d.csv" % (dps, i)), tmp_path / "s.json"
                 assert run(argv + ["--output", str(csv_p), "--summary", str(json_p)]) in (0, 1)
                 assert mp.dps == dps
                 outputs.setdefault(i, []).append(
                     (csv_p.read_bytes(), json.loads(json_p.read_text())["checks"]))
-    for first, second in outputs.values():
-        assert first == second
+    for runs in outputs.values():
+        assert runs[0] == runs[1] == runs[2]
+
+
+def test_forms_by_weight_share_the_largest_horizon(cold_forms):
+    # every weight of a run is built at the horizon of its largest weight,
+    # and each (weight, horizon) once
+    forms = cli._forms_by_weight([40, 12, 40])
+    assert sorted(forms) == [12, 40]
+    assert {f.horizon for fs in forms.values() for f in fs} == {modforms.eigenform_horizon(40)}
+    assert cli._forms_by_weight([12, 40]) == forms
+    info = cli._forms.cache_info()
+    assert info.misses == info.currsize == 2
 
 
 def test_moment_builds_one_petersson_engine_per_weight(tmp_path):

@@ -18,6 +18,7 @@ TEST_ONLY_PUBLIC_NAMES = {
     "epstein.gln_completed_eisenstein",
     "epstein.iwasawa_y",
     "modforms.charpoly",
+    "modforms.delta_qexp",
     "moment.regularized_bound",
     "rankin_selberg.RankinSelbergPair.l_direct",
     "rankin_selberg.RankinSelbergPair.residue_consistency",

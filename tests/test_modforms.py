@@ -254,16 +254,24 @@ def test_eval_periodicity_and_domain():
         eval_cusp_form_f64(f, np.array([0.0]), np.array([1e-3]))
 
 
+def clear_miller_caches():
+    modforms._miller_product.cache_clear()
+    modforms._eisenstein_products.cache_clear()
+
+
 def test_miller_products_match_schoolbook():
     n = 60
     delta, e4, e6 = delta_qexp(n), e4_qexp(n), e6_qexp(n)
-    modforms._MILLER_PRODUCTS.clear()
-    for j, a, b in [(1, 0, 0), (1, 3, 0), (1, 0, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1)]:
+    clear_miller_caches()
+    # (1, 7, 1) and (2, 4, 1) take an E6 step onto an E4^3 chain
+    for j, a, b in [(1, 0, 0), (1, 3, 0), (1, 0, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1),
+                    (1, 7, 1), (2, 4, 1)]:
         want = delta
         for factor, e in ((delta, j - 1), (e4, a), (e6, b)):
             for _ in range(e):
                 want = schoolbook(want, factor, n)
-        assert modforms._MILLER_PRODUCTS.get(j, a, b, n) == want
+        got = modforms._miller_product(j, a, b, n)
+        assert type(got) is tuple and list(got) == want, (j, a, b)
 
 
 def rational_echelon(k, n):
@@ -292,7 +300,7 @@ def rational_echelon(k, n):
 
 
 def test_miller_basis_matches_rational_echelon():
-    modforms._MILLER_PRODUCTS.clear()
+    clear_miller_caches()
     for k in DEFAULT_WEIGHTS + (48, 60):
         basis = miller_basis(k, 80)
         assert all(type(c) is int for row in basis for c in row)
@@ -336,45 +344,22 @@ def test_lam_independent_of_horizon(k):
 
 
 def test_miller_basis_independent_of_request_order():
-    # each shared product keeps the horizon that built it; shorter
-    # requests read a prefix, longer ones rebuild its chain
+    # each product is cached at the horizon that asks for it, so no
+    # request reads or extends an entry that another horizon built
     requests = [(36, 40), (24, 90), (40, 150), (28, 150), (36, 220)]
     cold = {}
     for k, n in requests:
-        modforms._MILLER_PRODUCTS.clear()
+        clear_miller_caches()
         cold[k, n] = miller_basis(k, n)
     for order in (requests, requests[::-1], sorted(requests, key=lambda r: r[1])):
-        modforms._MILLER_PRODUCTS.clear()
+        clear_miller_caches()
         for k, n in order:
             assert miller_basis(k, n) == cold[k, n], (order, k, n)
 
 
-def test_miller_products_built_once_largest_first(monkeypatch):
-    # count guard, no timing: every default weight at its eigenform
-    # horizon, largest first, from a cold table; each product is built
-    # once, at the horizon of the weight that first needs it
-    calls = []
-    real = modforms.poly_mul_trunc
-
-    def counted(a, b, n_terms):
-        calls.append((k, n_terms))
-        return real(a, b, n_terms)
-
-    monkeypatch.setattr(modforms, "poly_mul_trunc", counted)
-    modforms._MILLER_PRODUCTS.clear()
-    for k in sorted(DEFAULT_WEIGHTS, reverse=True):
-        assert len(miller_basis(k, eigenform_horizon(k))) == cusp_dim(k)
-    assert len(calls) <= 30
-    assert all(n == eigenform_horizon(k) for k, n in calls)
-
-
-def test_miller_products_at_the_requested_horizon(monkeypatch):
-    # a long request leaves the table with long entries, but products
-    # that a later, shorter request builds stop at its own horizon
-    h = eigenform_horizon(16)
-    cold = miller_basis(16, h)
-    modforms._MILLER_PRODUCTS.clear()
-    miller_basis(12, 2000)  # what hecke_eigenforms(12, horizon=2000) asks
+@pytest.fixture
+def counted_products(monkeypatch):
+    # the horizon of every poly_mul_trunc call, from cold Miller caches
     calls = []
     real = modforms.poly_mul_trunc
 
@@ -382,9 +367,52 @@ def test_miller_products_at_the_requested_horizon(monkeypatch):
         calls.append(n_terms)
         return real(a, b, n_terms)
 
+    clear_miller_caches()
     monkeypatch.setattr(modforms, "poly_mul_trunc", counted)
+    yield calls
+    clear_miller_caches()
+
+
+def test_miller_products_built_once_at_one_horizon(counted_products):
+    # count guard, no timing: every default weight at the horizon of the
+    # largest, as a cli run builds them; in ascending and in descending
+    # order the weights share their products, each built once at that horizon
+    h = eigenform_horizon(max(DEFAULT_WEIGHTS))
+    for weights in (sorted(DEFAULT_WEIGHTS), sorted(DEFAULT_WEIGHTS, reverse=True)):
+        clear_miller_caches()
+        del counted_products[:]
+        for k in weights:
+            assert len(miller_basis(k, h)) == cusp_dim(k)
+        assert len(counted_products) <= 26
+        assert set(counted_products) == {h}
+
+
+@pytest.mark.parametrize("weights, products", [((40,), 11), ((100,), 46),
+                                               (range(52, 61, 2), 45)])
+def test_miller_products_cold_count(counted_products, weights, products):
+    # from cold caches at the horizon of the largest weight.  One weight:
+    # three products for E4^3 and Delta, then one per entry (17 and 102
+    # with one E4 factor per entry).  Weights 52..60 alternate b = 0 and 1,
+    # and with the E6 step first they share one E4^3 chain per residue of
+    # a mod 3: 45, as with one E4 factor per entry (57 with E4^3 steps
+    # before the E6 step)
+    h = eigenform_horizon(max(weights))
+    for k in weights:
+        miller_basis(k, h)
+    assert len(counted_products) == products
+
+
+def test_miller_products_at_the_requested_horizon(counted_products):
+    # a long request builds nothing that a later, shorter one reads: the
+    # shorter one makes exactly its cold products, at its own horizon
+    h = eigenform_horizon(16)
+    cold = miller_basis(16, h)
+    n_cold = len(counted_products)
+    clear_miller_caches()
+    miller_basis(12, 2000)  # what hecke_eigenforms(12, horizon=2000) asks
+    del counted_products[:]
     assert miller_basis(16, h) == cold
-    assert calls and max(calls) <= h
+    assert len(counted_products) == n_cold and set(counted_products) == {h}
 
 
 def test_lam_f64_is_float_of_lam():
