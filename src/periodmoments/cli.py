@@ -29,7 +29,7 @@ from mpmath import mp
 from numpy.random import default_rng
 
 from . import report, spectral
-from .eisenstein_gl2 import residue_at_one
+from .eisenstein_gl2 import RESIDUE_STEP, residue_at_one_f64
 from .epstein import (
     det_from_y,
     dual_y,
@@ -104,7 +104,7 @@ def run_moment(args, rng):
     rows_data = moment_sweep(_forms_by_weight(weights))
     header = ["k", "dim", "S_k", "S_k_str", "norm_fE", "bessel_slack", "slope_so_far"]
     rows = [
-        [r["k"], r["dim"], r["S_k"], report.hp_str(r["S_k"]), r["norm_fE"],
+        [r["k"], r["dim"], r["S_k"], r["S_k"], r["norm_fE"],
          r["bessel_slack"], r["slope_so_far"]]
         for r in rows_data
     ]
@@ -122,7 +122,7 @@ def run_unfold_check(args, rng):
     for d in unfold_rows(_forms_by_weight([args.k])[args.k], args.s):
         worst = np.maximum(worst, d["rel_err"])
         rows.append([args.k, d["i"], d["j"], d["s"], d["quadrature"],
-                     report.hp_str(d["quadrature"]), d["afe"], d["rel_err"]])
+                     d["quadrature"], d["afe"], d["rel_err"]])
     header = ["k", "i", "j", "s", "quadrature", "quadrature_str", "afe", "rel_err"]
     checks = [report.check("max_rel_err", worst, UNFOLD_TOL, worst <= UNFOLD_TOL)]
     return header, rows, checks, {"k": args.k, "s": args.s}
@@ -168,7 +168,7 @@ def run_stade(args, rng):
                     ratio = abs(r["lhs"]) * math.sqrt(ball)
                     eq11.append(ratio)
                 rows.append([2, tn, tm, s, complex(r["lhs"]),
-                             report.hp_str(complex(r["lhs"])), complex(r["rhs"]),
+                             complex(r["lhs"]), complex(r["rhs"]),
                              r["rel_err"], ratio])
         tol = STADE2_TOL
     else:
@@ -182,7 +182,7 @@ def run_stade(args, rng):
                 worst = np.maximum(worst, r["rel_err"])
                 ranks.extend(r["kernel_ranks"])
                 rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], s,
-                             complex(r["lhs"]), report.hp_str(complex(r["lhs"])),
+                             complex(r["lhs"]), complex(r["lhs"]),
                              complex(r["rhs"]), r["rel_err"]])
         tol = STADE3_TOL
     checks = [report.check("max_rel_err", worst, tol, worst <= tol)]
@@ -225,7 +225,7 @@ def run_plancherel(args, rng):
             agreement = abs(q["integral"] - m["integral"]) / q["integral"]
         ratios.append(q["ratio"])
         rows.append([args.n] + [float(v) for v in t]
-                    + [q["integral"], report.hp_str(q["integral"]), q["proxy"], q["ratio"]])
+                    + [q["integral"], q["integral"], q["proxy"], q["ratio"]])
     lo, hi = RATIO_WINDOW
     checks = [
         report.check("ratio_min", min(ratios), list(RATIO_WINDOW), lo <= min(ratios) <= hi),
@@ -259,7 +259,7 @@ def run_epstein_fe(args, rng):
         rhs = det ** -0.5 * epstein_xi_f64(np.linalg.inv(m), args.n / 2 - rho, split=None)
         rel = abs(lhs - rhs) / abs(rhs)
         worst = np.maximum(worst, rel)
-        rows.append([args.n, idx, rho, lhs, report.hp_str(lhs), rhs, rel])
+        rows.append([args.n, idx, rho, lhs, lhs, rhs, rel])
     checks = [report.check("max_fe_rel_err", worst, EPSTEIN_TOL, worst <= EPSTEIN_TOL)]
     # classical identity Z(I_2, rho) = 2 zeta(rho) beta(rho)
     worst_id = 0.0
@@ -300,7 +300,7 @@ def run_lemma1(args, rng):
         dets.append(dz)
         ratios.append(ratio)
         rows.append([n] + [float(v) for v in y]
-                    + [dz, dzt, e, report.hp_str(e), ratio])
+                    + [dz, dzt, e, e, ratio])
     slope = float(np.polyfit(np.log(dets), np.log(ratios), 1)[0])
     ranked = sorted(ratios)
     med = (ranked[(len(ranked) - 1) // 2] + ranked[len(ranked) // 2]) / 2
@@ -319,21 +319,16 @@ RESIDUE_POINTS = [(0.0, 1.0), (0.3, 0.8), (-0.25, 1.7), (0.5, 2.5), (0.1, 0.9)]
 
 def run_eisenstein_residue(args, rng):
     header = ["x", "y", "residue", "residue_str", "abs_err"]
-    rows = []
-    vals = []
     target = 3.0 / math.pi
-    for x, y in RESIDUE_POINTS:
-        r = residue_at_one(complex(x, y))
-        rf = float(r)
-        vals.append(rf)
-        rows.append([x, y, rf, report.hp_str(r), abs(rf - target)])
+    vals = [residue_at_one_f64(x, y) for x, y in RESIDUE_POINTS]
+    rows = [[x, y, r, r, abs(r - target)] for (x, y), r in zip(RESIDUE_POINTS, vals)]
     worst = max(abs(v - target) for v in vals)
     spread = max(vals) - min(vals)
     checks = [
         report.check("max_abs_err_vs_3_over_pi", worst, RESIDUE_TOL, worst <= RESIDUE_TOL),
         report.check("spread_across_points", spread, RESIDUE_TOL, spread <= RESIDUE_TOL),
     ]
-    return header, rows, checks, {"points": len(RESIDUE_POINTS)}
+    return header, rows, checks, {"points": len(RESIDUE_POINTS), "step": RESIDUE_STEP}
 
 
 def run_norm_crosscheck(args, rng):
@@ -347,7 +342,7 @@ def run_norm_crosscheck(args, rng):
             nt = RankinSelbergPair(f).norm_theta()
             rel = abs(nq - nt) / nt
             worst = np.maximum(worst, rel)
-            rows.append([k, i, nq, nt, report.hp_str(nt), rel])
+            rows.append([k, i, nq, nt, nt, rel])
     checks = [report.check("max_rel_err", worst, NORM_TOL, worst <= NORM_TOL)]
     return header, rows, checks, {"k": args.k}
 

@@ -25,6 +25,10 @@ q(u) = exp(-2 pi y cosh u),
 which special._k_sum_ex sums by one nested trapezoid.  The float64 tier
 (completed_eisenstein_f64) takes K per term on its grids, as
 special.kve_f64 times e^-x; its argument 2 pi n y needs y >= 1/pi.
+
+The residue 3/pi of E at s = 1 has both tiers too, by one symmetric
+Richardson step: residue_at_one (40 digits) is the tests' oracle, and
+residue_at_one_f64 (on the float64 E*) is what the CLI runs.
 """
 
 import math
@@ -41,11 +45,17 @@ __all__ = [
     "eisenstein",
     "completed_eisenstein_f64",
     "residue_at_one",
+    "residue_at_one_f64",
     "CENTER_SNAP",
+    "RESIDUE_STEP",
 ]
 
 # |s - 1/2| below this evaluates the central limit formula
 CENTER_SNAP = 1e-12
+# Richardson step of residue_at_one_f64.  A power of two makes 1 +- h and
+# h/2 exact: fl(1 + 1e-3) - 1 is 1.1e-13 relative off 1e-3, and the pole
+# carries that offset into the residue (+1.2e-13 against the oracle).
+RESIDUE_STEP = 2.0**-10
 
 
 def _split_z(z):
@@ -183,22 +193,29 @@ def completed_eisenstein_f64(x, y, s, y_min: float = None):
     return const + 4 * np.sqrt(y) * _term_sum(radial, _eisenstein_angular(x, n_terms))
 
 
-def residue_at_one(z, completed=False):
-    """Residue of E (default) or E* at s = 1 by symmetric Richardson.
+def _richardson_residue(f, h):
+    """Residue of f at s = 1 by symmetric Richardson: r(h) is the mean of
+    h f(1+h) and -h f(1-h), which kills the odd Taylor terms, and
+    (4 r(h/2) - r(h)) / 3 removes h^2."""
+    def sym(step):
+        return (step * f(1 + step) + (-step) * f(1 - step)) / 2
 
-    r(h) = h E(z, 1+h) at h = 1e-3; the average of +-h kills the odd Taylor
-    terms and one Richardson step removes h^2.  Exact values: 1/2 for E*,
+    r1 = sym(h)
+    return (4 * sym(h / 2) - r1) / 3
+
+
+def residue_at_one(z, completed=False):
+    """Residue of E (default) or E* at s = 1 at 40 digits, with h = 1e-3:
+    the tests' oracle for residue_at_one_f64.  Exact values: 1/2 for E*,
     3/pi for E.
     """
     with mp.workdps(40):
-        h = mpf("1e-3")
         f = completed_eisenstein if completed else eisenstein
+        return _richardson_residue(lambda s: f(z, s), mpf("1e-3"))
 
-        def sym(step):
-            up = step * f(z, 1 + step)
-            dn = (-step) * f(z, 1 - step)
-            return (up + dn) / 2
 
-        r1 = sym(h)
-        r2 = sym(h / 2)
-        return (4 * r2 - r1) / 3
+def residue_at_one_f64(x: float, y: float) -> float:
+    """Residue of E = E*(z, s) / lam(2s) at s = 1 in float64 (exact: 3/pi),
+    from completed_eisenstein_f64 (so y >= 1/pi) at h = RESIDUE_STEP."""
+    return _richardson_residue(
+        lambda s: float(completed_eisenstein_f64(x, y, s)) / _constant_lams(s)[0], RESIDUE_STEP)

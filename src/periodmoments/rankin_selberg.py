@@ -105,6 +105,7 @@ def _bessel_nodes(k: int, n_max: int):
     return u, log_u, log_kv, half, gl_weights
 
 
+@cache
 def _mellin_suffix_table(k: int, w: complex, n_max: int):
     """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
 
@@ -112,20 +113,15 @@ def _mellin_suffix_table(k: int, w: complex, n_max: int):
     I(n) = exp(shift) * scaled.  The integrand on the panels of
     _bessel_nodes is exp((k+2w-2) log u + log kve_f64 - u); the continuation
     panels past n_max stop once their contribution falls 60 e-folds under
-    the running maximum.  Built once per process and (k, w, n_max) by
-    _mellin_table: it depends on nothing else, and every pair of weight k
-    reads the same table at the same s (both halves of the AFE at
-    s = 1/2).  w is taken as complex before the cache lookup: Python keys
-    0.5 and 0.5 + 0j alike, and a table built in real arithmetic differs
-    in its last bits, so a real w would otherwise decide what every later
-    caller reads.
+    the running maximum.  Built once per process and (k, w, n_max): it
+    depends on nothing else, and every pair of weight k reads the same
+    table at the same s (both halves of the AFE at s = 1/2).  The table is
+    built in complex arithmetic whatever type w has: Python keys 0.5 and
+    0.5 + 0j alike, and a table built in real arithmetic differs in its
+    last bits, so a real w would otherwise decide what every later caller
+    reads.
     """
-    return _mellin_table(k, complex(w), n_max)
-
-
-@cache
-def _mellin_table(k: int, w: complex, n_max: int):
-    """The cached body of _mellin_suffix_table (w complex)."""
+    w = complex(w)
     exponent = k + 2 * w - 2
     u, log_u, log_kv, half, gl_weights = _bessel_nodes(k, n_max)
     log_l = exponent * log_u + log_kv - u

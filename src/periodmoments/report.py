@@ -2,20 +2,15 @@
 
 Determinism contract: identical parameters and seed must reproduce the
 CSV byte for byte, so the CSV carries no timing, no environment echo, and
-all floats are rendered with %.17g ('.' decimal, no locale).  Values that
-were computed at extended precision additionally get a decimal-string
-twin column so downstream comparisons are not limited by the float64
-round trip.  Wall-clock time lives only in the JSON summary.
+all floats are rendered with %.17g ('.' decimal, no locale).  The `_str`
+twin columns that some tables carry repeat the float64 (or complex) cell
+next to them, text for text.  Wall-clock time lives only in the JSON
+summary.
 """
 
 import json
 
-import mpmath as mp
-
-__all__ = ["fmt_cell", "hp_str", "write_csv", "check", "all_pass", "write_json"]
-
-# significant digits of the decimal-string twin of an mp value
-HP_DIGITS = 25
+__all__ = ["fmt_cell", "write_csv", "check", "all_pass", "write_json"]
 
 
 def fmt_cell(v) -> str:
@@ -29,17 +24,6 @@ def fmt_cell(v) -> str:
         return str(v)
     if isinstance(v, complex):
         return "%.17g%+.17gj" % (v.real, v.imag)
-    if isinstance(v, (mp.mpf, mp.mpc)):
-        return hp_str(v)
-    return "%.17g" % float(v)
-
-
-def hp_str(v) -> str:
-    """Decimal string at extended precision for mp values, %.17g otherwise."""
-    if isinstance(v, (mp.mpf, mp.mpc)):
-        return mp.nstr(v, HP_DIGITS)
-    if isinstance(v, complex):
-        return fmt_cell(v)
     return "%.17g" % float(v)
 
 

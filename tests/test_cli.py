@@ -14,6 +14,7 @@ import pytest
 from mpmath import mp
 
 from periodmoments import cli, modforms, moment, special, spectral
+from periodmoments.eisenstein_gl2 import residue_at_one
 
 SUBCOMMANDS = [
     "moment",
@@ -250,19 +251,19 @@ def test_stade_n3_deterministic_and_draws_nothing(tmp_path):
     assert hashlib.sha256(pairs.encode()).hexdigest() == STADE3_SEED0_PAIRS_SHA256
 
 
-def test_residue_csv_has_hp_string(tmp_path):
+def test_residue_csv_twin_column_repeats_the_float(tmp_path):
     csv_p = tmp_path / "r.csv"
     rc = run(["eisenstein-residue",
               "--output", str(csv_p), "--summary", str(tmp_path / "r.json")])
     assert rc == 0
     lines = csv_p.read_text().splitlines()
     assert lines[0].split(",") == ["x", "y", "residue", "residue_str", "abs_err"]
-    hp = lines[1].split(",")[3]
-    assert len(hp.replace("-", "").replace(".", "").split("e")[0]) >= 20
-    assert float(hp) == pytest.approx(0.9549296585513720146, rel=1e-12)
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(row[3] == row[2] for row in rows)
+    assert float(rows[0][3]) == pytest.approx(0.9549296585513720146, rel=1e-12)
 
 
-# residue_str of the seed-0 eisenstein-residue CSV, in RESIDUE_POINTS order
+# 25-digit residues of the mp oracle at RESIDUE_POINTS, in order
 RESIDUE_SEED0_STR = [
     "0.9549296585513722488979466",
     "0.954929658551371976104889",
@@ -270,36 +271,26 @@ RESIDUE_SEED0_STR = [
     "0.9549296585513224901439687",
     "0.9549296585513722879209635",
 ]
+# residue_str of the seed-0 eisenstein-residue CSV (the float64 route)
+RESIDUE_SEED0_CSV = [
+    "0.95492965855137235",
+    "0.95492965855137202",
+    "0.9549296585513698",
+    "0.95492965855132717",
+    "0.95492965855137235",
+]
 
 
 def test_residue_strings_frozen(tmp_path):
-    # the 25-digit residues of the mp route, byte for byte
+    # the oracle's 25 digits and the CLI's 17, byte for byte
+    assert [mp.nstr(residue_at_one(complex(x, y)), 25)
+            for x, y in cli.RESIDUE_POINTS] == RESIDUE_SEED0_STR
     csv_p = tmp_path / "r.csv"
     rc = run(["eisenstein-residue", "--seed", "0",
               "--output", str(csv_p), "--summary", str(tmp_path / "r.json")])
     assert rc == 0
     rows = [line.split(",") for line in csv_p.read_text().splitlines()[1:]]
-    assert [row[3] for row in rows] == RESIDUE_SEED0_STR
-
-
-def test_residue_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
-    # an E* tail whose trapezoid never settles is a numerical failure:
-    # exit 1, one stderr line with what the rule reached, and no CSV
-    calls = []
-
-    def restless(x, nu, coefs, u, is_real):
-        calls.append(u)
-        return mp.mpf(len(calls))
-
-    monkeypatch.setattr(special, "_k_integrand", restless)
-    out = tmp_path / "r.csv"
-    rc = run(["eisenstein-residue",
-              "--output", str(out), "--summary", str(tmp_path / "r.json")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
-    assert "best=" in err[0] and "last_delta=" in err[0]
-    assert not out.exists()
+    assert [row[3] for row in rows] == RESIDUE_SEED0_CSV
 
 
 def test_stade2_cosine_transform_sees_only_large_x(tmp_path, monkeypatch):
@@ -750,6 +741,20 @@ SMALLEST_RUNS = [
     ["eisenstein-residue"],
     ["norm-crosscheck", "--k", "12"],
 ]
+
+
+def test_report_loads_no_mpmath(tmp_path):
+    # every value the tables hold is a float64 or complex, so the CSV and
+    # JSON writer needs no mpmath (a fresh interpreter, as below)
+    script = ("import json, sys\n"
+              "import periodmoments.report\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 def test_production_loads_no_scipy(tmp_path):

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from periodmoments import eisenstein_gl2, special
+from periodmoments import cli, eisenstein_gl2, special
 from periodmoments.eisenstein_gl2 import (
     completed_eisenstein,
     completed_eisenstein_f64,
     eisenstein,
     residue_at_one,
+    residue_at_one_f64,
 )
 from periodmoments.precision import NonConvergenceError, PoleError
 from periodmoments.special import bessel_k, lam
@@ -79,6 +80,14 @@ def test_residue_of_unnormalized_is_three_over_pi():
     with mp.workdps(40):
         r = residue_at_one(Z0)
         assert abs(r - 3 / mp.pi) < mpf("1e-12")
+
+
+def test_f64_residue_matches_the_oracle():
+    # a dyadic step keeps 1 +- h exact in float64; at h = 1e-3 the offset
+    # of fl(1 + h) - 1 goes through the pole and reads 1.2e-13 here
+    for x, y in cli.RESIDUE_POINTS:
+        want = float(residue_at_one(complex(x, y)))
+        assert abs(residue_at_one_f64(x, y) - want) <= 1e-14, (x, y)
 
 
 def test_center_line_vanishing_and_ratio():

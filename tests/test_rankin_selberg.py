@@ -159,7 +159,7 @@ def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
     # the suffix table depends only on (k, w, n) and R only on the pair:
     # a cold pair and a warm one give the same value bit for bit
     f, g = k24_forms
-    tables = rankin_selberg._mellin_table
+    tables = rankin_selberg._mellin_suffix_table
     tables.cache_clear()
     residues = []
     theta = RankinSelbergPair.residue_theta
@@ -266,7 +266,7 @@ def test_mellin_tables_from_shared_nodes_match_from_scratch(k):
     # every w of a weight reads one node table; each table equals, bit for
     # bit, the one built with kve_f64 evaluated for that w alone
     n = afe_cutoff(k)
-    rankin_selberg._mellin_table.cache_clear()
+    rankin_selberg._mellin_suffix_table.cache_clear()
     rankin_selberg._bessel_nodes.cache_clear()
     for w in (0.5, 0.75, 1.1, -0.1, 0.5 + 3j):
         got = rankin_selberg._mellin_suffix_table(k, w, n)
@@ -282,7 +282,7 @@ def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
     # five w (s and 1 - s at three s) share one node table: kve_f64 runs on
     # the (panels, 12) node grid once; the theta profile's kve_f64 is 1-d
     forms = hecke_eigenforms(40)
-    rankin_selberg._mellin_table.cache_clear()
+    rankin_selberg._mellin_suffix_table.cache_clear()
     rankin_selberg._bessel_nodes.cache_clear()
     grids = []
     real = rankin_selberg.kve_f64
@@ -295,7 +295,7 @@ def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
     monkeypatch.setattr(rankin_selberg, "kve_f64", counted)
     rows = unfold_rows(forms, (0.5, 0.75, 1.25))
     assert len(rows) == len(forms) ** 2 * 3
-    assert rankin_selberg._mellin_table.cache_info().currsize == 5
+    assert rankin_selberg._mellin_suffix_table.cache_info().currsize == 5
     assert grids == [(afe_cutoff(40) + 240, 12)]
 
 
@@ -320,12 +320,12 @@ def test_mellin_table_key_is_complex(k24_forms):
     # a real 0.5 must not decide which bits completed_l reads
     f, g = k24_forms
     n = afe_cutoff(f.weight)
-    rankin_selberg._mellin_table.cache_clear()
+    rankin_selberg._mellin_suffix_table.cache_clear()
     cold = RankinSelbergPair(f, g).completed_l(0.5)
-    rankin_selberg._mellin_table.cache_clear()
+    rankin_selberg._mellin_suffix_table.cache_clear()
     first = rankin_selberg._mellin_suffix_table(f.weight, 0.5, n)
     for a, b in zip(first, mellin_table_from_scratch(f.weight, 0.5 + 0j, n)):
         assert a.tobytes() == b.tobytes()
     warm = RankinSelbergPair(f, g).completed_l(0.5)
-    assert rankin_selberg._mellin_table.cache_info()[:2] == (2, 1)  # hits, misses
+    assert rankin_selberg._mellin_suffix_table.cache_info()[:2] == (2, 1)  # hits, misses
     assert np.array(warm).tobytes() == np.array(cold).tobytes()
