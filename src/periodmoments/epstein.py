@@ -121,13 +121,14 @@ def _box_limits(Minv_diag, bound):
     return [int(math.floor(math.sqrt(bound * max(v, 0.0)))) for v in Minv_diag]
 
 
-def _lattice_points_f64(Minv_diag, bound):
-    # integer a != 0 in the box of _box_limits; returns int array
+def _half_box_points(Minv_diag, bound):
+    # the lex-positive integer a in the box of _box_limits, one of each
+    # pair +-a as _half_box_forms takes them; returns int array.  In the
+    # box's lexicographic order -a mirrors a about the origin, its center
     ranges = [np.arange(-L, L + 1) for L in _box_limits(Minv_diag, bound)]
     grids = np.meshgrid(*ranges, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = np.any(pts != 0, axis=1)
-    return pts[keep]
+    return pts[len(pts) // 2 + 1:]
 
 
 def _half_box_forms(M, lims):
@@ -163,7 +164,8 @@ def _half_box_forms(M, lims):
 
 
 def _theta_sum_mp(M_rows, pts, rho, t0, budget):
-    # (1/2) sum (pi Q)^{-rho} Gamma(rho, pi Q t0) over culled points, mp
+    # sum (pi Q)^{-rho} Gamma(rho, pi Q t0) over the culled lex-positive
+    # points, half the sum over the lattice, mp
     n = len(M_rows)
     Mf = np.array([[float(v) for v in row] for row in M_rows])
     Qf = np.einsum("ij,jk,ik->i", pts.astype(float), Mf, pts.astype(float))
@@ -175,7 +177,7 @@ def _theta_sum_mp(M_rows, pts, rho, t0, budget):
         )
         xval = mp.pi * Q * t0
         total += (mp.pi * Q) ** (-rho) * upper_incomplete_gamma(rho, xval)
-    return total / 2
+    return total
 
 
 def _as_mp_matrix(M):
@@ -219,9 +221,9 @@ def epstein_xi(M, rho, split=None):
     Minv_f = np.array([[float(v) for v in row] for row in inv_rows])
     M_f = np.array([[float(v) for v in row] for row in M_rows])
 
-    pts1 = _lattice_points_f64(np.diag(Minv_f), budget / (math.pi * float(t0)))
+    pts1 = _half_box_points(np.diag(Minv_f), budget / (math.pi * float(t0)))
     s1 = _theta_sum_mp(M_rows, pts1, rho, t0, budget)
-    pts2 = _lattice_points_f64(np.diag(M_f), budget * float(t0) / math.pi)
+    pts2 = _half_box_points(np.diag(M_f), budget * float(t0) / math.pi)
     s2 = _theta_sum_mp(inv_rows, pts2, mpf(n) / 2 - rho, 1 / t0, budget)
     polar = (det ** mpf("-0.5") * t0 ** (rho - mpf(n) / 2) / (rho - mpf(n) / 2)
              - t0**rho / rho) / 2

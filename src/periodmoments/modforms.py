@@ -45,7 +45,6 @@ __all__ = [
     "hecke_eigenforms",
     "eigenform_horizon",
     "theta_cutoff",
-    "afe_cutoff",
     "eval_cusp_form_f64",
     "DEFAULT_WEIGHTS",
 ]
@@ -395,11 +394,6 @@ def theta_cutoff(k: int, t: float) -> int:
     return _kappa_cutoff(k, 140.0, t)
 
 
-def afe_cutoff(k: int) -> int:
-    """Last n that the weight-k balanced AFE reads."""
-    return _kappa_cutoff(k, 130.0, 1.0)
-
-
 def _cusp_n_eval(k: int, y_min: float) -> int:
     # terms of the q-expansion down to height y_min: exp(-2 pi n y_min)
     # has decayed ~1e-18 under the peak term
@@ -411,17 +405,17 @@ def eigenform_horizon(k: int) -> int:
     index that a production reader of lam(n) reaches.
 
     The readers are the theta profile at t = 1/THETA_SPLIT (the R of
-    residue_theta at its default split), the balanced AFE, and the
-    float64 evaluators down to FUNDAMENTAL_Y_MIN, where every Petersson
-    node lies.  The theta profile reads the most, about
-    2((k+140)/4pi)^2: 294 at k = 12, 412 at k = 40.  lam(n) does not
+    residue_theta at its default split) and the float64 evaluators down
+    to FUNDAMENTAL_Y_MIN, where every Petersson node lies.  The balanced
+    AFE reads the theta profile at t >= 1, up to theta_cutoff(k, 1), half
+    of what t = 1/THETA_SPLIT reads.  The theta profile reads the most,
+    about 2((k+140)/4pi)^2: 294 at k = 12, 412 at k = 40.  lam(n) does not
     depend on the horizon, so longer sums (l_direct deep in Re s > 1,
     splits past THETA_SPLIT, heights below FUNDAMENTAL_Y_MIN) pass
     hecke_eigenforms a larger horizon and read the same values.
     """
     return max(
         theta_cutoff(k, 1.0 / THETA_SPLIT),
-        afe_cutoff(k),
         _cusp_n_eval(k, FUNDAMENTAL_Y_MIN),
     )
 

@@ -14,12 +14,11 @@ Everything analytic here is driven by the weight-k theta profile
   Phi(t)   = sum_n c(n) kappa(n t),
 
 which inherits Phi(1/t) = t Phi(t) + R t - R from the modular relation;
-R = res_{s=1} Lambda(s).  The balanced approximate functional equation
-(split point X = 1 in the balanced variable) is
+R = res_{s=1} Lambda(s).  Splitting the Mellin integral of Phi at t = 1
+and folding [0, 1] onto [1, inf) by that relation gives the balanced
+approximate functional equation, Riemann's and Hecke's integral,
 
-  Lambda(s) = sum_n c(n) [ g_s(n) + g_{1-s}(n) ] + R [ 1/(s-1) - 1/s ],
-  g_w(n)    = 2^{3-k} (16 pi^2 n)^{-w}
-              int_{4 pi sqrt(n)}^inf u^{k + 2w - 2} K_{k-1}(u) du,
+  Lambda(s) = int_1^inf Phi(t) (t^s + t^{1-s}) dt/t + R [ 1/(s-1) - 1/s ],
 
 an exact identity for all s off the poles.  Note the AFE is symmetric in
 s <-> 1-s by construction, so equation residuals are trivially zero;
@@ -33,29 +32,32 @@ Lambda(s) / Gamma(k), the object the unfolding route computes, and
 <f, f> = 2 R / Gamma(k).  Gamma(k) is subtracted inside the log-space
 exponents, so no term leaves float64 at any weight the Petersson engine
 takes (k <= 196): x^nu K_nu(x) <= 2^{nu-1} Gamma(nu) gives
-kappa(x) / Gamma(k) <= 1/(k-1), and the Mellin integral over all u > 0
-gives g_{1/2}(n) / Gamma(k) <= Gamma(1/2) Gamma(k-1/2) / (2 pi sqrt(n)
-Gamma(k)) = O(k^{-1/2}).
+kappa(x) / Gamma(k) <= 1/(k-1).
 
-Incomplete Mellin integrals are evaluated on sqrt-spaced panels with a
-shared Gauss-Legendre rule, log-space shifts per panel, and a suffix
-accumulation that yields all n cutoffs in one pass.  The nodes and
-K_{k-1} on them depend on (k, n) only, so every w of a weight reads one
-node table (_bessel_nodes) and evaluates special.kve_f64 once.  The
-theta kernel kappa(n t) / Gamma(k) likewise depends on (k, t) only: every
-pair of a weight reads one table per split point (_theta_kernel).
+The theta profile and the AFE read kappa(n t) / Gamma(k), which depends
+on (k, t) alone.
+The theta profile reads one table per split point (_theta_kernel).  The
+AFE integrates in v = log t with one Gauss-Legendre rule per weight and
+sigma = ceil(max(s, 1 - s)) (_afe_table): a ragged table of the kernel
+at its nodes, shared by every pair of the weight, which forms Phi at the
+nodes with one product against its c(n) and t^s Phi(t) in log space.
 """
 
 import math
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .modforms import THETA_SPLIT, Eigenform, afe_cutoff, theta_cutoff
-from .precision import PoleError
+from .modforms import THETA_SPLIT, Eigenform, theta_cutoff
+from .precision import NonConvergenceError, PoleError, RangeError
 from .special import _leggauss, kve_f64
 
 __all__ = ["RankinSelbergPair", "kappa_log"]
+
+# node counts and tolerance of the AFE's Gauss-Legendre rule (_afe_table)
+AFE_START_NODES = 32
+AFE_MAX_NODES = 1024
+AFE_RULE_TOL = 1e-12
 
 
 def kappa_log(k: int, x):
@@ -81,78 +83,71 @@ def _theta_kernel(k: int, t: float) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=1)
-def _bessel_nodes(k: int, n_max: int):
-    """(u, log u, log kve_f64(k-1, u), half, gl_weights): the panel nodes of
-    _mellin_suffix_table and the w-independent part of its integrand.
+def _afe_log_t_max(k: int, sigma: int) -> float:
+    # V: the n = 1 term of t^sigma Phi(t) is asymptotically u^a e^{-4 pi u},
+    # u = sqrt(t), a = k - 1 + 2 sigma; at u = x a / 4 pi it lies
+    # a (x - 1 - log x) = 140 e-folds under its peak.  Newton descends onto
+    # x from 1 + d, d = c + sqrt(c^2 + 2c), c = 140 / a, which is above it
+    # as d - log(1 + d) >= d^2 / (2 + 2d) = c
+    a = k - 1 + 2 * sigma
+    c = 140.0 / a
+    x = 1 + c + math.sqrt(c * c + 2 * c)
+    for _ in range(8):
+        x -= (x - 1 - math.log(x) - c) / (1 - 1 / x)
+    return 2 * math.log(x * a / (4 * math.pi))
 
-    Panels run between consecutive 4 pi sqrt(j), j = 1..n_max, then up to
-    240 continuation panels; u has shape (panels, 12) and half holds the
-    panel half-widths.  Read-only.  One entry: the callers read every w
-    of one weight before the next weight (moment_row, unfold_rows).
+
+def _afe_rule(k: int, sigma: int, n: int):
+    """(v, log_scale, kernel, index, starts): the n-node Gauss-Legendre rule
+    of the balanced AFE on 0 <= v <= V (_afe_log_t_max), with
+    kappa(m t_j) / Gamma(k) at t_j = e^{v_j} for m = 1..theta_cutoff(k, t_j).
+
+    The kernel is ragged and scaled: node j's entries, kappa(m t_j) /
+    kappa(t_j), lie at starts[j] onward, index holds m - 1, and log_scale[j]
+    = log(weight_j) + log(kappa(t_j) / Gamma(k)).  One kappa_log call.
     """
-    breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    mid = (hi + lo) / 2
-    half = (hi - lo) / 2
-    gl_nodes, gl_weights = _leggauss(12)
-    u = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    log_u = np.log(u)
-    log_kv = np.log(kve_f64(k - 1, u))
-    for a in (u, log_u, log_kv, half):
-        a.flags.writeable = False
-    return u, log_u, log_kv, half, gl_weights
+    v_max = _afe_log_t_max(k, sigma)
+    nodes, weights = _leggauss(n)
+    v = v_max / 2 * (nodes + 1)
+    t = np.exp(v)
+    counts = np.array([theta_cutoff(k, tj) for tj in t])
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    index = np.arange(counts.sum()) - np.repeat(starts, counts)
+    log_kernel = kappa_log(k, (index + 1) * np.repeat(t, counts)) - math.lgamma(k)
+    head = log_kernel[starts]
+    kernel = np.exp(log_kernel - np.repeat(head, counts))
+    return v, np.log(v_max / 2 * weights) + head, kernel, index.astype(np.int32), starts
 
 
 @cache
-def _mellin_suffix_table(k: int, w: complex, n_max: int):
-    """I(n) = int_{4 pi sqrt(n)}^inf u^{k+2w-2} K_{k-1}(u) du for n <= n_max.
+def _afe_table(k: int, sigma: int):
+    """The read-only _afe_rule that completed_l(s) reads at weight k for
+    every s with ceil(max(s, 1 - s)) = sigma.
 
-    Returns read-only (shift, scaled) arrays indexed 1..n_max:
-    I(n) = exp(shift) * scaled.  The integrand on the panels of
-    _bessel_nodes is exp((k+2w-2) log u + log kve_f64 - u); the continuation
-    panels past n_max stop once their contribution falls 60 e-folds under
-    the running maximum.  Built once per process and (k, w, n_max): it
-    depends on nothing else, and every pair of weight k reads the same
-    table at the same s (both halves of the AFE at s = 1/2).  The table is
-    built in complex arithmetic whatever type w has: Python keys 0.5 and
-    0.5 + 0j alike, and a table built in real arithmetic differs in its
-    last bits, so a real w would otherwise decide what every later caller
-    reads.
+    V: past it the n = 1 term of Phi(t) t^sigma has fallen 140 e-folds
+    under its peak, the theta cutoff's own rule (_afe_log_t_max).  Node
+    count: it doubles from AFE_START_NODES until the rules of n and 2n
+    nodes integrate the profile of c(m) = 1 to within AFE_RULE_TOL of
+    each other in log, and the table keeps the 2n rule: on an analytic
+    integrand the Gauss-Legendre error falls geometrically in n, so that
+    rule's error is far below the difference.  Past AFE_MAX_NODES it
+    raises NonConvergenceError.
     """
-    w = complex(w)
-    exponent = k + 2 * w - 2
-    u, log_u, log_kv, half, gl_weights = _bessel_nodes(k, n_max)
-    log_l = exponent * log_u + log_kv - u
-    shift = np.max(log_l.real, axis=1)
-    panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
-    # drop negligible continuation panels (they only pad the last suffix)
-    peak = shift.max()
-    n_panels = len(panel)
-    last = n_panels
-    for j in range(n_max, n_panels):
-        if shift[j] < peak - 60.0 - math.log1p(abs(panel[j])):
-            last = j + 1
-            break
-    shift = shift[:last]
-    panel = panel[:last]
-    # suffix accumulation, descending, with running rescale
-    out_shift = np.empty(n_max, dtype=float)
-    out_val = np.empty(n_max, dtype=complex)
-    run_m = -np.inf
-    run_s = 0.0 + 0.0j
-    for j in range(last - 1, -1, -1):
-        if shift[j] > run_m:
-            run_s = run_s * math.exp(run_m - shift[j]) + panel[j]
-            run_m = shift[j]
-        else:
-            run_s = run_s + panel[j] * math.exp(shift[j] - run_m)
-        if j < n_max:
-            out_shift[j] = run_m
-            out_val[j] = run_s
-    out_shift.flags.writeable = out_val.flags.writeable = False
-    return out_shift, out_val
+    n, value, delta = AFE_START_NODES, math.inf, math.inf
+    while delta > AFE_RULE_TOL:
+        if n > AFE_MAX_NODES:
+            raise NonConvergenceError("AFE rule at k=%d, sigma=%d: %d nodes still move the "
+                                      "integral by %.3g" % (k, sigma, n // 2, delta),
+                                      best=value, last_delta=delta)
+        rule = v, log_scale, kernel, _, starts = _afe_rule(k, sigma, n)
+        exponent = np.concatenate((log_scale + sigma * v, log_scale + (1 - sigma) * v))
+        top = exponent.max()
+        rows = np.tile(np.add.reduceat(kernel, starts), 2)
+        finer = top + math.log(np.sum(rows * np.exp(exponent - top)))
+        delta, value, n = abs(finer - value), finer, 2 * n
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class RankinSelbergPair:
@@ -242,27 +237,29 @@ class RankinSelbergPair:
 
     # ---------------- completed L via the balanced AFE ----------------
 
-    def completed_l(self, s) -> complex:
-        """Lambda(s) / Gamma(k) for s away from 0 and 1 (exact AFE, balanced
-        split): the object the unfolding route computes."""
+    def completed_l(self, s) -> float:
+        """Lambda(s) / Gamma(k) for real s away from 0 and 1, the object the
+        unfolding route computes: the balanced AFE as one Gauss-Legendre
+        integral of Phi(t) (t^s + t^{1-s}) dt/t over 1 <= t <= e^V, formed
+        in log space node by node (_afe_table), plus R (1/(s-1) - 1/s).
+        A complex s raises RangeError."""
         s = complex(s)
+        if s.imag != 0:
+            raise RangeError("completed_l takes real s (got s = %r)" % s)
+        s = s.real
         if min(abs(s), abs(s - 1)) < 1e-8:
             raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
-        n = afe_cutoff(self.k)
-        c = self.c_table(n)
-        log_16pi2n = np.log(16 * math.pi**2 * np.arange(1, n + 1, dtype=float))
-        total = 0.0 + 0.0j
-        for w in (s, 1 - s):
-            shift, val = _mellin_suffix_table(self.k, w, n)
-            # g_w(n) / Gamma(k) = exp(log_pref) val
-            log_pref = ((3 - self.k) * math.log(2.0) - w * log_16pi2n + shift
-                        - math.lgamma(self.k))
-            total += np.sum(c[1:] * np.exp(log_pref) * val)
-        total += self._residue * (1.0 / (s - 1.0) - 1.0 / s)
-        if s.imag == 0:
-            # real s: Lambda is real by symmetry and real coefficients
-            return complex(total.real, 0.0)
-        return total
+        v, log_scale, kernel, index, starts = _afe_table(self.k, math.ceil(max(s, 1 - s)))
+        # node 0, nearest t = 1, reads the most coefficients
+        c = self.c_table(int(starts[1]))
+        phi = np.add.reduceat(c[1:][index] * kernel, starts)
+        # the nodes' exponents, shifted by their largest: a node's term may
+        # pass float64's largest value before the integral does
+        upper, lower = log_scale + s * v, log_scale + (1 - s) * v
+        top = max(upper.max(), lower.max())
+        total = np.sum(phi * (np.exp(upper - top) + np.exp(lower - top)))
+        half = np.exp(top / 2)
+        return float(total * half * half + self._residue * (1.0 / (s - 1.0) - 1.0 / s))
 
     def l_direct(self, s, n_max: int = None) -> complex:
         """Partial Dirichlet sum sum_{n<=N} c(n) n^{-s}; converges Re s > 1.

@@ -39,7 +39,7 @@ one-term case.
 _leggauss(n) is the one Gauss-Legendre memo of the package: the rule of
 n nodes on [-1, 1], built once per process and n as read-only arrays,
 for the Petersson strip and lune, the n = 2 Plancherel ball and the
-panels of the Rankin-Selberg Mellin tables.
+Rankin-Selberg AFE's rule in log t.
 """
 
 from __future__ import annotations

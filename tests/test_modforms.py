@@ -20,7 +20,6 @@ from periodmoments import modforms
 from periodmoments.modforms import (
     DEFAULT_WEIGHTS,
     Eigenform,
-    afe_cutoff,
     charpoly,
     cusp_dim,
     delta_qexp,
@@ -318,7 +317,7 @@ def test_eigenform_horizon_covers_every_reader():
         h = eigenform_horizon(k)
         eng = PeterssonEngine(k)
         assert h >= theta_cutoff(k, 1.0 / 2.0)
-        assert h >= afe_cutoff(k)
+        assert h >= theta_cutoff(k, 1.0)  # the AFE table's largest cutoff
         assert h >= modforms._cusp_n_eval(k, eng.y_min)
         # the production readers themselves on a form of exactly that horizon
         form = Eigenform(weight=k, index=0, v=[mpf(0)], rows=[[0] * (h + 1)])

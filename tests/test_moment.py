@@ -441,7 +441,7 @@ def test_moment_row_evaluates_only_what_it_reports(monkeypatch, forms24):
 
 
 def test_regularized_bound_eps_out_of_float64_range_raises(delta, recwarn):
-    # Lambda*(f x f, 1 + eps) past float64's range at k = 12 (eps >= 170)
+    # Lambda*(f x f, 1 + eps) past float64's range at k = 12 (eps >= 153)
     # is a RangeError, and numpy warns of nothing on the way
     with pytest.raises(RangeError):
         regularized_bound(RankinSelbergPair(delta), 200.0)

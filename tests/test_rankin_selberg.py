@@ -8,16 +8,17 @@ Dirichlet sum deep in the convergence region (independent route).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from periodmoments import rankin_selberg, special
+from periodmoments import rankin_selberg
 from periodmoments.cli import NORM_TOL, UNFOLD_TOL
-from periodmoments.modforms import afe_cutoff, hecke_eigenforms, theta_cutoff
+from periodmoments.modforms import hecke_eigenforms, theta_cutoff
 from periodmoments.moment import norm_quadrature, unfold_rows
-from periodmoments.precision import PoleError
+from periodmoments.precision import PoleError, RangeError
 from periodmoments.rankin_selberg import RankinSelbergPair, kappa_log
 
 
@@ -156,27 +157,28 @@ def test_guards(delta_pair, k24_forms):
 
 
 def test_mellin_tables_and_residue_built_once(monkeypatch, k24_forms):
-    # the suffix table depends only on (k, w, n) and R only on the pair:
-    # a cold pair and a warm one give the same value bit for bit
+    # the AFE table depends only on (k, sigma) and R only on the pair: a
+    # cold pair and a warm one give the same value bit for bit
     f, g = k24_forms
-    tables = rankin_selberg._mellin_suffix_table
+    tables = rankin_selberg._afe_table
     tables.cache_clear()
     residues = []
     theta = RankinSelbergPair.residue_theta
     monkeypatch.setattr(RankinSelbergPair, "residue_theta",
                         lambda self, *a: residues.append(self) or theta(self, *a))
     cold = RankinSelbergPair(f, g)
-    values = [cold.completed_l(s) for s in (0.5, 0.75, 0.25)]
-    assert tables.cache_info()[:2] == (3, 3)  # w = s and 1 - s share a table at 1/2
+    s_values = (0.5, 0.75, 0.25, 1.25)
+    values = [cold.completed_l(s) for s in s_values]
+    assert tables.cache_info()[:2] == (2, 2)  # s in (0, 1) share sigma = 1
     warm = RankinSelbergPair(f, g)
-    assert [warm.completed_l(s) for s in (0.5, 0.75, 0.25)] == values
-    assert tables.cache_info()[:2] == (9, 3)  # hits, misses
+    assert [warm.completed_l(s) for s in s_values] == values
+    assert tables.cache_info()[:2] == (6, 2)  # hits, misses
     assert residues == [cold, warm]
     diag = RankinSelbergPair(f)
     diag.norm_theta()
     diag.completed_l(0.5)
     assert residues == [cold, warm, diag]
-    for a in tables(f.weight, 0.5 + 0j, afe_cutoff(f.weight)):
+    for a in tables(f.weight, 1):
         assert not a.flags.writeable
 
 
@@ -213,7 +215,7 @@ def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
     coeff = f.lam_f64 * g.lam_f64
     full = pair.c_table(f.horizon)
     assert not full.flags.writeable
-    for n_max in (1, 40, afe_cutoff(f.weight), f.horizon):
+    for n_max in (1, 40, theta_cutoff(f.weight, 1.0), f.horizon):
         c = pair.c_table(n_max)
         assert len(c) == n_max + 1 and np.shares_memory(c, full)
         for n in range(1, n_max + 1):
@@ -224,79 +226,36 @@ def test_c_table_is_a_prefix_of_the_horizon_table(k24_forms):
             assert c[n] == want
 
 
-def mellin_table_from_scratch(k, w, n_max):
-    # oracle: the suffix table with the production K routine evaluated on
-    # the nodes for this w alone, written out in full (w complex, as the
-    # table's cache key takes it)
-    exponent = k + 2 * complex(w) - 2
-    breaks = 4 * math.pi * np.sqrt(np.arange(1, n_max + 240 + 2, dtype=float))
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    mid = (hi + lo) / 2
-    half = (hi - lo) / 2
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
-    u = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    log_l = exponent * np.log(u) + np.log(special.kve_f64(k - 1, u)) - u
-    shift = np.max(log_l.real, axis=1)
-    panel = np.sum(np.exp(log_l - shift[:, None]) * gl_weights[None, :], axis=1) * half
-    peak = shift.max()
-    last = len(panel)
-    for j in range(n_max, len(panel)):
-        if shift[j] < peak - 60.0 - math.log1p(abs(panel[j])):
-            last = j + 1
-            break
-    out_shift = np.empty(n_max)
-    out_val = np.empty(n_max, dtype=complex)
-    run_m = -np.inf
-    run_s = 0.0 + 0.0j
-    for j in range(last - 1, -1, -1):
-        if shift[j] > run_m:
-            run_s = run_s * math.exp(run_m - shift[j]) + panel[j]
-            run_m = shift[j]
-        else:
-            run_s = run_s + panel[j] * math.exp(shift[j] - run_m)
-        if j < n_max:
-            out_shift[j] = run_m
-            out_val[j] = run_s
-    return out_shift, out_val
-
-
-@pytest.mark.parametrize("k", [12, 40])
-def test_mellin_tables_from_shared_nodes_match_from_scratch(k):
-    # every w of a weight reads one node table; each table equals, bit for
-    # bit, the one built with kve_f64 evaluated for that w alone
-    n = afe_cutoff(k)
-    rankin_selberg._mellin_suffix_table.cache_clear()
-    rankin_selberg._bessel_nodes.cache_clear()
-    for w in (0.5, 0.75, 1.1, -0.1, 0.5 + 3j):
-        got = rankin_selberg._mellin_suffix_table(k, w, n)
-        want = mellin_table_from_scratch(k, w, n)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes(), (k, w)
-    assert rankin_selberg._bessel_nodes.cache_info()[:2] == (4, 1)  # hits, misses
-    for a in rankin_selberg._bessel_nodes(k, n):
-        assert not a.flags.writeable
-
-
 def test_unfold_rows_evaluates_kve_on_the_nodes_once(monkeypatch):
-    # five w (s and 1 - s at three s) share one node table: kve_f64 runs on
-    # the (panels, 12) node grid once; the theta profile's kve_f64 is 1-d
+    # the three s of unfold-check --k 40 read two AFE tables (sigma = 1 and
+    # 2); every node table a doubling builds makes one kappa_log call, the
+    # theta profile one per split point, and a warm run makes none
     forms = hecke_eigenforms(40)
-    rankin_selberg._mellin_suffix_table.cache_clear()
-    rankin_selberg._bessel_nodes.cache_clear()
-    grids = []
-    real = rankin_selberg.kve_f64
+    rankin_selberg._afe_table.cache_clear()
+    rankin_selberg._theta_kernel.cache_clear()
+    calls, rules = [], []
+    real_kappa, real_rule = rankin_selberg.kappa_log, rankin_selberg._afe_rule
 
-    def counted(v, u):
-        if np.ndim(u) == 2:
-            grids.append(np.shape(u))
-        return real(v, u)
+    def counted_rule(k, sigma, n):
+        rules.append((k, sigma, n))
+        return real_rule(k, sigma, n)
 
-    monkeypatch.setattr(rankin_selberg, "kve_f64", counted)
+    monkeypatch.setattr(rankin_selberg, "kappa_log",
+                        lambda k, x: calls.append(np.size(x)) or real_kappa(k, x))
+    monkeypatch.setattr(rankin_selberg, "_afe_rule", counted_rule)
     rows = unfold_rows(forms, (0.5, 0.75, 1.25))
     assert len(rows) == len(forms) ** 2 * 3
-    assert rankin_selberg._mellin_suffix_table.cache_info().currsize == 5
-    assert grids == [(afe_cutoff(40) + 240, 12)]
+    assert rankin_selberg._afe_table.cache_info().currsize == 2
+    assert len(calls) == len(rules) + 2
+    assert sorted({sigma for _, sigma, _ in rules}) == [1, 2]
+    for sigma in (1, 2):
+        # the kept table is the last and finest rule built for its sigma
+        kept = rankin_selberg._afe_table(40, sigma)
+        built = [n for _, sg, n in rules if sg == sigma]
+        assert len(kept[0]) == built[-1] == 2 * built[-2]
+    del calls[:], rules[:]
+    assert unfold_rows(forms, (0.5, 0.75, 1.25)) == rows
+    assert calls == rules == []
 
 
 def test_theta_and_afe_past_k170_stay_in_float64(recwarn):
@@ -314,18 +273,71 @@ def test_theta_and_afe_past_k170_stay_in_float64(recwarn):
     assert [str(w.message) for w in recwarn] == []
 
 
-def test_mellin_table_key_is_complex(k24_forms):
-    # Python hashes w = 0.5 and 0.5 + 0j as one key, and a table built in
-    # real arithmetic differs in its last bits: a first caller that passes
-    # a real 0.5 must not decide which bits completed_l reads
-    f, g = k24_forms
-    n = afe_cutoff(f.weight)
-    rankin_selberg._mellin_suffix_table.cache_clear()
-    cold = RankinSelbergPair(f, g).completed_l(0.5)
-    rankin_selberg._mellin_suffix_table.cache_clear()
-    first = rankin_selberg._mellin_suffix_table(f.weight, 0.5, n)
-    for a, b in zip(first, mellin_table_from_scratch(f.weight, 0.5 + 0j, n)):
-        assert a.tobytes() == b.tobytes()
-    warm = RankinSelbergPair(f, g).completed_l(0.5)
-    assert rankin_selberg._mellin_suffix_table.cache_info()[:2] == (2, 1)  # hits, misses
-    assert np.array(warm).tobytes() == np.array(cold).tobytes()
+def test_completed_l_takes_real_s(delta_pair):
+    # the AFE table covers the real line only: a complex s is a RangeError,
+    # and a complex number with zero imaginary part is its real part
+    with pytest.raises(RangeError, match="real s"):
+        delta_pair.completed_l(0.5 + 3j)
+    assert delta_pair.completed_l(0.5 + 0j) == delta_pair.completed_l(0.5)
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_afe_matches_direct_sum_deep(k):
+    # deep in Re s > 1 the Dirichlet sum to n = 2000 is exact in float64;
+    # the AFE integral holds it to 1e-13 out to s = 91
+    pair = RankinSelbergPair(hecke_eigenforms(k, horizon=2000)[0])
+    for s in (11.0, 41.0, 71.0, 91.0):
+        afe = pair.completed_l(s) / gamma_factor(k, s)
+        direct = pair.l_direct(s).real
+        assert abs(afe - direct) < 1e-13 * abs(direct), s
+
+
+def _stand_ins(k):
+    # forms of weight k for the kernel: at k = 196 the eigenforms take ~20 s
+    # to build, so the two weight-24 eigen-systems, read at horizon
+    # theta_cutoff(196, 1/2), stand in for them; the AFE reads only the
+    # weight, the horizon and lam(n)
+    if k < 196:
+        return hecke_eigenforms(k)
+    return [SimpleNamespace(weight=k, horizon=f.horizon, lam_f64=f.lam_f64)
+            for f in hecke_eigenforms(24, horizon=theta_cutoff(k, 0.5))]
+
+
+@pytest.mark.parametrize("k", [12, 40, 100, 196])
+def test_afe_rule_doubled_moves_lambda_below_1e13(monkeypatch, k):
+    # the kept rule is converged: twice its nodes moves Lambda(s) by at
+    # most 1e-13 relative, on a diagonal and an off-diagonal pair.  The
+    # off-diagonal stand-in at k = 196, no pair of eigenforms of that
+    # weight, moves by 1.02e-13 at s = 1.1 and is held to 2e-13
+    forms = _stand_ins(k)
+    bound = 2e-13 if k == 196 else 1e-13
+    pairs = [RankinSelbergPair(forms[0]), RankinSelbergPair(forms[0], forms[-1])]
+    s_values = (0.5, 0.75, 1.1, 1.25, 11.0, 41.0, 71.0)
+    kept = [[p.completed_l(s) for s in s_values] for p in pairs]
+    table = rankin_selberg._afe_table
+    monkeypatch.setattr(rankin_selberg, "_afe_table", lambda k, sigma: rankin_selberg._afe_rule(
+        k, sigma, 2 * len(table(k, sigma)[0])))
+    for p, values in zip(pairs, kept):
+        for s, value in zip(s_values, values):
+            doubled = p.completed_l(s)
+            assert abs(value - doubled) <= bound * abs(doubled), (s, value, doubled)
+
+
+def test_afe_finite_as_far_as_float64_reaches():
+    # t^s Phi(t) is formed in log space, so Lambda(s) / Gamma(k) stays
+    # finite up to the last integer s at which it is below 1.8e308
+    for k, s in ((12, 153.0), (40, 145.0)):
+        value = RankinSelbergPair(hecke_eigenforms(k)[0]).completed_l(s)
+        assert math.isfinite(value) and value > 0, (k, s)
+
+
+def test_afe_accurate_up_to_float64_overflow():
+    # at that s the AFE holds the 30-digit gamma(s) times the Dirichlet sum
+    # to 1e-13, and one step further Lambda(s) / Gamma(k) is past float64:
+    # inf, not a finite wrong value
+    for k, s in ((12, 153.0), (40, 145.0)):
+        pair = RankinSelbergPair(hecke_eigenforms(k, horizon=2000)[0])
+        want = gamma_factor(k, s) * pair.l_direct(s).real
+        assert abs(pair.completed_l(s) - want) < 1e-13 * want, (k, s)
+        with np.errstate(over="ignore"):
+            assert pair.completed_l(s + 1) == math.inf, (k, s)
