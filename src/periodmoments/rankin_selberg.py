@@ -98,13 +98,14 @@ def _afe_log_t_max(k: int, sigma: int) -> float:
 
 
 def _afe_rule(k: int, sigma: int, n: int):
-    """(v, log_scale, kernel, index, starts): the n-node Gauss-Legendre rule
+    """(v, log_scale, kernel, starts): the n-node Gauss-Legendre rule
     of the balanced AFE on 0 <= v <= V (_afe_log_t_max), with
     kappa(m t_j) / Gamma(k) at t_j = e^{v_j} for m = 1..theta_cutoff(k, t_j).
 
     The kernel is ragged and scaled: node j's entries, kappa(m t_j) /
-    kappa(t_j), lie at starts[j] onward, index holds m - 1, and log_scale[j]
-    = log(weight_j) + log(kappa(t_j) / Gamma(k)).  One kappa_log call.
+    kappa(t_j), lie at starts[j] onward (_ragged_index gives m - 1), and
+    log_scale[j] = log(weight_j) + log(kappa(t_j) / Gamma(k)).  One
+    kappa_log call.
     """
     v_max = _afe_log_t_max(k, sigma)
     nodes, weights = _leggauss(n)
@@ -112,11 +113,15 @@ def _afe_rule(k: int, sigma: int, n: int):
     t = np.exp(v)
     counts = np.array([theta_cutoff(k, tj) for tj in t])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    index = np.arange(counts.sum()) - np.repeat(starts, counts)
-    log_kernel = kappa_log(k, (index + 1) * np.repeat(t, counts)) - math.lgamma(k)
+    log_kernel = kappa_log(k, (_ragged_index(starts, counts.sum()) + 1) * np.repeat(t, counts))
     head = log_kernel[starts]
     kernel = np.exp(log_kernel - np.repeat(head, counts))
-    return v, np.log(v_max / 2 * weights) + head, kernel, index.astype(np.int32), starts
+    return v, np.log(v_max / 2 * weights) + head - math.lgamma(k), kernel, starts
+
+
+def _ragged_index(starts, size):
+    # m - 1 for every entry of a ragged table whose rows begin at starts
+    return np.arange(size) - np.repeat(starts, np.diff(starts, append=size))
 
 
 @cache
@@ -139,7 +144,7 @@ def _afe_table(k: int, sigma: int):
             raise NonConvergenceError("AFE rule at k=%d, sigma=%d: %d nodes still move the "
                                       "integral by %.3g" % (k, sigma, n // 2, delta),
                                       best=value, last_delta=delta)
-        rule = v, log_scale, kernel, _, starts = _afe_rule(k, sigma, n)
+        rule = v, log_scale, kernel, starts = _afe_rule(k, sigma, n)
         exponent = np.concatenate((log_scale + sigma * v, log_scale + (1 - sigma) * v))
         top = exponent.max()
         rows = np.tile(np.add.reduceat(kernel, starts), 2)
@@ -249,10 +254,10 @@ class RankinSelbergPair:
         s = s.real
         if min(abs(s), abs(s - 1)) < 1e-8:
             raise PoleError("Lambda has poles at s = 0 and s = 1 (got s = %r)" % s)
-        v, log_scale, kernel, index, starts = _afe_table(self.k, math.ceil(max(s, 1 - s)))
+        v, log_scale, kernel, starts = _afe_table(self.k, math.ceil(max(s, 1 - s)))
         # node 0, nearest t = 1, reads the most coefficients
         c = self.c_table(int(starts[1]))
-        phi = np.add.reduceat(c[1:][index] * kernel, starts)
+        phi = np.add.reduceat(c[1:][_ragged_index(starts, len(kernel))] * kernel, starts)
         # the nodes' exponents, shifted by their largest: a node's term may
         # pass float64's largest value before the integral does
         upper, lower = log_scale + s * v, log_scale + (1 - s) * v
