@@ -9,8 +9,8 @@ on the same set of CPUs (wall-clock time is reported only in the JSON),
 whatever mpmath precision the caller has set: every mp computation sets
 its own digits.  The BLAS library splits its work by the CPUs it may
 use, so a run pinned to one CPU can differ from one on two in the last
-digits (stade --n 3 --samples 20 at seed 0: max_rel_err 1.2215931e-11
-pinned, 1.2215872e-11 on two CPUs).
+digits (stade --n 3 --samples 20 at seed 0: max_rel_err 1.2216984e-11
+pinned, 1.2217621e-11 on two CPUs).
 --config FILE.json supplies values that pass through the same parser as
 the flags (unknown keys and invalid values exit 2), and explicit flags
 override them.
@@ -174,14 +174,15 @@ def run_stade(args, rng):
     else:
         header = ["n", "nu1", "nu2", "mu1", "mu2", "s", "lhs", "lhs_str", "rhs", "rel_err"]
         ranks = []
-        for nu_t, mu_t in stade3_pairs(args.samples, rng):
-            pn = spectral.spectral_params(3, [1j * v for v in nu_t])
-            pm = spectral.spectral_params(3, [1j * v for v in mu_t])
-            for s in s_values:
-                r = spectral.stade_check(pn, pm, s)
+        pairs = stade3_pairs(args.samples, rng)
+        results, kernels = spectral.stade3_checks(
+            [tuple(spectral.spectral_params(3, [1j * v for v in t]) for t in pair)
+             for pair in pairs], s_values)
+        for (nu_t, mu_t), per_s in zip(pairs, results):
+            for r in per_s:
                 worst = np.maximum(worst, r["rel_err"])
                 ranks.extend(r["kernel_ranks"])
-                rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], s,
+                rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], r["s"],
                              complex(r["lhs"]), complex(r["lhs"]),
                              complex(r["rhs"]), r["rel_err"]])
         tol = STADE3_TOL
@@ -195,9 +196,11 @@ def run_stade(args, rng):
     params = {"n": args.n, "samples": args.samples, "s": s_values}
     if args.n == 3:
         # the ranks the range finder chose for the Mellin-Barnes kernels,
-        # the Stade grid of each s and the kernels' node count
+        # the kernels it factored (once per run, in blocks of pairs), the
+        # Stade grid of each s and the kernels' node count
         sizes = [spectral.stade3_sizes(s) for s in s_values]
         params.update(kernel_rank_min=min(ranks), kernel_rank_max=max(ranks),
+                      kernel_count=sum(kernels), kernel_blocks=len(kernels),
                       grid_shapes=[list(shape) for shape, _ in sizes],
                       mb_nodes=sizes[0][1])
     return header, rows, checks, params

@@ -36,13 +36,15 @@ they are real on the mu = nu locus.
 The n=3 Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b)) on the
 nodes u comes in two tiers.  The oracle tier (_mb_kernel,
 _whittaker3_completed_grid, used by whittaker) forms C and contracts the
-dense product e1 C e2.  The production tier of stade_check
-(_mb_kernel_factors) never forms C: a randomized range finder with a
-fixed-seed sketch returns C ~ Q B of rank r, sized by a residual bound
-tied to float64 round-off.  Nor does it form a Whittaker grid: with
-A1 = f1 Q and A2 = B f2, each grid would be A1 A2, and the Stade sum
-over the grid of W_nu conj(W_mu) is the trace of the r x r product
-(A1_mu^H A1_nu)(A2_nu A2_mu^H).
+dense product e1 C e2.  The production tier of stade_check and
+stade3_checks (_mb_kernel_factors) never forms C: a randomized range
+finder with a fixed-seed sketch returns C ~ Q B of rank r, sized by a
+residual bound tied to float64 round-off.  Nor does it form a Whittaker
+grid: with A1 = f1 Q and A2 = B f2, each grid would be A1 A2, and the
+Stade sum over the grid of W_nu conj(W_mu) is the trace of the r x r
+product (A1_mu^H A1_nu)(A2_nu A2_mu^H).  The kernels of a block of
+STADE3_BLOCK pairs are factored side by side, once for every s, and
+their A1 and A2 come from stacked products.
 
 Plancherel density: G(ix) = |Gamma_R(1+ix)/Gamma_R(ix)|^2
 = (x/2pi) tanh(pi x/2) (both forms implemented and compared), and the
@@ -56,6 +58,7 @@ prod (1 + |nu_j+...+nu_k|), conductor proxy = that product squared).
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +79,7 @@ __all__ = [
     "plancherel_ball",
     "whittaker",
     "stade_check",
+    "stade3_checks",
     "stade3_sizes",
     "stade_rhs_simple",
 ]
@@ -98,6 +102,13 @@ STADE2_H = 0.045
 STADE2_UPPER = 2.6
 STADE3_H = 0.05
 STADE3_UPPER = 2.0
+# (nu, mu) pairs per block of stade3_checks.  A block of 4 factors up to
+# 8 kernels side by side (a 160-column first sketch), wide enough for the
+# complex GEMM's full rate on H; wider blocks only hold more.  Measured on
+# `stade --n 3 --samples 20` (one pinned CPU, one BLAS thread): blocks of
+# 1, 2, 4, 8 and 20 pairs took 0.34, 0.31, 0.29-0.32, 0.29-0.32 and
+# 0.30-0.31 s and peaked at 73.1, 73.1, 74.4, 83.2 and 105.1 MB RSS
+STADE3_BLOCK = 4
 
 BALL_GRID_1D = 400
 BALL_GRID_2D = 600
@@ -287,32 +298,39 @@ def _check_y_range(ys):
 @functools.cache
 def _mb_nodes():
     """Node vector u and Hankel matrix H_ij = exp(-log Gamma_R(u_i + u_j)).
-    Neither depends on alpha: built once per process, on first use."""
+    Neither depends on alpha: built once per process, on first use.
+
+    H is constant along anti-diagonals, so each of the 2m - 1 values is
+    exponentiated once and H is copied out of the zero-copy Hankel view
+    of that vector: the build holds no m x m temporary besides H itself.
+    """
     t = np.arange(-MB_T, MB_T + MB_H / 2, MB_H)
     tsum = np.arange(-2 * MB_T, 2 * MB_T + MB_H / 2, MB_H)
     lgh = special.log_gamma_r_f64(1 + 1j * tsum)
-    idx = np.add.outer(np.arange(len(t)), np.arange(len(t)))
-    u, hankel = 0.5 + 1j * t, np.exp(-lgh[idx])
+    u, m = 0.5 + 1j * t, len(t)
+    hankel = np.lib.stride_tricks.sliding_window_view(np.exp(-lgh[:2 * m - 1]), m).copy()
     u.flags.writeable = hankel.flags.writeable = False
     return u, hankel
 
 
-def _mb_diagonals(alpha):
-    """exp(a) and exp(b) with a_i = sum_k log Gamma_R(u_i - alpha_k) and
+def _mb_diagonals(alphas):
+    """exp(a) and exp(b), one row per alpha in alphas, with
+    a_i = sum_k log Gamma_R(u_i - alpha_k) and
     b_j = sum_k log Gamma_R(u_j + alpha_k): the only alpha-dependent part of
     the Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b))."""
     u, _ = _mb_nodes()
-    # one call for all 2 n shifted node vectors, summed in the order of alpha
-    shifted = np.concatenate([u - al for al in alpha] + [u + al for al in alpha])
-    lg = special.log_gamma_r_f64(shifted).reshape(2, len(alpha), len(u))
-    return np.exp(lg[0].sum(axis=0)), np.exp(lg[1].sum(axis=0))
+    shifts = np.array(alphas)[..., None]
+    # one call for the 2 n shifted node vectors of every alpha, summed in
+    # the order of alpha
+    lg = special.log_gamma_r_f64(np.stack((u - shifts, u + shifts)))
+    return np.exp(lg[0].sum(axis=1)), np.exp(lg[1].sum(axis=1))
 
 
 def _mb_kernel(alpha):
     """Mellin-Barnes node vector u and the dense kernel matrix C for given
     alpha, C_ij = exp(a_i) H_ij exp(b_j) (the oracle tier's kernel)."""
     u, hankel = _mb_nodes()
-    ea, eb = _mb_diagonals(alpha)
+    (ea,), (eb,) = _mb_diagonals([alpha])
     return u, ea[:, None] * hankel * eb[None, :]
 
 
@@ -335,38 +353,45 @@ def _mb_sketch(width: int):
     return omega, omega_test
 
 
-def _mb_kernel_factors(alpha):
-    """Q (nodes x r, orthonormal columns) and B = Q^H C with C ~ Q B, the
-    randomized range finder (Halko, Martinsson and Tropp 2011) applied to
-    the kernel C of _mb_kernel without ever forming it.
+def _mb_kernel_factors(alphas):
+    """[(Q, B)] for each alpha in alphas: Q (nodes x r, orthonormal
+    columns) and B = Q^H C with C ~ Q B, the randomized range finder
+    (Halko, Martinsson and Tropp 2011) applied to the kernel C of
+    _mb_kernel without ever forming it.
 
     C acts only as an operator, C x = exp(a) * (H (exp(b) * x)).  The rank
     starts at MB_RANK0 and doubles, up to the node count, until the
     residual on the separate test columns satisfies
-    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.  The first width
-    applies C to its sketch and the test columns in one product, so a
-    kernel that stops there streams H twice (that product, then B); each
-    doubled width applies C to its own sketch only.
+    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.  At the first
+    width the kernels share their passes over H: one product applies every
+    C to the sketch and the test columns side by side, and one product
+    forms every B from the stacked rows Q^H exp(a).  So a call whose
+    kernels all stop there streams H twice.  A kernel that misses the bound
+    doubles on its own: each doubled width applies its C to its own sketch
+    only, then forms its B.  Every factor has the bits of a call for its
+    alpha alone.
     """
     _, hankel = _mb_nodes()
-    ea, eb = _mb_diagonals(alpha)
-
-    def apply(x):
-        return ea[:, None] * (hankel @ (eb[:, None] * x))
-
-    m = len(ea)
+    ea, eb = _mb_diagonals(alphas)
+    count, m = ea.shape
     width = MB_RANK0
     omega, omega_test = _mb_sketch(width)
-    c_both = apply(np.hstack((omega, omega_test)))
-    y, c_test = c_both[:, :width], c_both[:, width:]
-    while True:
-        q, _ = np.linalg.qr(y)
-        b = ((q.conj().T * ea[None, :]) @ hankel) * eb[None, :]
-        resid = np.linalg.norm(c_test - q @ (b @ omega_test))
-        if width == m or resid <= MB_TOL * np.linalg.norm(c_test):
-            return q, b
-        width = min(2 * width, m)
-        y = apply(_mb_sketch(width)[0])
+    # column block i of the product is H (exp(b_i) * [omega | omega_test])
+    c_both = hankel @ np.hstack(eb[:, :, None] * np.hstack((omega, omega_test)))
+    c_both = ea.T[:, :, None] * c_both.reshape(m, count, -1)
+    qs = [np.linalg.qr(c_both[:, i, :width])[0] for i in range(count)]
+    bs = np.vstack([q.conj().T * ea[i] for i, q in enumerate(qs)]) @ hankel
+    bs = bs.reshape(count, width, m) * eb[:, None, :]
+    factors = []
+    for i, (q, b) in enumerate(zip(qs, bs)):
+        c_test, w = c_both[:, i, width:], width
+        while w < m and not (np.linalg.norm(c_test - q @ (b @ omega_test))
+                             <= MB_TOL * np.linalg.norm(c_test)):
+            w = min(2 * w, m)
+            q, _ = np.linalg.qr(ea[i][:, None] * (hankel @ (eb[i][:, None] * _mb_sketch(w)[0])))
+            b = ((q.conj().T * ea[i][None, :]) @ hankel) * eb[i][None, :]
+        factors.append((q, b))
+    return factors
 
 
 def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
@@ -407,8 +432,8 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
     integral, the dense kernel GEMM e1 C e2 in double precision, and
     returns a complex (values below ~1e-300 underflow to 0).  The
     production tier, the low-rank kernel C ~ Q B of _mb_kernel_factors,
-    serves only the n=3 Stade grids of stade_check, and the tests hold it
-    to this one.
+    serves only the n=3 Stade grids of stade_check and stade3_checks, and
+    the tests hold it to this one.
     """
     if normalization not in ("normalized", "completed"):
         raise ValueError("normalization must be 'normalized' or 'completed'")
@@ -514,27 +539,37 @@ def _stade3_grid(s: float):
     return f1, f2
 
 
-def _stade_lhs_3(nu: SpectralParams, mu: SpectralParams, s: float):
-    """The n=3 Stade integral from the low-rank kernels C ~ Q B of nu and
-    mu, and their ranks, without forming a Whittaker grid.
+def _stade_lhs_3(pairs, s_values):
+    """The n=3 Stade integrals of a block of (nu, mu) pairs at each s,
+    from the low-rank kernels C ~ Q B, without forming a Whittaker grid.
 
-    Each grid is A1 A2 with A1 = f1 Q (rows x r) and A2 = B f2
-    (r x columns), so sum(W_nu conj(W_mu)) is the trace of g1 g2 with
+    The block's distinct kernels are factored once, for every s.  Each
+    grid is A1 A2 with A1 = f1 Q (rows x r) and A2 = B f2 (r x columns):
+    at each s one product f1 [Q_1 ... Q_K] and one [B_1; ...; B_K] f2 give
+    every kernel's.  sum(W_nu conj(W_mu)) is then the trace of g1 g2 with
     g1 = A1_mu^H A1_nu (r_mu x r_nu) and g2 = A2_nu A2_mu^H (r_nu x r_mu);
-    the ranks may differ.  A pair with mu = nu factors one kernel.
+    the ranks may differ.  Returns (values, ranks, kernels): values[i][j]
+    at pairs[i] and s_values[j], ranks[i] = (r_nu, r_mu) of pairs[i], and
+    the number of kernels factored.
     """
-    f1, f2 = _stade3_grid(s)
-
-    def factors(params):
-        q, b = _mb_kernel_factors(params.alpha)
-        return f1 @ q, b @ f2
-
-    a1n, a2n = factors(nu)
-    a1m, a2m = (a1n, a2n) if mu == nu else factors(mu)
-    g1 = a1m.conj().T @ a1n
-    g2 = a2n @ a2m.conj().T
-    ranks = (a1n.shape[1], a1m.shape[1])
-    return complex(STADE3_H**2 * np.sum(g1 * g2.T)), ranks
+    grids = [_stade3_grid(s) for s in s_values]
+    alphas = list(dict.fromkeys(p.alpha for pair in pairs for p in pair))
+    factors = _mb_kernel_factors(alphas)
+    rank = {al: q.shape[1] for al, (q, _) in zip(alphas, factors)}
+    q_all = np.hstack([q for q, _ in factors])
+    b_all = np.vstack([b for _, b in factors])
+    del factors  # only the stacked copies stay while the grids are contracted
+    cols = {al: slice(end - rank[al], end)
+            for al, end in zip(alphas, itertools.accumulate(rank.values()))}
+    values = [[] for _ in pairs]
+    for f1, f2 in grids:
+        a1, a2 = f1 @ q_all, b_all @ f2
+        for out, (nu, mu) in zip(values, pairs):
+            cn, cm = cols[nu.alpha], cols[mu.alpha]
+            g1 = a1[:, cm].conj().T @ a1[:, cn]
+            g2 = a2[cn] @ a2[cm].conj().T
+            out.append(complex(STADE3_H**2 * np.sum(g1 * g2.T)))
+    return values, [(rank[nu.alpha], rank[mu.alpha]) for nu, mu in pairs], len(alphas)
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
@@ -545,20 +580,8 @@ def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> co
     return complex(np.exp(log) / 2)
 
 
-def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
-    """Both sides of Stade's formula with the relative error.
-
-    lhs/rhs are reported in the normalized convention (completed divided
-    by the Gamma_R(1 + ...) products); the
-    completed pair is included as well.  rel_err uses complex moduli and
-    is identical in the two normalizations.  kernel_ranks holds the ranks
-    of the low-rank kernels of (nu, mu) at n=3 and is empty at n=2.
-    """
-    _validate_stade_inputs(nu, mu, s)
-    if nu.n == 2:
-        lhs_c, ranks = complex(_stade_lhs_2(nu, mu, s)), ()
-    else:
-        lhs_c, ranks = _stade_lhs_3(nu, mu, s)
+def _stade_result(nu: SpectralParams, mu: SpectralParams, s: float, lhs_c: complex,
+                  ranks: tuple) -> dict:
     rhs_c = _stade_rhs_completed(nu, mu, s)
     renorm = _gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1)
     lhs = lhs_c / renorm
@@ -574,6 +597,49 @@ def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
         "rhs_completed": rhs_c,
         "kernel_ranks": ranks,
     }
+
+
+def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
+    """Both sides of Stade's formula with the relative error.
+
+    lhs/rhs are reported in the normalized convention (completed divided
+    by the Gamma_R(1 + ...) products); the
+    completed pair is included as well.  rel_err uses complex moduli and
+    is identical in the two normalizations.  kernel_ranks holds the ranks
+    of the low-rank kernels of (nu, mu) at n=3 and is empty at n=2.  At
+    n=3 the pair is a block of one for _stade_lhs_3.
+    """
+    _validate_stade_inputs(nu, mu, s)
+    if nu.n == 2:
+        lhs_c, ranks = complex(_stade_lhs_2(nu, mu, s)), ()
+    else:
+        [[lhs_c]], [ranks], _ = _stade_lhs_3([(nu, mu)], [s])
+    return _stade_result(nu, mu, s, lhs_c, ranks)
+
+
+def stade3_checks(pairs, s_values):
+    """stade_check of every n=3 (nu, mu) in pairs at every s in s_values,
+    STADE3_BLOCK pairs at a time: each block factors its distinct kernels
+    once, for every s.
+
+    Returns (results, kernels): results[i][j] is
+    stade_check(*pairs[i], s_values[j]), bit for bit, and kernels[b] the
+    number of kernels block b factored.  Every input is validated before
+    any block runs.
+    """
+    for nu, mu in pairs:
+        if nu.n != 3:
+            raise RangeError("stade3_checks takes n = 3 pairs")
+        for s in s_values:
+            _validate_stade_inputs(nu, mu, s)
+    results, kernels = [], []
+    for start in range(0, len(pairs), STADE3_BLOCK):
+        block = pairs[start:start + STADE3_BLOCK]
+        values, ranks, count = _stade_lhs_3(block, s_values)
+        kernels.append(count)
+        results += [[_stade_result(nu, mu, s, lhs_c, r) for s, lhs_c in zip(s_values, row)]
+                    for (nu, mu), row, r in zip(block, values, ranks)]
+    return results, kernels
 
 
 def stade_rhs_simple(nu: SpectralParams, s: float) -> complex:

@@ -194,6 +194,24 @@ def test_stade_n3_includes_diagonal_pi_row(tmp_path):
     assert params["grid_shapes"] == [[841, 1641], [441, 574]]
 
 
+def test_stade_n3_factors_each_kernel_once(tmp_path, monkeypatch):
+    # the summary counts the kernels the range finder factored (two per
+    # seed-0 pair, one for the diagonal first pair) and the blocks of pairs
+    # it took them in; three s values factor each kernel once, as one s does
+    factored = []
+    real_factors = spectral._mb_kernel_factors
+    monkeypatch.setattr(spectral, "_mb_kernel_factors",
+                        lambda alphas: factored.extend(alphas) or real_factors(alphas))
+    for s_args in ([], ["--s", "0.5", "1.0", "1.5"]):
+        factored.clear()
+        json_p = tmp_path / "s.json"
+        assert run(["stade", "--n", "3", "--samples", "20", "--seed", "0", *s_args,
+                    "--output", str(tmp_path / "s.csv"), "--summary", str(json_p)]) == 0
+        params = json.loads(json_p.read_text())["params"]
+        assert params["kernel_count"] == len(factored) == len(set(factored)) == 39, s_args
+        assert params["kernel_blocks"] == 5
+
+
 def test_stade_n2_writes_the_complex_values(tmp_path):
     # the normalized n = 2 sides are complex in general (at seed 0 the
     # first pair's lhs has an imaginary part near its modulus): every lhs,

@@ -322,7 +322,7 @@ def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     factored = []
     real_factors = sp._mb_kernel_factors
     monkeypatch.setattr(sp, "_mb_kernel_factors",
-                        lambda alpha: factored.append(alpha) or real_factors(alpha))
+                        lambda alphas: factored.extend(alphas) or real_factors(alphas))
     for dense in ("_mb_kernel", "_whittaker3_completed_grid"):
         monkeypatch.setattr(sp, dense, lambda *a: pytest.fail("dense kernel formed"))
     nu, mu = sp.spectral_params(2, [0.7j]), sp.spectral_params(2, [-1.1j])
@@ -363,7 +363,7 @@ def test_mb_kernel_factors_range_finder():
     # residual bound, at the first width and (at (3i, 3i)) after doubling
     for t in ((0.5, 0.5), (-0.9, 0.4), (3.0, 3.0)):
         alpha = sp.spectral_params(3, [1j * v for v in t]).alpha
-        q, b = sp._mb_kernel_factors(alpha)
+        [(q, b)] = sp._mb_kernel_factors([alpha])
         rank = q.shape[1]
         assert b.shape == (rank, len(sp._mb_nodes()[0]))
         assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) <= 1e-14
@@ -377,7 +377,7 @@ def test_stade3_lowrank_matches_full_gemm():
         return sp.spectral_params(3, [1j * v for v in t])
 
     def rel(nu, mu, s):
-        got, ranks = sp._stade_lhs_3(nu, mu, s)
+        [[got]], [ranks], _ = sp._stade_lhs_3([(nu, mu)], [s])
         want = _full_gemm_lhs(nu, mu, s)
         return abs(got - want) / abs(want), ranks
 
@@ -418,7 +418,7 @@ def _grid_sum_lhs(nu, mu, s):
     f1, f2 = sp._stade3_grid(s)
 
     def grid(params):
-        q, b = sp._mb_kernel_factors(params.alpha)
+        [(q, b)] = sp._mb_kernel_factors([params.alpha])
         return (f1 @ q) @ (b @ f2)
 
     wn = grid(nu)
@@ -435,14 +435,14 @@ def test_stade3_trace_equals_grid_sum():
     cases += [(nu, mu, s) for nu, mu in cli.STADE3_GRID for s in (0.5, 1.0, 1.5)]
     cases.append(((3.0, 3.0), (2.5, 2.5), 1.0))
     for nu, mu, s in cases:
-        got, ranks = sp._stade_lhs_3(_params3(nu), _params3(mu), s)
+        [[got]], [ranks], _ = sp._stade_lhs_3([(_params3(nu), _params3(mu))], [s])
         want, _ = _grid_sum_lhs(_params3(nu), _params3(mu), s)
         assert abs(got - want) <= 1e-14 * abs(want), (nu, mu, s, got, want)
     assert ranks == (32, 16)
     # against (0.5i, 0.5i) the sum cancels 6,400-fold (1.8e-18 of a
     # 1.1e-14 scale): both orders then agree to round-off of the scale
     nu, mu = _params3((3.0, 3.0)), _params3((0.5, 0.5))
-    got, ranks = sp._stade_lhs_3(nu, mu, 1.0)
+    [[got]], [ranks], _ = sp._stade_lhs_3([(nu, mu)], [1.0])
     want, scale = _grid_sum_lhs(nu, mu, 1.0)
     assert ranks == (32, 16) and scale > 1000 * abs(want)
     assert abs(got - want) <= 1e-14 * scale, (got, want, scale)
@@ -459,7 +459,7 @@ def test_stade3_trace_forms_no_grid():
     for pair in ((nu, nu), (nu, mu)):
         tracemalloc.start()
         try:
-            sp._stade_lhs_3(*pair, 1.0)
+            sp._stade_lhs_3([pair], [1.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,17 +478,84 @@ class _CountingArray(np.ndarray):
 
 
 def test_mb_kernel_factors_stream_hankel_once_per_product(monkeypatch):
-    # the first width applies C to its sketch and the test columns in one
-    # product, then forms B: two passes over H; (3i, 3i) doubles once and
-    # applies C to its new sketch only, then forms B again
+    # one product applies every kernel of a call to the sketch and the test
+    # columns, one more forms every B: two passes over H for the whole call
+    # while each kernel stops at the first width (the 8 kernels of the
+    # CLI's second seed-0 block).  (3i, 3i) doubles once on its own: it
+    # applies its C to its new sketch only, then forms its B again
     u, hankel = sp._mb_nodes()
     counted = hankel.view(_CountingArray)
     monkeypatch.setattr(sp, "_mb_nodes", lambda: (u, counted))
-    for t, passes in (((0.5, 0.5), 2), ((-0.9, 0.4), 2), ((3.0, 3.0), 4)):
+    block = cli.stade3_pairs(20, np.random.default_rng(0))[sp.STADE3_BLOCK:2 * sp.STADE3_BLOCK]
+    cli_kernels = [t for pair in block for t in pair]
+    for ts, passes in ((cli_kernels, 2), (((0.5, 0.5), (3.0, 3.0), (-0.9, 0.4)), 4)):
         counted.calls = []
-        q, b = sp._mb_kernel_factors(_params3(t).alpha)
-        assert counted.calls == ["matmul"] * passes, (t, counted.calls)
-        assert type(q) is np.ndarray and type(b) is np.ndarray
+        factors = sp._mb_kernel_factors([_params3(t).alpha for t in ts])
+        assert counted.calls == ["matmul"] * passes, (ts, counted.calls)
+        assert len(factors) == len(ts)
+        for t, (q, b) in zip(ts, factors):
+            assert type(q) is np.ndarray and type(b) is np.ndarray
+            assert q.shape[1] == (32 if t == (3.0, 3.0) else 16)
+
+
+def test_stade3_blocks_match_one_pair_bit_for_bit():
+    # on the CLI's 20 seed-0 pairs each block's Q and B are those of a call
+    # for the kernel alone, and stade3_checks returns stade_check's values
+    # at every s: a kernel is factored once per block, not once per s
+    pairs = [tuple(map(_params3, pair)) for pair in cli.stade3_pairs(20, np.random.default_rng(0))]
+    for start in range(0, len(pairs), sp.STADE3_BLOCK):
+        block = pairs[start:start + sp.STADE3_BLOCK]
+        alphas = list(dict.fromkeys(p.alpha for pair in block for p in pair))
+        for alpha, (q, b) in zip(alphas, sp._mb_kernel_factors(alphas)):
+            [(q1, b1)] = sp._mb_kernel_factors([alpha])
+            assert np.array_equal(q, q1) and np.array_equal(b, b1), (start, alpha)
+    s_values = (0.5, 1.0, 1.5)
+    results, kernels = sp.stade3_checks(pairs, s_values)
+    assert kernels == [7, 8, 8, 8, 8]  # the first grid pair is diagonal
+    assert len(results) == len(pairs)
+    for pair, row in zip(pairs, results):
+        assert [r["s"] for r in row] == list(s_values)
+        for r in row:
+            want = sp.stade_check(*pair, r["s"])
+            assert r == want, (pair, r, want)
+
+
+def test_stade3_block_peak_memory():
+    # one block of 4 seed-0 pairs (8 kernels), factoring included, at s = 1
+    # and s = 1/2: the bound keeps a 2x margin over the measured peaks of
+    # 6.7 and 8.5 MB, which the kernels' log-gamma diagonals and the
+    # stacked factors set
+    block = [tuple(map(_params3, pair)) for pair in
+             cli.stade3_pairs(20, np.random.default_rng(0))[sp.STADE3_BLOCK:2 * sp.STADE3_BLOCK]]
+    sp._mb_sketch(sp.MB_RANK0)
+    for s, bound in ((1.0, 13.4e6), (0.5, 17.0e6)):
+        sp._stade3_grid(s)
+        tracemalloc.start()
+        try:
+            sp._stade_lhs_3(block, [s])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (s, peak)
+
+
+def test_mb_nodes_build_holds_one_matrix():
+    # H is constant along anti-diagonals: a cold build exponentiates the
+    # 2m - 1 values once and holds no m x m temporary besides H (an index
+    # matrix and exp over it peaked at 2.5 times H), with the bits of
+    # that elementwise build
+    sp._mb_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        _, hankel = sp._mb_nodes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * hankel.nbytes, (peak, hankel.nbytes)
+    m = hankel.shape[0]
+    tsum = np.arange(-2 * sp.MB_T, 2 * sp.MB_T + sp.MB_H / 2, sp.MB_H)
+    lgh = sp.special.log_gamma_r_f64(1 + 1j * tsum)
+    assert np.array_equal(hankel, np.exp(-lgh[np.add.outer(np.arange(m), np.arange(m))]))
 
 
 def _per_s_lhs_2(nu, mu, s):
