@@ -16,15 +16,10 @@ degenerates to a log:
 The unnormalized E = E*/lam(2s) has residue (1/2)/lam(2) = 3/pi at s=1
 and vanishes identically at s = 1/2 (scattering -1).
 
-At working precision the tail is one integral, not one K-Bessel per term:
-with K_nu(2 pi n y) = int_0^inf q(u)^n cosh(nu u) du and
-q(u) = exp(-2 pi y cosh u),
-
-  sum_n c_n K_nu(2 pi n y) = int_0^inf cosh(nu u) sum_n c_n q(u)^n du,
-
-which special._k_sum_ex sums by one nested trapezoid.  The float64 tier
-(completed_eisenstein_f64) takes K per term on its grids, as
-special.kve_f64 times e^-x; its argument 2 pi n y needs y >= 1/pi.
+At working precision the tail is summed term by term, one mpmath
+besselk per n, with mp.fsum; the float64 tier (completed_eisenstein_f64)
+takes K per term on its grids too, as special.kve_f64 times e^-x, and
+its argument 2 pi n y needs y >= 1/pi.
 
 The residue 3/pi of E at s = 1 has both tiers too, by one symmetric
 Richardson step: residue_at_one (40 digits) is the tests' oracle, and
@@ -38,7 +33,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .precision import PoleError
-from .special import _EULER_GAMMA, _heights, _k_sum_ex, _term_sum, kve_f64, lam
+from .special import _EULER_GAMMA, _heights, _term_sum, kve_f64, lam
 
 __all__ = [
     "completed_eisenstein",
@@ -95,8 +90,8 @@ def _n_terms_mp(y):
 def completed_eisenstein(z, s):
     """E*(z, s) at working precision; z upper half plane, s != 0, 1.
 
-    The tail is one cosh-transform integral (see the module docstring) with
-    c_n = n^nu sigma_{1-2s}(n) cos(2 pi n x) and nu = s - 1/2, or
+    The tail is mp.fsum over n of c_n K_nu(2 pi n y) (mpmath's besselk)
+    with c_n = n^nu sigma_{1-2s}(n) cos(2 pi n x) and nu = s - 1/2, or
     c_n = d(n) cos(2 pi n x) and nu = 0 at the center.
     """
     x, y = _split_z(z)
@@ -113,7 +108,7 @@ def completed_eisenstein(z, s):
         const = lam(2 * s) * y**s + lam(2 - 2 * s) * y ** (1 - s)
         nu = s - mpf(1) / 2
         coefs = [mp.mpf(n) ** nu * _sigma_power(1 - 2 * s, n) * c for n, c in zip(ns, phases)]
-    tail, _ = _k_sum_ex(nu, 2 * mp.pi * y, coefs)
+    tail = mp.fsum(c * mp.besselk(nu, 2 * mp.pi * n * y) for n, c in zip(ns, coefs))
     return const + 4 * mp.sqrt(y) * tail
 
 

@@ -384,14 +384,10 @@ THETA_SPLIT = 2.0
 FUNDAMENTAL_Y_MIN = math.sqrt(3.0) / 2
 
 
-def _kappa_cutoff(k: int, efolds: float, t: float) -> int:
-    # kappa(n t) has died ~e^{-efolds} under its own scale past the cutoff
-    return max(8, int(math.ceil(((k + efolds) / (4 * math.pi)) ** 2 / t)) + 1)
-
-
 def theta_cutoff(k: int, t: float) -> int:
     """Last n that the weight-k theta profile Phi(t) = sum c(n) kappa(n t) reads."""
-    return _kappa_cutoff(k, 140.0, t)
+    # kappa(n t) has died ~e^-140 under its own scale past the cutoff
+    return max(8, int(math.ceil(((k + 140.0) / (4 * math.pi)) ** 2 / t)) + 1)
 
 
 def _cusp_n_eval(k: int, y_min: float) -> int:

@@ -31,10 +31,8 @@ routine still runs but accuracy degrades with |t|.  The tests pin it to 5e-12 re
 at |t| <= 7 for x in [0.03, 30] (both branches), and at |t| <= 0.1 on
 the n = 2 Stade log-grids below x = 2 (the series and K_0).
 
-The mp tier sums a series sum_n c_n K_nu(n x) through the same
-transform, with cosh(nu u) for cos(t u), as one integral (_k_sum_ex,
-which also flags a result below the float64 range); bessel_k is its
-one-term case.
+The mp tier of K is mpmath's besselk itself, the reference the tests
+hold kve_f64 and kit_f64 to; this module adds no mp K-Bessel of its own.
 
 _leggauss(n) is the one Gauss-Legendre memo of the package: the rule of
 n nodes on [-1, 1], built once per process and n as read-only arrays,
@@ -54,8 +52,6 @@ from mpmath import mp
 from numpy.polynomial import legendre
 
 from .precision import NonConvergenceError, PoleError, RangeError
-
-_TINY_DOUBLE = 5e-324  # smallest subnormal; the underflow flag threshold
 
 
 @cache
@@ -118,101 +114,6 @@ def upper_incomplete_gamma(a, x):
     if not mp.mpf(mp.re(mp.mpmathify(x))) > 0 or mp.im(mp.mpmathify(x)) != 0:
         raise RangeError("upper_incomplete_gamma requires real x > 0")
     return mp.gammainc(mp.mpmathify(a), mp.mpf(x))
-
-
-def bessel_k(order, arg):
-    """K_nu(x) for complex order nu with |Re nu| < ~x-independent modest
-    bound and real x > 0.  Real-valued for real or purely imaginary order,
-    complex otherwise.
-
-    The one-coefficient case of the cosh-transform quadrature
-    (_k_sum_ex): a nested trapezoid on
-    K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du.
-    """
-    return _k_sum_ex(order, arg, (1,))[0]
-
-
-def _k_sum_ex(order, arg, coefs):
-    """sum_{n>=1} coefs[n-1] K_nu(n x) as one integral, plus an underflow
-    flag.  The flag marks results whose magnitude falls below the
-    double-precision representable range: the value is still returned at
-    working precision, but any downstream float64 fast path would see it
-    as zero.
-
-    Every term comes from the same cosh transform, so with
-    q(u) = exp(-x cosh u)
-
-        sum_n c_n K_nu(n x) = int_0^inf cosh(nu u) sum_n c_n q(u)^n du.
-
-    Nested trapezoid on that integral: each step halving evaluates only the
-    new midpoints.  The integrand is analytic in a strip around the real
-    u-axis so the rule converges geometrically.  Truncation at U where the
-    envelope exp(-x cosh U + |Re nu| U) of the n = 1 term, the slowest to
-    decay, is beyond the digit budget.  The result is real when the order
-    is real or purely imaginary and every coefficient is real.
-    """
-    nu = mp.mpmathify(order)
-    sigma = mp.re(nu)
-    t = mp.im(nu)
-    x = mp.mpf(arg)
-    if not x > 0:
-        raise RangeError("bessel_k requires arg > 0")
-    target_dps = mp.dps
-    # Guard digits keep the convergence target above the rounding floor of
-    # the elevated context.
-    with mp.extradps(10):
-        budget = (target_dps + 8) * mp.log(10) + 10
-        U = mp.acosh(1 + budget / x) + mp.mpf("0.5")
-        # cosh(nu u) grows like exp(|Re nu| u): push U until the envelope
-        # clears the budget.
-        for _ in range(4):
-            need = budget + abs(sigma) * U
-            U_new = mp.acosh(1 + need / x) + mp.mpf("0.5")
-            if U_new <= U:
-                break
-            U = U_new
-        real_result = (sigma == 0 or t == 0) and all(mp.im(c) == 0 for c in coefs)
-        tol = mp.mpf(10) ** (-(target_dps + 2))
-        h = mp.mpf("0.08")
-        # Oscillation from Im nu narrows the usable step.
-        if abs(t) > 4:
-            h = min(h, mp.mpf(5) / (40 + abs(t)))
-
-        def kern(u):
-            return _k_integrand(x, nu, coefs, u, real_result)
-
-        # nested trapezoid: each level halves the step and adds only the new
-        # midpoints to `inner`, the sum over the level's nodes with the two
-        # ends halved
-        n = max(8, int(mp.ceil(U / h)))
-        step = U / n
-        inner = (kern(mp.mpf(0)) + kern(U)) / 2 + sum(kern(i * step) for i in range(1, n))
-        prev = inner * step
-        last_delta = None
-        for _ in range(8):
-            step /= 2
-            inner += sum(kern((2 * i + 1) * step) for i in range(n))
-            n *= 2
-            total = inner * step
-            last_delta = abs(total - prev)
-            if last_delta <= tol * max(mp.mpf(1), abs(total)):
-                under = total != 0 and abs(total) < _TINY_DOUBLE
-                return +total, under
-            prev = total
-    raise NonConvergenceError(
-        "K-Bessel trapezoid did not converge", best=prev, last_delta=last_delta
-    )
-
-
-def _k_integrand(x, nu, coefs, u, real):
-    """cosh(nu u) sum_n c_n q^n with q = exp(-x cosh u), the integrand of
-    sum_n c_n K_nu(n x) (Horner in q); its real part when `real`."""
-    q = mp.exp(-x * mp.cosh(u))
-    acc = 0
-    for c in reversed(coefs):
-        acc = (acc + c) * q
-    v = acc * mp.cosh(nu * u)
-    return mp.re(v) if real else v
 
 
 # ----------------------------------------------------------------------

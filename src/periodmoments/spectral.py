@@ -397,8 +397,11 @@ def _mb_kernel_factors(alphas):
 def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
     """e1 = y1^(-u) as (len(y1), len(u)) and e2 = y2^(-u) as (len(u), len(y2))."""
     u, _ = _mb_nodes()
-    e1 = np.exp(-np.log(y1)[:, None] * u[None, :])
-    e2 = np.exp(-np.log(y2)[None, :] * u[:, None])
+    e1 = -np.log(y1)[:, None] * u[None, :]
+    e2 = -np.log(y2)[None, :] * u[:, None]
+    # in place: the build holds no second array of each size
+    np.exp(e1, out=e1)
+    np.exp(e2, out=e2)
     return e1, e2
 
 
@@ -427,8 +430,12 @@ def _gamma_normalizer(params: SpectralParams, sign: int) -> complex:
 def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
     """Whittaker function at y (length n-1 positive vector).
 
-    n=2 runs the arbitrary-precision K-Bessel route and returns an mp
-    number; n=3 runs the oracle tier of the double Mellin-Barnes
+    n=2 is 2 sqrt(y) K_nu(2 pi y) from mpmath's besselk at 30 digits.
+    The order is imaginary, so K is real and its real part is returned
+    (mpmath's imaginary part is rounding, 1e-53 relative at y = 1e3): the
+    completed value is a real mp number with about 30 correct digits up
+    to Y_MAX, where K(2 pi y) is near 3e-2731 (the tests hold it to the
+    DLMF 10.40.2 series within 1e-25 at y = 50 to 1e3).  n=3 runs the oracle tier of the double Mellin-Barnes
     integral, the dense kernel GEMM e1 C e2 in double precision, and
     returns a complex (values below ~1e-300 underflow to 0).  The
     production tier, the low-rank kernel C ~ Q B of _mb_kernel_factors,
@@ -444,7 +451,7 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
     if params.n == 2:
         with mp.workdps(30):
             yv = mp.mpf(ys[0])
-            val = special.bessel_k(params.nu[0], 2 * mp.pi * yv)
+            val = mp.re(mp.besselk(params.nu[0], 2 * mp.pi * yv))
             out = 2 * mp.sqrt(yv) * val
             if normalization == "normalized":
                 out = out / special.gamma_r(1 + 2 * params.nu[0])

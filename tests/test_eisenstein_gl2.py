@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from periodmoments import cli, eisenstein_gl2, special
+from periodmoments import cli
 from periodmoments.eisenstein_gl2 import (
     completed_eisenstein,
     completed_eisenstein_f64,
@@ -17,8 +17,8 @@ from periodmoments.eisenstein_gl2 import (
     residue_at_one,
     residue_at_one_f64,
 )
-from periodmoments.precision import NonConvergenceError, PoleError
-from periodmoments.special import bessel_k, lam
+from periodmoments.precision import PoleError
+from periodmoments.special import lam
 
 # E*(0.31 + 1.37i, 1/2), 28 digits
 CENTRAL_VALUE = "-1.918530492243039214048279817"
@@ -139,77 +139,64 @@ ROUTE_POINTS = [("0.31", "0.3"), ("0.1", "1.37"), ("-0.27", "2.2"), ("0.45", "10
 ROUTE_S = ["1.001", "0.999", "0.5", "0.25", "1.9", "2", "3", ("0.3", "0.7"), ("0.5", "1.9")]
 
 
-def _tail_per_term(z, s):
-    # E* with its tail as sum_n c_n K_nu(2 pi n y), one bessel_k per term
-    x, y = mpf(z[0]), mpf(z[1])
-    n_terms = eisenstein_gl2._n_terms_mp(y)
-    if s == mpf("0.5"):
-        const = mp.sqrt(y) * (mp.log(y) + mp.euler - mp.log(4 * mp.pi))
-        nu = 0
-        coef = [len(eisenstein_gl2._divisors(n)) for n in range(1, n_terms + 1)]
-    else:
-        const = lam(2 * s) * y**s + lam(2 - 2 * s) * y ** (1 - s)
-        nu = s - mpf(1) / 2
-        coef = [mpf(n) ** nu * eisenstein_gl2._sigma_power(1 - 2 * s, n)
-                for n in range(1, n_terms + 1)]
-    tail = sum(c * bessel_k(nu, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
-               for n, c in enumerate(coef, 1))
-    return const + 4 * mp.sqrt(y) * tail
+# E*(z, s) at 40 digits on ROUTE_POINTS x ROUTE_S, one row per point, as
+# the one-integral trapezoid tail returned it before the tail became a
+# per-term besselk sum (the two agreed to 3.8e-41 relative).  A pair is
+# (real, imaginary); on the critical line E* is real, and the stored value
+# is the real part (its imaginary part was rounding, below 6e-42 relative)
+E_STAR_ROUTE = [
+    [
+        "499.62887753130800790014442680159094558071",
+        "-500.37214529804572768629522872300105120123",
+        "-1.8744519473430335294086344732988381351952",
+        "-2.5404204966198416703769124938414672840976",
+        "0.44202991915419718403495776934474863027238",
+        "0.40360888354275687048876667542543660296783",
+        "0.3051672903160119186189313779468115018692",
+        ("-0.4951578273780278293867627264877023005255", "0.24332363406998473746872713546844364735175"),
+        "-0.037790848427985413932746627903425586284553",
+    ],
+    [
+        "499.58382147344462289420714407213335611757",
+        "-500.41719002340928573399491238625573270552",
+        "-1.9181062743561783412250579848372556275037",
+        "-2.5844200201164709378855130269560135024883",
+        "0.38625893407545507650329864629267278343366",
+        "0.34579976707381261189163731488357678148843",
+        "0.21112982691000302222831109227134289818871",
+        ("-0.53637595241120430290348614301617963466218", "0.24478502019833093552665196565863508842404"),
+        "-0.065271134323957300799921802390307718493054",
+    ],
+    [
+        "499.78132139004641989090123662858669425445",
+        "-500.2197541366999744990156315938074946098",
+        "-1.7284954400989047399631328215483053996336",
+        "-2.392872198166945389768484943409059930542",
+        "0.64599133246546988041868376421607951097999",
+        "0.61772571544621915223692852286820480307275",
+        "0.71502046733454851077235479599210401616669",
+        ("-0.36036067371294843812765341207317432344829", "0.23671019699597829525720238603040821070949"),
+        "0.038439307501045032115786125284998305516599",
+    ],
+    [
+        "503.11044007537416354465409287567140123013",
+        "-496.89485388802309094105507502609175144841",
+        "1.1029281688936724196903823119174417028348",
+        "0.55665581963685832197014588667105934920456",
+        "9.5536702361963824348551479443565551463693",
+        "10.985358442123068093595275433655505795478",
+        "65.622537558542397743797400815615988383131",
+        ("1.6934737946225345504268114132054803932641", "-0.17456677896083882839360679720585982884918"),
+        "-0.002952011622590840757225797944664516314716",
+    ],
+]
 
 
-def test_one_integral_tail_matches_per_term_bessel():
+def test_completed_eisenstein_frozen_route_grid():
     with mp.workdps(40):
-        for z in ROUTE_POINTS:
-            for s in ROUTE_S:
+        for z, row in zip(ROUTE_POINTS, E_STAR_ROUTE):
+            for s, ref in zip(ROUTE_S, row):
                 s = mpc(*s) if isinstance(s, tuple) else mpf(s)
+                ref = mpc(*ref) if isinstance(ref, tuple) else mpf(ref)
                 ours = completed_eisenstein(z, s)
-                ref = _tail_per_term(z, s)
                 assert abs(ours - ref) <= mpf("1e-38") * abs(ref), (z, s)
-
-
-def test_tail_is_one_quadrature_with_each_node_once(monkeypatch):
-    # one _k_sum_ex call per E*, no bessel_k, and no node evaluated twice
-    sums, nodes = [], []
-    real_sum, real_kern = special._k_sum_ex, special._k_integrand
-
-    def counted_sum(*args):
-        sums.append(args)
-        return real_sum(*args)
-
-    def recorded(x, nu, coefs, u, is_real):
-        nodes.append(u)
-        return real_kern(x, nu, coefs, u, is_real)
-
-    def forbidden(*args):
-        raise AssertionError("bessel_k called from completed_eisenstein")
-
-    monkeypatch.setattr(eisenstein_gl2, "_k_sum_ex", counted_sum)
-    monkeypatch.setattr(special, "_k_integrand", recorded)
-    monkeypatch.setattr(special, "bessel_k", forbidden)
-    monkeypatch.setattr(eisenstein_gl2, "bessel_k", forbidden, raising=False)
-    with mp.workdps(40):
-        for s in (mpf("1.001"), mpf("0.5")):
-            sums.clear()
-            nodes.clear()
-            completed_eisenstein(Z0, s)
-            assert len(sums) == 1
-            assert len(sums[0][2]) == eisenstein_gl2._n_terms_mp(mpf(Z0[1]))
-            assert len(nodes) > 50
-            assert len(set(nodes)) == len(nodes)
-
-
-def test_tail_nonconvergence_carries_best_and_delta(monkeypatch):
-    # an integrand that grows with every evaluation never settles
-    calls = []
-
-    def restless(x, nu, coefs, u, is_real):
-        calls.append(u)
-        return mpf(len(calls))
-
-    monkeypatch.setattr(special, "_k_integrand", restless)
-    with mp.workdps(40):
-        with pytest.raises(NonConvergenceError) as exc:
-            completed_eisenstein(Z0, mpf("1.001"))
-    err = exc.value
-    assert err.best is not None and mp.isfinite(err.best)
-    assert err.last_delta is not None and err.last_delta > 0

@@ -14,9 +14,8 @@ from mpmath import mp, mpc, mpf
 from scipy.special import gammaincc, gammaln
 
 from periodmoments import special, spectral
-from periodmoments.precision import NonConvergenceError, PoleError, RangeError
+from periodmoments.precision import PoleError, RangeError
 from periodmoments.special import (
-    bessel_k,
     dirichlet_beta,
     gamma_r,
     kit_f64,
@@ -28,11 +27,6 @@ from periodmoments.special import (
     upper_incomplete_gamma,
     zeta,
 )
-
-# Oracle: mpmath.besselk(0, 1), 30 digits, computed independently.
-K0_AT_1 = "0.421024438240708333335627379213"
-# Oracle: Re K_{i/2}(10) via mpmath.besselk(0.5j, 10).
-K_HALF_I_AT_10 = "0.00001756910770414134783071906"
 
 
 def test_gamma_r_value():
@@ -97,116 +91,6 @@ def test_dirichlet_beta():
         assert abs(dirichlet_beta(2) - mp.catalan) < mpf("1e-27")
         # beta(3) = pi^3/32
         assert abs(dirichlet_beta(3) - mp.pi**3 / 32) < mpf("1e-27")
-
-
-def test_bessel_k_frozen_values():
-    with mp.workdps(30):
-        v = bessel_k(0, 1)
-        assert abs(v - mpf(K0_AT_1)) < mpf("1e-28")
-        w = bessel_k(mpc(0, "0.5"), 10)
-        # frozen literal carries 25 significant digits
-        assert abs(w - mpf(K_HALF_I_AT_10)) < mpf("5e-30")
-
-
-def test_bessel_k_against_mpmath_grid():
-    # Independent algorithm cross-check: our cosh-transform quadrature vs
-    # mpmath's hypergeometric/asymptotic besselk.
-    with mp.workdps(30):
-        for t in (mpf(0), mpf("0.3"), mpf(2), mpf(7)):
-            for x in (mpf("0.05"), mpf("0.7"), mpf(3), mpf(25)):
-                ours = bessel_k(mpc(0, t), x)
-                ref = mp.besselk(mpc(0, t), x).real
-                scale = max(abs(ref), mpf("1e-30"))
-                assert abs(ours - ref) / scale < mpf("1e-25"), (t, x)
-
-
-# bessel_k(i t, x) at 30 digits on the grid above, as the trapezoid that
-# rebuilt every level from scratch returned it
-BESSEL_K_REBUILT = {
-    ("0", "0.05"): "3.114234029471989893914484981862",
-    ("0", "0.7"): "0.66051985991510154874018161349851",
-    ("0", "3"): "0.0347395043862792480723495513510888",
-    ("0", "25"): "3.46416156221311435539853822297449e-12",
-    ("0.3", "0.05"): "2.51376003956497514509698927180325",
-    ("0.3", "0.7"): "0.632523011391177511522462114026119",
-    ("0.3", "3"): "0.0342869267350946639929656313734926",
-    ("0.3", "25"): "3.45805102831414935293589821602834e-12",
-    ("2", "0.05"): "0.0720560794458693461602091947893755",
-    ("2", "0.7"): "0.0596909941649312967148078165259089",
-    ("2", "3"): "0.0191567283269773429616334616223012",
-    ("2", "25"): "3.20261382762430937262370412148396e-12",
-    ("7", "0.05"): "0.0000154739398833344548658907059130182",
-    ("7", "0.7"): "0.0000129338543745197095094209309577617",
-    ("7", "3"): "-0.0000164657825481470829016104433189851",
-    ("7", "25"): "1.31710745799349384195360790111783e-12",
-}
-
-
-def test_bessel_k_nested_matches_rebuilt_levels():
-    # the nested rule returns the values of the rebuilt one at working
-    # precision
-    with mp.workdps(30):
-        for (t, x), ref in BESSEL_K_REBUILT.items():
-            ours = bessel_k(mpc(0, t), mpf(x))
-            assert abs(ours - mpf(ref)) <= 4 * mp.eps * abs(mpf(ref)), (t, x)
-
-
-def test_bessel_k_evaluates_each_node_once(monkeypatch):
-    # each level adds only its midpoints: no node is evaluated twice
-    nodes = []
-    real = special._k_integrand
-
-    def recorded(x, nu, coefs, u, is_real):
-        nodes.append(u)
-        return real(x, nu, coefs, u, is_real)
-
-    monkeypatch.setattr(special, "_k_integrand", recorded)
-    with mp.workdps(30):
-        assert abs(bessel_k(0, 1) - mpf(K0_AT_1)) < mpf("1e-28")
-    assert len(nodes) > 100
-    assert len(set(nodes)) == len(nodes)
-
-
-def test_bessel_k_nonconvergence_carries_best_and_delta(monkeypatch):
-    # an integrand that grows with every evaluation never settles
-    calls = []
-
-    def restless(x, nu, coefs, u, is_real):
-        calls.append(u)
-        return mpf(len(calls))
-
-    monkeypatch.setattr(special, "_k_integrand", restless)
-    with mp.workdps(20):
-        with pytest.raises(NonConvergenceError) as exc:
-            bessel_k(0, 1)
-    err = exc.value
-    assert err.best is not None and err.last_delta is not None
-    assert err.last_delta > 0 and mp.isfinite(err.best)
-
-
-def test_bessel_k_order_symmetry():
-    with mp.workdps(30):
-        a = bessel_k(mpc(0, "1.3"), mpf("0.9"))
-        b = bessel_k(mpc(0, "-1.3"), mpf("0.9"))
-        assert abs(a - b) < mpf("1e-28") * max(1, abs(a))
-
-
-def test_bessel_k_underflow_flag():
-    with mp.workdps(30):
-        v, under = special._k_sum_ex(0, 800, (1,))
-        # K_0(800) ~ 1.6e-349, below the smallest subnormal double.
-        assert under is True
-        assert v >= 0
-        v2, under2 = special._k_sum_ex(0, 1, (1,))
-        assert under2 is False
-        assert abs(v2 - mpf(K0_AT_1)) < mpf("1e-28")
-
-
-def test_bessel_k_domain():
-    with pytest.raises(ValueError):
-        bessel_k(0, -1)
-    with pytest.raises(ValueError):
-        bessel_k(0, 0)
 
 
 def test_upper_incomplete_gamma():

@@ -213,6 +213,34 @@ def test_whittaker_gl2_vs_besselk():
         assert abs(mp.im(w)) <= 1e-25 * abs(w)
 
 
+def _k_it_asymptotic(t, x):
+    """K_{it}(x) from the large-argument series of DLMF 10.40.2, summed
+    until a term falls below eps/100 (x real, far beyond t^2)."""
+    four_nu2 = -4 * mp.mpf(t) ** 2
+    term = total = mp.mpf(1)
+    k = 0
+    while abs(term) >= mp.eps / 100:
+        k += 1
+        term *= (four_nu2 - (2 * k - 1) ** 2) / (8 * k * x)
+        total += term
+    return mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x) * total
+
+
+def test_whittaker_gl2_far_up_the_cusp():
+    # up to Y_MAX the n = 2 Whittaker function keeps its 30 digits
+    # relative, though K(2 pi y) is below 1e-130 at y >= 50 (a K whose
+    # stopping test turns absolute below 1 reads 3.9e-18 off at y = 50
+    # and 22% at y = 1000), and it stays a real mp number
+    for t in (0.5, 3.0):
+        p = sp.spectral_params(2, [1j * t])
+        for y in (50.0, 100.0, 1000.0):
+            w = sp.whittaker(p, [y], "completed")
+            assert isinstance(w, mp.mpf), (t, y, type(w))
+            with mp.workdps(30):
+                ref = 2 * mp.sqrt(mp.mpf(y)) * _k_it_asymptotic(t, 2 * mp.pi * mp.mpf(y))
+                assert abs(w - ref) <= mp.mpf("1e-25") * ref, (t, y)
+
+
 def test_whittaker_normalized_completed_quotient():
     p = sp.spectral_params(2, [0.7j])
     wp = sp.whittaker(p, [1.3], normalization="normalized")
@@ -556,6 +584,22 @@ def test_mb_nodes_build_holds_one_matrix():
     tsum = np.arange(-2 * sp.MB_T, 2 * sp.MB_T + sp.MB_H / 2, sp.MB_H)
     lgh = sp.special.log_gamma_r_f64(1 + 1j * tsum)
     assert np.array_equal(hankel, np.exp(-lgh[np.add.outer(np.arange(m), np.arange(m))]))
+
+
+def test_stade3_grid_build_holds_what_it_keeps():
+    # each exponential is exponentiated in place, so a cold grid build
+    # holds no second array of f1's or f2's size (one such array puts the
+    # peak at 1.65 times what the grid keeps)
+    sp._mb_nodes()
+    sp._stade3_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        f1, f2 = sp._stade3_grid(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = f1.nbytes + f2.nbytes
+    assert peak < 1.2 * kept, (peak, kept)
 
 
 def _per_s_lhs_2(nu, mu, s):
