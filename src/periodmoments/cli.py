@@ -5,12 +5,9 @@ checks, and exits 0 (all checks pass), 1 (a numerical check failed), or
 
 Determinism: all sampling goes through numpy's default_rng seeded from
 --seed; identical parameters and seed reproduce the CSV byte for byte
-on the same set of CPUs (wall-clock time is reported only in the JSON),
-whatever mpmath precision the caller has set: every mp computation sets
-its own digits.  The BLAS library splits its work by the CPUs it may
-use, so a run pinned to one CPU can differ from one on two in the last
-digits (stade --n 3 --samples 20 at seed 0: max_rel_err 1.2216984e-11
-pinned, 1.2217621e-11 on two CPUs).
+pinned to one CPU or on two (wall-clock time is reported only in the
+JSON), whatever mpmath precision the caller has set: every mp
+computation sets its own digits.
 --config FILE.json supplies values that pass through the same parser as
 the flags (unknown keys and invalid values exit 2), and explicit flags
 override them.
@@ -147,45 +144,45 @@ def stade3_pairs(samples, rng):
     return pairs
 
 
+def _stade2_pair(rng):
+    """One n=2 (nu, mu) draw: nu uniform in [-2, 2], mu within 1 of it."""
+    tn = rng.uniform(-2.0, 2.0)
+    return (tn,), (float(np.clip(tn + rng.uniform(-1.0, 1.0), -2.0, 2.0)),)
+
+
 def run_stade(args, rng):
-    s_values = args.s if args.s else ([0.5, 1.0, 1.5] if args.n == 2 else [1.0])
+    n = args.n
+    s_values = args.s if args.s else ([0.5, 1.0, 1.5] if n == 2 else [1.0])
+    if n == 2:
+        pairs = [_stade2_pair(rng) for _ in range(args.samples)]
+        coords = ["nu", "mu"]
+    else:
+        pairs = stade3_pairs(args.samples, rng)
+        coords = ["nu1", "nu2", "mu1", "mu2"]
+    header = ["n"] + coords + ["s", "lhs", "lhs_str", "rhs", "rel_err"]
+    header += ["eq11_ratio"] if n == 2 else []
     rows = []
     worst = 0.0
     eq11 = []
-    if args.n == 2:
-        header = ["n", "nu", "mu", "s", "lhs", "lhs_str", "rhs", "rel_err", "eq11_ratio"]
-        for _ in range(args.samples):
-            tn = rng.uniform(-2.0, 2.0)
-            tm = float(np.clip(tn + rng.uniform(-1.0, 1.0), -2.0, 2.0))
-            pn = spectral.spectral_params(2, [1j * tn])
-            pm = spectral.spectral_params(2, [1j * tm])
-            for s in s_values:
-                r = spectral.stade_check(pn, pm, s)
-                worst = np.maximum(worst, r["rel_err"])
+    nodes = {}
+    for nu_t, mu_t in pairs:
+        pn = spectral.spectral_params(n, [1j * v for v in nu_t])
+        pm = spectral.spectral_params(n, [1j * v for v in mu_t])
+        for s in s_values:
+            r = spectral.stade_check(pn, pm, s)
+            worst = np.maximum(worst, r["rel_err"])
+            nodes[s] = r["nodes"], r["step"]
+            row = [n, *nu_t, *mu_t, s, complex(r["lhs"]), complex(r["lhs"]),
+                   complex(r["rhs"]), r["rel_err"]]
+            if n == 2:
                 ratio = None
                 if s == 0.5:
                     ball = spectral.plancherel_ball(pn, radius=1.0)["integral"]
                     ratio = abs(r["lhs"]) * math.sqrt(ball)
                     eq11.append(ratio)
-                rows.append([2, tn, tm, s, complex(r["lhs"]),
-                             complex(r["lhs"]), complex(r["rhs"]),
-                             r["rel_err"], ratio])
-        tol = STADE2_TOL
-    else:
-        header = ["n", "nu1", "nu2", "mu1", "mu2", "s", "lhs", "lhs_str", "rhs", "rel_err"]
-        ranks = []
-        pairs = stade3_pairs(args.samples, rng)
-        results, kernels = spectral.stade3_checks(
-            [tuple(spectral.spectral_params(3, [1j * v for v in t]) for t in pair)
-             for pair in pairs], s_values)
-        for (nu_t, mu_t), per_s in zip(pairs, results):
-            for r in per_s:
-                worst = np.maximum(worst, r["rel_err"])
-                ranks.extend(r["kernel_ranks"])
-                rows.append([3, nu_t[0], nu_t[1], mu_t[0], mu_t[1], r["s"],
-                             complex(r["lhs"]), complex(r["lhs"]),
-                             complex(r["rhs"]), r["rel_err"]])
-        tol = STADE3_TOL
+                row.append(ratio)
+            rows.append(row)
+    tol = STADE2_TOL if n == 2 else STADE3_TOL
     checks = [report.check("max_rel_err", worst, tol, worst <= tol)]
     if eq11:
         lo, hi = RATIO_WINDOW
@@ -193,16 +190,10 @@ def run_stade(args, rng):
                                    lo <= min(eq11) <= hi))
         checks.append(report.check("eq11_ratio_max", max(eq11), list(RATIO_WINDOW),
                                    lo <= max(eq11) <= hi))
-    params = {"n": args.n, "samples": args.samples, "s": s_values}
-    if args.n == 3:
-        # the ranks the range finder chose for the Mellin-Barnes kernels,
-        # the kernels it factored (once per run, in blocks of pairs), the
-        # Stade grid of each s and the kernels' node count
-        sizes = [spectral.stade3_sizes(s) for s in s_values]
-        params.update(kernel_rank_min=min(ranks), kernel_rank_max=max(ranks),
-                      kernel_count=sum(kernels), kernel_blocks=len(kernels),
-                      grid_shapes=[list(shape) for shape, _ in sizes],
-                      mb_nodes=sizes[0][1])
+    # the t-nodes per axis and the step of the Mellin-side sum at each s
+    params = {"n": n, "samples": args.samples, "s": s_values,
+              "mellin_nodes": [nodes[s][0] for s in s_values],
+              "mellin_step": [nodes[s][1] for s in s_values]}
     return header, rows, checks, params
 
 

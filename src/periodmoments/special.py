@@ -1,5 +1,5 @@
 """Special functions: completed Gamma factor, zeta, Dirichlet beta,
-incomplete gamma, log Gamma, and K-Bessel of real and imaginary order.
+incomplete gamma, log Gamma, and K-Bessel of real order.
 
 Two tiers throughout:
 
@@ -20,19 +20,8 @@ The float64 kernels of real argument and order:
   x = a + 1, Gauss-Legendre up to a + 8, and the Legendre continued
   fraction above it.
 
-The float64 K_{it}(x) for real t (kit_f64) has two branches: the
-cosine transform
-    K_{it}(x) = int_0^inf exp(-x cosh u) cos(t u) du
-at x >= 2, and the ascending series of I_{it} at x < 2, with the K_0
-series (DLMF 10.31.2) at t = 0 and subnormal |t|.  Contracted range:
-x > 0, down to the 2.5e-30 that the n = 2 Stade log-grid reaches at
-s = 1/2, and |t| <= 50 (all this artifact needs); beyond that the
-routine still runs but accuracy degrades with |t|.  The tests pin it to 5e-12 relative against mpmath
-at |t| <= 7 for x in [0.03, 30] (both branches), and at |t| <= 0.1 on
-the n = 2 Stade log-grids below x = 2 (the series and K_0).
-
 The mp tier of K is mpmath's besselk itself, the reference the tests
-hold kve_f64 and kit_f64 to; this module adds no mp K-Bessel of its own.
+hold kve_f64 to; this module adds no mp K-Bessel of its own.
 
 _leggauss(n) is the one Gauss-Legendre memo of the package: the rule of
 n nodes on [-1, 1], built once per process and n as read-only arrays,
@@ -44,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from functools import cache
 
 import numpy as np
@@ -269,7 +257,10 @@ def kve_f64(nu, x):
     point t = -2x sets its rate, so the batch's smallest x sets the node
     count: 24 below x = 3, 20 below 5 and 12 from there, each the fewest
     that reach the floor against mpmath (9e-16 at nu <= 10, 3.3e-15 at
-    the order 169 on x >= 4 pi).  Higher orders come from
+    the order 169 on x >= 4 pi, 2.5e-15 at the fractional orders 158.3 and
+    168.3 on x in [2, 400]; a fractional-order reference needs more than
+    40 digits, where mpmath's own K is off by up to 3.3e-9 at order
+    168.3 and x = 106, and 60 or 150 digits agree).  Higher orders come from
     K_{v+1} = K_{v-1} + (2v/x) K_v, stable upward.  The nodes are summed
     in a loop: no (points, nodes) array is formed.  Below x = 2 the rule
     loses digits, so RangeError.
@@ -299,84 +290,6 @@ def kve_f64(nu, x):
     for v in range(1, whole):
         k_mu, k_next = k_next, k_mu + (2.0 * (mu + v)) / x * k_next
     return k_next
-
-
-def kit_f64(t, x):
-    """K_{it}(x) elementwise for scalar real t and positive array x.
-
-    Branches:
-      x >= 2 : truncated trapezoid on the cosine transform
-      x <  2 : ascending series of I_{it}, then
-               K_{it} = -pi Im I_{it} / sinh(pi t)   (DLMF 10.27.4)
-    The series divides by sinh(pi t), zero or subnormal when t is, so at
-    t = 0 and 0 < |t| < sys.float_info.min the branch x < 2 takes the
-    K_0 series (_k0_series_f64): K_{it} = K_0 + O(t^2) makes the two
-    equal in double.
-
-    Relative accuracy ~1e-12 on the contracted range |t| <= 50; x may be
-    arbitrarily small (the series handles x -> 0 where K oscillates in
-    log x and stays bounded).
-    """
-    t = float(abs(t))
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    big = x >= 2.0
-    if np.any(big):
-        out[big] = _kit_cosh_f64(t, x[big])
-    small = ~big
-    if np.any(small):
-        if t < sys.float_info.min:
-            out[small] = _k0_series_f64(x[small])
-        else:
-            out[small] = _kit_series_f64(t, x[small])
-    return out
-
-
-def _kit_cosh_f64(t, x):
-    # One shared u-grid for the whole batch, long enough for the smallest x
-    # (x >= 2, so at most acosh(22) / h nodes).
-    xmin = float(np.min(x))
-    U = math.acosh(1.0 + 42.0 / xmin)
-    h = min(0.03, 4.4 / (42.0 + 1.3 * abs(t)))
-    n = int(math.ceil(U / h)) + 1
-    u = np.linspace(0.0, U, n)
-    w = np.full(n, u[1] - u[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    ker = np.exp(-np.outer(x, np.cosh(u)))
-    ker *= np.cos(t * u)[None, :]
-    return ker @ w
-
-
-def _kit_series_f64(t, x):
-    # I_{it}(x) = sum_m (x/2)^(2m+it) / (m! Gamma(m+1+it));
-    # the m=0 prefactor is exp(it log(x/2)) / Gamma(1+it).
-    lg = _log_gamma_scalar(complex(1.0, t))
-    pref = np.exp(1j * t * np.log(x / 2.0) - lg)
-    term = pref.astype(complex)
-    total = term.copy()
-    q = (x / 2.0) ** 2
-    for m in range(1, 80):
-        term = term * q / (m * (m + 1j * t))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-            break
-    return -math.pi * total.imag / math.sinh(math.pi * t)
-
-
-# terms of the K_0 series for x < 2: (x^2/4)^k / (k!)^2 < 1e-17 at k = 13
-_K0_TERMS = 13
-_K0_HARMONIC = np.cumsum(1.0 / np.arange(1, _K0_TERMS + 1))
-_EULER_GAMMA = 0.5772156649015329
-
-
-def _k0_series_f64(x):
-    """K_0(x) for 0 < x < 2 (DLMF 10.31.2):
-    -(log(x/2) + euler) I_0(x) + sum_k H_k (x^2/4)^k / (k!)^2."""
-    q = (x / 2.0) ** 2
-    terms = np.cumprod(q[:, None] / np.arange(1, _K0_TERMS + 1) ** 2, axis=1)
-    i0 = 1.0 + terms.sum(axis=1)
-    return terms @ _K0_HARMONIC - (np.log(x / 2.0) + _EULER_GAMMA) * i0
 
 
 def _cf_depth(a: float, x: float) -> int:
@@ -473,6 +386,11 @@ def _upper_gamma_pos(a: float, x):
     return out
 
 
+# the walk-down of upper_gamma_f64 divides by a + j: this close to a
+# non-positive integer it would lose more than its documented digits
+_WALK_MIN_DISTANCE = 0.05
+
+
 def upper_gamma_f64(a, x):
     """Gamma(a, x) for real a and positive array x, vectorized.
 
@@ -482,14 +400,19 @@ def upper_gamma_f64(a, x):
     a in [0.3, 2.5]).  Non-positive a climbs to a positive shift and walks
     back down with
         Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,
-    which costs about one digit per unit of |a| in the worst case; fine for
-    the |a| <= 3 this artifact uses.  The walk divides by zero at
-    a = 0, -1, -2, ...: RangeError there.
+    which costs about one digit per unit of |a|: within 1e-11 * 10^|a|
+    relative on x in [1e-6, 30] at |a| <= 3.5 (3.1e-12 * 10^|a| measured),
+    fine for the |a| <= 3 this artifact uses.  Near a non-positive integer
+    N the walk divides by a + j ~ a - N, or starts from Gamma(a + m, x) at
+    a + m ~ a - N, and loses about log10 1/|a - N| digits more (9.1e-7 at
+    a = -1.000001); the loss passes the bound near |a - N| = 0.02
+    (1.8e-11 * 10^|a| at a = -3.012).  Within _WALK_MIN_DISTANCE of N,
+    N included, RangeError.
     """
     x = np.asarray(x, dtype=float)
-    if a <= 0 and a == math.floor(a):
-        raise RangeError("upper_gamma_f64 cannot walk down to a = %r, a non-positive "
-                         "integer" % a)
+    if a <= 0 and abs(a - round(a)) < _WALK_MIN_DISTANCE:
+        raise RangeError("upper_gamma_f64 cannot walk down to a = %r, within %g of the "
+                         "non-positive integer %d" % (a, _WALK_MIN_DISTANCE, round(a)))
     if a == 1.0:
         g = np.negative(x, out=np.empty_like(x))
         np.exp(g, out=g)

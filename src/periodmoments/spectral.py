@@ -33,18 +33,14 @@ relative error is unchanged by construction.  At generic (nu, mu) the
 n=3 values are complex (conjugate-symmetric under swapping nu and mu);
 they are real on the mu = nu locus.
 
-The n=3 Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b)) on the
-nodes u comes in two tiers.  The oracle tier (_mb_kernel,
-_whittaker3_completed_grid, used by whittaker) forms C and contracts the
-dense product e1 C e2.  The production tier of stade_check and
-stade3_checks (_mb_kernel_factors) never forms C: a randomized range
-finder with a fixed-seed sketch returns C ~ Q B of rank r, sized by a
-residual bound tied to float64 round-off.  Nor does it form a Whittaker
-grid: with A1 = f1 Q and A2 = B f2, each grid would be A1 A2, and the
-Stade sum over the grid of W_nu conj(W_mu) is the trace of the r x r
-product (A1_mu^H A1_nu)(A2_nu A2_mu^H).  The kernels of a block of
-STADE3_BLOCK pairs are factored side by side, once for every s, and
-their A1 and A2 come from stacked products.
+Two routes, one per purpose.  whittaker evaluates W*_nu on the y-side:
+at n=3 the oracle tier forms the kernel C = diag(exp(a)) H diag(exp(b))
+on the Mellin-Barnes nodes u and contracts the dense product e1 C e2.
+stade_check never forms a Whittaker function: by the Mellin-Parseval
+identity its left side is a trapezoid sum of Gamma_R products in t, one
+dimension at n=2 and, at n=3, one convolution of two such products
+(_stade_lhs).  The tests hold it to the y-side integrals of mpmath's
+K-Bessel and of the dense Mellin-Barnes grid.
 
 Plancherel density: G(ix) = |Gamma_R(1+ix)/Gamma_R(ix)|^2
 = (x/2pi) tanh(pi x/2) (both forms implemented and compared), and the
@@ -58,7 +54,6 @@ prod (1 + |nu_j+...+nu_k|), conductor proxy = that product squared).
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,8 +74,6 @@ __all__ = [
     "plancherel_ball",
     "whittaker",
     "stade_check",
-    "stade3_checks",
-    "stade3_sizes",
     "stade_rhs_simple",
 ]
 
@@ -89,26 +82,14 @@ Y_MIN, Y_MAX = 1e-3, 1e3
 
 MB_T = 22.0
 MB_H = 0.06
-# randomized range finder for the n=3 Stade kernel: first sketch width,
-# residual bound tied to float64 round-off, separate test columns, seed
-MB_RANK0 = 16
-MB_TOL = 64 * np.finfo(float).eps
-MB_TEST_COLS = 4
-MB_SKETCH_SEED = 20110101
 # the constant 2^{-3/2} (1/(2 pi i))^2 of W*_nu times du1 du2 = (i MB_H)^2
 MB_PREF = 2.0**-1.5 * MB_H**2 / (4 * math.pi**2)
 
-STADE2_H = 0.045
-STADE2_UPPER = 2.6
-STADE3_H = 0.05
-STADE3_UPPER = 2.0
-# (nu, mu) pairs per block of stade3_checks.  A block of 4 factors up to
-# 8 kernels side by side (a 160-column first sketch), wide enough for the
-# complex GEMM's full rate on H; wider blocks only hold more.  Measured on
-# `stade --n 3 --samples 20` (one pinned CPU, one BLAS thread): blocks of
-# 1, 2, 4, 8 and 20 pairs took 0.34, 0.31, 0.29-0.32, 0.29-0.32 and
-# 0.30-0.31 s and peaked at 73.1, 73.1, 74.4, 83.2 and 105.1 MB RSS
-STADE3_BLOCK = 4
+# stade_check admits |nu_j| <= STADE_NU_MAX.  Past its largest shift the
+# Mellin-side Stade integrand decays like e^{-pi |t|}: STADE_TAIL further
+# on it has fallen by the float64 epsilon
+STADE_NU_MAX = 3.0
+STADE_TAIL = -math.log(np.finfo(float).eps) / math.pi
 
 BALL_GRID_1D = 400
 BALL_GRID_2D = 600
@@ -313,85 +294,23 @@ def _mb_nodes():
     return u, hankel
 
 
-def _mb_diagonals(alphas):
-    """exp(a) and exp(b), one row per alpha in alphas, with
-    a_i = sum_k log Gamma_R(u_i - alpha_k) and
-    b_j = sum_k log Gamma_R(u_j + alpha_k): the only alpha-dependent part of
-    the Mellin-Barnes kernel C = diag(exp(a)) H diag(exp(b))."""
-    u, _ = _mb_nodes()
-    shifts = np.array(alphas)[..., None]
-    # one call for the 2 n shifted node vectors of every alpha, summed in
-    # the order of alpha
-    lg = special.log_gamma_r_f64(np.stack((u - shifts, u + shifts)))
-    return np.exp(lg[0].sum(axis=1)), np.exp(lg[1].sum(axis=1))
+def _gamma_r_products(z, shifts):
+    """prod_k Gamma_R(z + shifts[..., k]) on the node vector z, one row per
+    leading index of shifts: the exponential of a sum of log Gamma_R, taken
+    in one call over every shifted node vector and summed in the order of k."""
+    lg = special.log_gamma_r_f64(z + np.asarray(shifts)[..., None])
+    return np.exp(lg.sum(axis=-2))
 
 
 def _mb_kernel(alpha):
     """Mellin-Barnes node vector u and the dense kernel matrix C for given
-    alpha, C_ij = exp(a_i) H_ij exp(b_j) (the oracle tier's kernel)."""
+    alpha, C_ij = exp(a_i) H_ij exp(b_j) (the oracle tier's kernel), with
+    exp(a_i) = prod_k Gamma_R(u_i - alpha_k) and
+    exp(b_j) = prod_k Gamma_R(u_j + alpha_k)."""
     u, hankel = _mb_nodes()
-    (ea,), (eb,) = _mb_diagonals([alpha])
+    shifts = np.array(alpha)
+    ea, eb = _gamma_r_products(u, [-shifts, shifts])
     return u, ea[:, None] * hankel * eb[None, :]
-
-
-@functools.cache
-def _mb_sketch(width: int):
-    """(omega, omega_test): a Gaussian sketch of `width` columns on the
-    Mellin-Barnes nodes and MB_TEST_COLS separate test columns.
-
-    Both come from a generator seeded with MB_SKETCH_SEED, never from a
-    caller's rng or numpy's global state, so the factorization is the same
-    in every run and consumes no draw of the experiments.  The test columns
-    are drawn first and so are the same at every width.  Read-only, built
-    once per width.
-    """
-    m = len(_mb_nodes()[0])
-    rng = default_rng(MB_SKETCH_SEED)
-    omega_test = rng.standard_normal((m, MB_TEST_COLS))
-    omega = rng.standard_normal((m, width))
-    omega.flags.writeable = omega_test.flags.writeable = False
-    return omega, omega_test
-
-
-def _mb_kernel_factors(alphas):
-    """[(Q, B)] for each alpha in alphas: Q (nodes x r, orthonormal
-    columns) and B = Q^H C with C ~ Q B, the randomized range finder
-    (Halko, Martinsson and Tropp 2011) applied to the kernel C of
-    _mb_kernel without ever forming it.
-
-    C acts only as an operator, C x = exp(a) * (H (exp(b) * x)).  The rank
-    starts at MB_RANK0 and doubles, up to the node count, until the
-    residual on the separate test columns satisfies
-    ||(C - Q B) omega_test|| <= MB_TOL ||C omega_test||.  At the first
-    width the kernels share their passes over H: one product applies every
-    C to the sketch and the test columns side by side, and one product
-    forms every B from the stacked rows Q^H exp(a).  So a call whose
-    kernels all stop there streams H twice.  A kernel that misses the bound
-    doubles on its own: each doubled width applies its C to its own sketch
-    only, then forms its B.  Every factor has the bits of a call for its
-    alpha alone.
-    """
-    _, hankel = _mb_nodes()
-    ea, eb = _mb_diagonals(alphas)
-    count, m = ea.shape
-    width = MB_RANK0
-    omega, omega_test = _mb_sketch(width)
-    # column block i of the product is H (exp(b_i) * [omega | omega_test])
-    c_both = hankel @ np.hstack(eb[:, :, None] * np.hstack((omega, omega_test)))
-    c_both = ea.T[:, :, None] * c_both.reshape(m, count, -1)
-    qs = [np.linalg.qr(c_both[:, i, :width])[0] for i in range(count)]
-    bs = np.vstack([q.conj().T * ea[i] for i, q in enumerate(qs)]) @ hankel
-    bs = bs.reshape(count, width, m) * eb[:, None, :]
-    factors = []
-    for i, (q, b) in enumerate(zip(qs, bs)):
-        c_test, w = c_both[:, i, width:], width
-        while w < m and not (np.linalg.norm(c_test - q @ (b @ omega_test))
-                             <= MB_TOL * np.linalg.norm(c_test)):
-            w = min(2 * w, m)
-            q, _ = np.linalg.qr(ea[i][:, None] * (hankel @ (eb[i][:, None] * _mb_sketch(w)[0])))
-            b = ((q.conj().T * ea[i][None, :]) @ hankel) * eb[i][None, :]
-        factors.append((q, b))
-    return factors
 
 
 def _mb_exponentials(y1: np.ndarray, y2: np.ndarray):
@@ -435,12 +354,10 @@ def whittaker(params: SpectralParams, y, normalization: str = "normalized"):
     (mpmath's imaginary part is rounding, 1e-53 relative at y = 1e3): the
     completed value is a real mp number with about 30 correct digits up
     to Y_MAX, where K(2 pi y) is near 3e-2731 (the tests hold it to the
-    DLMF 10.40.2 series within 1e-25 at y = 50 to 1e3).  n=3 runs the oracle tier of the double Mellin-Barnes
-    integral, the dense kernel GEMM e1 C e2 in double precision, and
-    returns a complex (values below ~1e-300 underflow to 0).  The
-    production tier, the low-rank kernel C ~ Q B of _mb_kernel_factors,
-    serves only the n=3 Stade grids of stade_check and stade3_checks, and
-    the tests hold it to this one.
+    DLMF 10.40.2 series within 1e-25 at y = 50 to 1e3).  n=3 runs the
+    oracle tier of the double Mellin-Barnes integral, the dense kernel GEMM
+    e1 C e2 in double precision, and returns a complex (values below
+    ~1e-300 underflow to 0).
     """
     if normalization not in ("normalized", "completed"):
         raise ValueError("normalization must be 'normalized' or 'completed'")
@@ -477,106 +394,62 @@ def _validate_stade_inputs(nu: SpectralParams, mu: SpectralParams, s: float):
     if not 0.5 <= s <= 1.5:
         raise RangeError("s must lie in [1/2, 3/2]")
     for p in (nu, mu):
-        if max(abs(v.imag) for v in p.nu) > 3 + 1e-9:
-            raise RangeError("spectral coordinates must satisfy |nu_j| <= 3")
+        if max(abs(v.imag) for v in p.nu) > STADE_NU_MAX + 1e-9:
+            raise RangeError("spectral coordinates must satisfy |nu_j| <= %g" % STADE_NU_MAX)
 
 
-def _stade2_lower(s: float) -> float:
-    """Lower end of the n=2 Stade log-grid at s."""
-    return -(32.0 / s + 6.0)
+def _stade_nodes(n: int, s: float):
+    """(t, h): the nodes t = h (-k, ..., k) of the Mellin-side Stade sum.
 
-
-@functools.lru_cache(maxsize=1)
-def _stade2_kernel(t_nu: float, t_mu: float):
-    """(l, kk): the n=2 Stade log-grid of s = 1/2 and
-    kk = 4 K_{it_nu}(2 pi y) K_{it_mu}(2 pi y) on it, y = exp(l).
-
-    The grid of s runs from the first node >= -(32/s + 6) to STADE2_UPPER,
-    so the grid of every s in [1/2, 3/2] is a suffix of this one.
-    cli.run_stade checks the s values of a pair in a row: one entry
-    serves them all.  Read-only.
+    The integrand's nearest poles lie s/2 off the real t axis, so the
+    step h = MB_H s holds the trapezoid error near exp(-pi / MB_H) at every
+    s (Trefethen and Weideman, SIAM Review 56(3), 2014).  The window runs
+    STADE_TAIL past the largest |alpha_j| that the guard |nu_j| <=
+    STADE_NU_MAX admits, 3 at n = 2 and 9 at n = 3, so the nodes depend only
+    on n and s.
     """
-    l = np.arange(_stade2_lower(0.5), STADE2_UPPER + STADE2_H / 2, STADE2_H)
-    yy = np.exp(l)
-    kk = 4.0 * special.kit_f64(t_nu, 2 * math.pi * yy) * special.kit_f64(t_mu, 2 * math.pi * yy)
-    l.flags.writeable = kk.flags.writeable = False
-    return l, kk
+    h = MB_H * s
+    shift = STADE_NU_MAX * np.abs(_coroot_matrix(n)).sum(axis=0).max()
+    k = math.ceil((shift + STADE_TAIL) / h)
+    return h * np.arange(-k, k + 1), h
 
 
-def _stade_lhs_2(nu: SpectralParams, mu: SpectralParams, s: float) -> float:
-    l, kk = _stade2_kernel(nu.nu[0].imag, mu.nu[0].imag)
-    i0 = int(np.searchsorted(l, _stade2_lower(s)))
-    return float(np.sum(kk[i0:] * np.exp(s * l[i0:])) * STADE2_H)
+def _stade_lhs(nu: SpectralParams, mu: SpectralParams, s: float, t: np.ndarray,
+               h: float) -> complex:
+    """The completed left side of Stade's formula at s on the nodes (t, h)
+    of _stade_nodes, by the Mellin-Parseval identity (Stade proved the
+    formula on this side: E. Stade, Israel J. Math. 127, 2002).
 
+    n=2: K_nu(2 pi y) = W*_nu(y) / (2 sqrt y) has the Mellin transform
+    Gamma_R(w + nu) Gamma_R(w - nu) / 4, so the integral is
 
-def _stade3_axes(s: float):
-    """Log-grids l1, l2 of the n=3 Stade integral at s (y_i = exp(l_i))."""
-    l1_lo = -max(20.0, 20.0 / s)
-    l2_lo = -max(20.0, 40.0 / s)
-    l1 = np.arange(l1_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-    l2 = np.arange(l2_lo, STADE3_UPPER + STADE3_H / 2, STADE3_H)
-    return l1, l2
+      (1/8 pi) int F_nu(t) conj(F_mu(t)) dt,
+      F_nu(t) = prod_j Gamma_R(s/2 + it - alpha_j).
 
+    n=3: W*_nu / (y1 y2) is 2^{-3/2} times the inverse Mellin transform of
+    the kernel K_nu(u) = prod_j Gamma_R(u1 - alpha_j) Gamma_R(u2 + alpha_j)
+    / Gamma_R(u1 + u2), so the integral is
 
-def stade3_sizes(s: float):
-    """((rows, columns), nodes): the shape of the n=3 Stade log-grid at s
-    and the Mellin-Barnes node count of its kernels."""
-    l1, l2 = _stade3_axes(s)
-    return (len(l1), len(l2)), len(_mb_nodes()[0])
+      (1/32 pi^2) iint K_nu(u) conj(K_mu(u)) dt1 dt2,
+      u = (s + it1, s/2 + it2).
 
-
-@functools.cache
-def _stade3_grid(s: float):
-    """(f1, f2): the Mellin-Barnes exponentials e1, e2 of the n=3 Stade
-    grid at s with every real factor of the integrand folded in.
-
-    W*(y1, y2) = MB_PREF y1 y2 (e1 C e2) and the measure weight
-    w1 w2 = y1^(2s-2) y2^(s-2) enter as sqrt(MB_PREF w1) y1 on the rows of
-    e1 and sqrt(MB_PREF w2) y2 on the columns of e2, so with C ~ Q B the
-    integral is STADE3_H^2 trace((A1_mu^H A1_nu)(A2_nu A2_mu^H)) for
-    A1 = f1 Q and A2 = B f2.  The grid depends only on s: every (nu, mu)
-    pair at that s shares it.
+    The integrand is A(t1) B(t2) g(t1 + t2) with A = prod_j Gamma_R(s + it1
+    - alpha_j) conj(Gamma_R(s + it1 - beta_j)), B = prod_j Gamma_R(s/2 + it2
+    + alpha_j) conj(Gamma_R(s/2 + it2 + beta_j)) and
+    g(tau) = |1/Gamma_R(3s/2 + i tau)|^2.  The axes share the nodes, so the
+    double sum is the convolution of A and B dotted with g on the 2m - 1
+    sums tau = t_i + t_j: no m x m array is formed.
     """
-    l1, l2 = _stade3_axes(s)
-    y1, y2 = np.exp(l1), np.exp(l2)
-    f1, f2 = _mb_exponentials(y1, y2)
-    f1 *= (math.sqrt(MB_PREF) * np.exp((s - 1) * l1) * y1)[:, None]
-    f2 *= (math.sqrt(MB_PREF) * np.exp((s / 2 - 1) * l2) * y2)[None, :]
-    f1.flags.writeable = f2.flags.writeable = False
-    return f1, f2
-
-
-def _stade_lhs_3(pairs, s_values):
-    """The n=3 Stade integrals of a block of (nu, mu) pairs at each s,
-    from the low-rank kernels C ~ Q B, without forming a Whittaker grid.
-
-    The block's distinct kernels are factored once, for every s.  Each
-    grid is A1 A2 with A1 = f1 Q (rows x r) and A2 = B f2 (r x columns):
-    at each s one product f1 [Q_1 ... Q_K] and one [B_1; ...; B_K] f2 give
-    every kernel's.  sum(W_nu conj(W_mu)) is then the trace of g1 g2 with
-    g1 = A1_mu^H A1_nu (r_mu x r_nu) and g2 = A2_nu A2_mu^H (r_nu x r_mu);
-    the ranks may differ.  Returns (values, ranks, kernels): values[i][j]
-    at pairs[i] and s_values[j], ranks[i] = (r_nu, r_mu) of pairs[i], and
-    the number of kernels factored.
-    """
-    grids = [_stade3_grid(s) for s in s_values]
-    alphas = list(dict.fromkeys(p.alpha for pair in pairs for p in pair))
-    factors = _mb_kernel_factors(alphas)
-    rank = {al: q.shape[1] for al, (q, _) in zip(alphas, factors)}
-    q_all = np.hstack([q for q, _ in factors])
-    b_all = np.vstack([b for _, b in factors])
-    del factors  # only the stacked copies stay while the grids are contracted
-    cols = {al: slice(end - rank[al], end)
-            for al, end in zip(alphas, itertools.accumulate(rank.values()))}
-    values = [[] for _ in pairs]
-    for f1, f2 in grids:
-        a1, a2 = f1 @ q_all, b_all @ f2
-        for out, (nu, mu) in zip(values, pairs):
-            cn, cm = cols[nu.alpha], cols[mu.alpha]
-            g1 = a1[:, cm].conj().T @ a1[:, cn]
-            g2 = a2[cn] @ a2[cm].conj().T
-            out.append(complex(STADE3_H**2 * np.sum(g1 * g2.T)))
-    return values, [(rank[nu.alpha], rank[mu.alpha]) for nu, mu in pairs], len(alphas)
+    alphas = np.array([nu.alpha, mu.alpha])
+    if nu.n == 2:
+        f = _gamma_r_products(s / 2 + 1j * t, -alphas)
+        return complex(np.sum(f[0] * f[1].conj()) * h / (8 * math.pi))
+    a = _gamma_r_products(s + 1j * t, -alphas)
+    b = _gamma_r_products(s / 2 + 1j * t, alphas)
+    tau = h * np.arange(1 - len(t), len(t))
+    g = np.exp(-2 * special.log_gamma_r_f64(1.5 * s + 1j * tau).real)
+    ab = np.convolve(a[0] * a[1].conj(), b[0] * b[1].conj())
+    return complex(ab @ g * h**2 / (32 * math.pi**2))
 
 
 def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> complex:
@@ -587,66 +460,32 @@ def _stade_rhs_completed(nu: SpectralParams, mu: SpectralParams, s: float) -> co
     return complex(np.exp(log) / 2)
 
 
-def _stade_result(nu: SpectralParams, mu: SpectralParams, s: float, lhs_c: complex,
-                  ranks: tuple) -> dict:
-    rhs_c = _stade_rhs_completed(nu, mu, s)
-    renorm = _gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1)
-    lhs = lhs_c / renorm
-    rhs = rhs_c / renorm
-    rel = abs(lhs_c - rhs_c) / abs(rhs_c)
-    return {
-        "n": nu.n,
-        "s": s,
-        "lhs": lhs,
-        "rhs": rhs,
-        "rel_err": rel,
-        "lhs_completed": lhs_c,
-        "rhs_completed": rhs_c,
-        "kernel_ranks": ranks,
-    }
-
-
 def stade_check(nu: SpectralParams, mu: SpectralParams, s: float) -> dict:
     """Both sides of Stade's formula with the relative error.
 
     lhs/rhs are reported in the normalized convention (completed divided
-    by the Gamma_R(1 + ...) products); the
-    completed pair is included as well.  rel_err uses complex moduli and
-    is identical in the two normalizations.  kernel_ranks holds the ranks
-    of the low-rank kernels of (nu, mu) at n=3 and is empty at n=2.  At
-    n=3 the pair is a block of one for _stade_lhs_3.
+    by the Gamma_R(1 + ...) products); the completed pair is included as
+    well.  rel_err uses complex moduli and is identical in the two
+    normalizations.  nodes and step are those of the Mellin-side sum
+    (_stade_nodes): its t-nodes per axis, the same for every (nu, mu) at
+    n and s.
     """
     _validate_stade_inputs(nu, mu, s)
-    if nu.n == 2:
-        lhs_c, ranks = complex(_stade_lhs_2(nu, mu, s)), ()
-    else:
-        [[lhs_c]], [ranks], _ = _stade_lhs_3([(nu, mu)], [s])
-    return _stade_result(nu, mu, s, lhs_c, ranks)
-
-
-def stade3_checks(pairs, s_values):
-    """stade_check of every n=3 (nu, mu) in pairs at every s in s_values,
-    STADE3_BLOCK pairs at a time: each block factors its distinct kernels
-    once, for every s.
-
-    Returns (results, kernels): results[i][j] is
-    stade_check(*pairs[i], s_values[j]), bit for bit, and kernels[b] the
-    number of kernels block b factored.  Every input is validated before
-    any block runs.
-    """
-    for nu, mu in pairs:
-        if nu.n != 3:
-            raise RangeError("stade3_checks takes n = 3 pairs")
-        for s in s_values:
-            _validate_stade_inputs(nu, mu, s)
-    results, kernels = [], []
-    for start in range(0, len(pairs), STADE3_BLOCK):
-        block = pairs[start:start + STADE3_BLOCK]
-        values, ranks, count = _stade_lhs_3(block, s_values)
-        kernels.append(count)
-        results += [[_stade_result(nu, mu, s, lhs_c, r) for s, lhs_c in zip(s_values, row)]
-                    for (nu, mu), row, r in zip(block, values, ranks)]
-    return results, kernels
+    t, h = _stade_nodes(nu.n, s)
+    lhs_c = _stade_lhs(nu, mu, s, t, h)
+    rhs_c = _stade_rhs_completed(nu, mu, s)
+    renorm = _gamma_normalizer(nu, 1) * _gamma_normalizer(mu, -1)
+    return {
+        "n": nu.n,
+        "s": s,
+        "lhs": lhs_c / renorm,
+        "rhs": rhs_c / renorm,
+        "rel_err": abs(lhs_c - rhs_c) / abs(rhs_c),
+        "lhs_completed": lhs_c,
+        "rhs_completed": rhs_c,
+        "nodes": len(t),
+        "step": h,
+    }
 
 
 def stade_rhs_simple(nu: SpectralParams, s: float) -> complex:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from periodmoments import cli, modforms, moment, special, spectral
+from periodmoments import cli, modforms, moment, spectral
 from periodmoments.eisenstein_gl2 import residue_at_one
 
 SUBCOMMANDS = [
@@ -184,32 +184,23 @@ def test_stade_n3_includes_diagonal_pi_row(tmp_path):
     assert row[:6] == ["3", "0.5", "0.5", "0.5", "0.5", "1"]
     lhs = complex(row[6])
     assert abs(lhs - 3.141592653589793) < 1e-9
-    # the summary records the Stade grid of each s and the kernels' node count
+    # the summary records the Mellin-side sum's t-nodes per axis and step
+    # at each s, the same for every pair
     params = json.loads((tmp_path / "s.json").read_text())["params"]
-    assert params["grid_shapes"] == [[441, 841]]
-    assert params["mb_nodes"] == 734
+    assert params["mellin_nodes"] == [685] and params["mellin_step"] == [0.06]
     assert run(["stade", "--n", "3", "--samples", "1", "--s", "0.5", "1.5",
                 "--output", str(csv_p), "--summary", str(tmp_path / "s.json")]) == 0
     params = json.loads((tmp_path / "s.json").read_text())["params"]
-    assert params["grid_shapes"] == [[841, 1641], [441, 574]]
-
-
-def test_stade_n3_factors_each_kernel_once(tmp_path, monkeypatch):
-    # the summary counts the kernels the range finder factored (two per
-    # seed-0 pair, one for the diagonal first pair) and the blocks of pairs
-    # it took them in; three s values factor each kernel once, as one s does
-    factored = []
-    real_factors = spectral._mb_kernel_factors
-    monkeypatch.setattr(spectral, "_mb_kernel_factors",
-                        lambda alphas: factored.extend(alphas) or real_factors(alphas))
-    for s_args in ([], ["--s", "0.5", "1.0", "1.5"]):
-        factored.clear()
-        json_p = tmp_path / "s.json"
-        assert run(["stade", "--n", "3", "--samples", "20", "--seed", "0", *s_args,
-                    "--output", str(tmp_path / "s.csv"), "--summary", str(json_p)]) == 0
-        params = json.loads(json_p.read_text())["params"]
-        assert params["kernel_count"] == len(factored) == len(set(factored)) == 39, s_args
-        assert params["kernel_blocks"] == 5
+    assert params["mellin_nodes"] == [1367, 457]
+    assert params["mellin_step"] == [spectral.MB_H * 0.5, spectral.MB_H * 1.5]
+    for key in ("kernel_rank_min", "kernel_count", "grid_shapes", "mb_nodes"):
+        assert key not in params
+    # n = 2 sums on one axis, over the shifts |alpha_j| <= 3
+    assert run(["stade", "--n", "2", "--samples", "1",
+                "--output", str(csv_p), "--summary", str(tmp_path / "s.json")]) in (0, 1)
+    params = json.loads((tmp_path / "s.json").read_text())["params"]
+    assert params["mellin_nodes"] == [967, 485, 323]
+    assert params["mellin_step"] == [spectral.MB_H * s for s in (0.5, 1.0, 1.5)]
 
 
 def test_stade_n2_writes_the_complex_values(tmp_path):
@@ -241,10 +232,8 @@ STADE3_SEED0_PAIRS_SHA256 = "6411f74b094e4c9c334782aadc7ecaf250214d93211c1e529a1
 
 
 def test_stade_n3_deterministic_and_draws_nothing(tmp_path):
-    # the low-rank kernel's sketch comes from a generator of its own: two
-    # runs in one process write the same bytes, numpy's global state and the
-    # experiment's draws are untouched, and the sketch is built once, read-only
-    spectral._mb_sketch.cache_clear()
+    # two runs in one process write the same bytes, and numpy's global
+    # state and the experiment's draws are untouched
     global_state = np.random.get_state()
     outputs = []
     for name in ("a", "b"):
@@ -252,12 +241,7 @@ def test_stade_n3_deterministic_and_draws_nothing(tmp_path):
         assert run(["stade", "--n", "3", "--samples", "2",
                     "--output", str(csv_p), "--summary", str(json_p)]) == 0
         outputs.append(csv_p.read_bytes())
-        params = json.loads(json_p.read_text())["params"]
-        assert params["kernel_rank_min"] == params["kernel_rank_max"] == 16
     assert outputs[0] == outputs[1]
-    assert spectral._mb_sketch.cache_info().misses == 1  # the one width used
-    for a in spectral._mb_sketch(16):
-        assert not a.flags.writeable
     after = np.random.get_state()
     assert after[0] == global_state[0] and np.array_equal(after[1], global_state[1])
     assert after[2:] == global_state[2:]
@@ -309,33 +293,6 @@ def test_residue_strings_frozen(tmp_path):
     assert rc == 0
     rows = [line.split(",") for line in csv_p.read_text().splitlines()[1:]]
     assert [row[3] for row in rows] == RESIDUE_SEED0_CSV
-
-
-def test_stade2_cosine_transform_sees_only_large_x(tmp_path, monkeypatch):
-    # kit_f64 sends x < 2 to the ascending series at every order, small
-    # |t| included: the cosine transform, whose one u-grid is sized by its
-    # batch's smallest x, runs once per kit_f64 call and never below x = 2
-    batches = []
-    cosh_f64 = special._kit_cosh_f64
-
-    def recorded(t, x):
-        batches.append(float(np.min(x)))
-        return cosh_f64(t, x)
-
-    monkeypatch.setattr(special, "_kit_cosh_f64", recorded)
-    # an entry left by an earlier run would hide its pair's kit_f64 calls
-    spectral._stade2_kernel.cache_clear()
-    out = tmp_path / "s.csv"
-    rc = run(["stade", "--n", "2", "--samples", "5",
-              "--output", str(out), "--summary", str(tmp_path / "s.json")])
-    assert rc in (0, 1) and out.exists()
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    # the seed-0 draw has a |t| < 0.1, the case that used the transform
-    assert min(min(abs(float(r[1])), abs(float(r[2]))) for r in rows) < 0.1
-    # two kit_f64 calls (t_nu, t_mu) per pair, on the s = 1/2 grid that
-    # holds the grids of all three s: 5 pairs
-    assert len(batches) == 2 * len(rows) // 3 == 10
-    assert min(batches) >= 2.0
 
 
 def test_config_without_path_exits_2(capsys):

@@ -13,12 +13,11 @@ import pytest
 from mpmath import mp, mpc, mpf
 from scipy.special import gammaincc, gammaln
 
-from periodmoments import special, spectral
+from periodmoments import special
 from periodmoments.precision import PoleError, RangeError
 from periodmoments.special import (
     dirichlet_beta,
     gamma_r,
-    kit_f64,
     kve_f64,
     lam,
     log_gamma_f64,
@@ -110,53 +109,6 @@ def test_log_gamma_r_f64():
         assert abs(ours - ref) < 1e-12 * max(1.0, abs(ref))
 
 
-def test_kit_f64_grid():
-    # Vectorized double-precision K_{it}(x) vs mpmath, both x-branches.
-    xs = np.array([0.03, 0.4, 1.0, 2.5, 8.0, 30.0])
-    for t in (0.0, 0.05, 0.3, 2.0, 7.0):
-        ours = kit_f64(t, xs)
-        for j, x in enumerate(xs):
-            ref = float(mp.besselk(mpc(0, t), mpf(x)).real)
-            scale = max(abs(ref), 1e-280)
-            assert abs(ours[j] - ref) / scale < 5e-12, (t, x)
-
-
-def test_kit_f64_small_order_matches_mpmath():
-    # Below x = 2 every nonzero normal order takes the ascending series,
-    # whose 1/sinh(pi t) is exact down to the smallest normal t; t = 0 and
-    # subnormal t take K_0.  x: every 16th point of the n=2 Stade log-grids
-    # at s = 1/2 (down to 2.5e-30) and 3/2 below x = 2, their last points
-    # below 2, and 1.99.
-    xs = [1.99]
-    for s in (0.5, 1.5):
-        l = np.arange(-(32.0 / s + 6.0), spectral.STADE2_UPPER + spectral.STADE2_H / 2,
-                      spectral.STADE2_H)
-        x = 2 * np.pi * np.exp(l)
-        x = x[x < 2]
-        xs.extend(x[::16])
-        xs.append(x[-1])
-    xs = np.array(xs)
-    assert xs.min() < 3e-30
-    with mp.workdps(40):
-        k0_ref = [mp.besselk(0, mpf(x)) for x in xs]
-        # K_{it} = K_0 + O(t^2 log^2 x): below t = 1e-300 the two agree to
-        # far more than 40 digits, and K_0 is the reference there (order it
-        # costs mp.besselk half a second a point at such t, which raises
-        # its precision through the cancellation in I_{-it} - I_{it})
-        tiny = mpc(0, 2.3e-308)
-        assert abs(mp.besselk(tiny, mpf(xs[0])) - k0_ref[0]) < mpf("1e-38") * k0_ref[0]
-        for t in (0.0, 5e-324, 1e-320, 2.3e-308, 1e-12, 1e-6, 1e-3, 0.05, 0.0999, 0.1):
-            if t < 1e-300:
-                refs = [float(v) for v in k0_ref]
-            else:
-                refs = [float(mp.besselk(mpc(0, t), mpf(x)).real) for x in xs]
-            for sign in (1, -1):
-                ours = kit_f64(sign * t, xs)
-                for x, got, ref in zip(xs, ours, refs):
-                    assert abs(got - ref) / abs(ref) < 5e-12, (sign * t, x)
-    assert np.array_equal(kit_f64(-0.0, xs), kit_f64(0.0, xs))
-
-
 # (leading shape of radial, of angular): the tensor grid, columns of
 # constant x, flat points and one point
 TERM_SUM_LAYOUTS = {
@@ -225,14 +177,15 @@ def test_precision_env_and_context():
     assert mp.dps == before
 
 
-# Accuracy of the float64 kernels against mpmath at 30 digits.  Each bound
-# sits a little above the largest error measured on the same points:
-# real-order K 8.7e-16, order k - 1 3.3e-15, log Gamma 1.3e-15 (relative to
-# max(1, |log Gamma|)), Gamma(a, x) 8.3e-15, the K_0 series 2.0e-15.
+# Accuracy of the float64 kernels against mpmath at 30 digits (150 at the
+# fractional orders above 100).  Each bound sits a little above the largest
+# error measured on the same points: real-order K 8.7e-16, order k - 1
+# 3.3e-15, fractional orders 158.3 and 168.3 2.5e-15, log Gamma 1.3e-15
+# (relative to max(1, |log Gamma|)), Gamma(a, x) 8.3e-15.
 
 
-def _kve_ref(nu, x):
-    with mp.workdps(30):
+def _kve_ref(nu, x, dps=30):
+    with mp.workdps(dps):
         return float(mp.besselk(nu, mpf(x)) * mp.exp(mpf(x)))
 
 
@@ -250,11 +203,24 @@ def test_kve_f64_real_order_matches_mpmath(nu):
 
 @pytest.mark.parametrize("k", [12, 40, 120, 170])
 def test_kve_f64_order_k_minus_1_on_the_afe_nodes(k):
-    # the AFE reads e^u K_{k-1}(u) at u >= 4 pi, up to the order the
-    # theta/AFE range check admits (k <= 170)
+    # the AFE reads e^u K_{k-1}(u) at u >= 4 pi at every weight the
+    # Petersson engine admits (k <= 196); these weights reach k = 170
     u = 4 * math.pi * np.sqrt(np.geomspace(1.0, 1500.0, 25))
     ref = np.array([_kve_ref(k - 1, v) for v in u])
     assert np.max(np.abs(kve_f64(k - 1, u) - ref) / ref) <= 5e-15
+
+
+@pytest.mark.parametrize("nu", [158.3, 168.3])
+def test_kve_f64_fractional_order_near_the_engine_limit(nu):
+    # unfold-check reaches real orders s - 1/2 as well.  mpmath's own
+    # fractional-order K cancels internally: at 40 digits it is off by up
+    # to 3.3e-9 at order 168.3 near x = 106, while 60 and 150 digits agree,
+    # so the reference takes 150; each node count as in the real-order test
+    x = np.geomspace(2.0, 400.0, 41)
+    ref = np.array([_kve_ref(nu, v, dps=150) for v in x])
+    for lo in (2.0, 3.0, 5.0):
+        part = x >= lo
+        assert np.max(np.abs(kve_f64(nu, x[part]) - ref[part]) / ref[part]) <= 3e-15, lo
 
 
 def test_kve_f64_range():
@@ -306,18 +272,32 @@ def test_upper_gamma_f64_walk_down(a):
     assert np.max(np.abs(upper_gamma_f64(a, x) - ref) / np.abs(ref)) <= 2e-12
 
 
+@pytest.mark.parametrize("n", [0, -1, -2, -3])
+def test_upper_gamma_f64_walk_down_edge(n):
+    # just past the documented distance from a non-positive integer the
+    # walk keeps its bound of 1e-11 * 10^|a| (one digit per unit of |a|);
+    # just inside it RangeError, since nearer still it loses log10
+    # 1/distance more digits (9.1e-7 at a = -1.000001)
+    x = np.geomspace(1e-6, 30.0, 60)
+    edge = special._WALK_MIN_DISTANCE
+    for a in (n - 1.01 * edge, n + 1.01 * edge):
+        if a > 0:
+            continue
+        with mp.workdps(40):
+            ref = np.array([float(mp.gammainc(mpf(a), mpf(v))) for v in x])
+        err = np.max(np.abs(upper_gamma_f64(a, x) - ref) / np.abs(ref))
+        assert err <= 1e-11 * 10 ** abs(a), (a, err)
+    for a in (n - 0.99 * edge, n + 0.99 * edge, n - 1e-6, n + 1e-6):
+        if a > 0:
+            continue
+        with pytest.raises(RangeError, match="within %g of the non-positive integer %d"
+                           % (edge, n)):
+            upper_gamma_f64(a, x)
+
+
 @pytest.mark.parametrize("a", [0.0, -1.0, -2.0])
 def test_upper_gamma_f64_non_positive_integer_order_raises(a, recwarn):
     # the walk-down's last step would divide by a + m - 1 - j = 0
     with pytest.raises(RangeError, match="a = %r" % a):
         upper_gamma_f64(a, np.array([0.3, 1.0, 4.0]))
     assert [str(w.message) for w in recwarn] == []
-
-
-def test_k0_series_matches_mpmath():
-    # kit_f64's t = 0 branch below x = 2, down to the 2.5e-30 of the n = 2
-    # Stade log-grid
-    x = np.concatenate([np.geomspace(2.5e-30, 1.999, 60), [1.0, 1.5, 1.9999999]])
-    with mp.workdps(30):
-        ref = np.array([float(mp.besselk(0, mpf(v))) for v in x])
-    assert np.max(np.abs(special._k0_series_f64(x) - ref) / ref) <= 4e-15

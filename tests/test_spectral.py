@@ -320,9 +320,8 @@ def test_mb_kernel_factored_matches_direct():
 
 def test_mb_caches_keyed_by_what_they_depend_on():
     # the alpha-independent Mellin-Barnes data is built once, never per
-    # alpha, and the n=3 Stade exponentials once per s
+    # alpha, and read-only; the Stade checks never build it
     sp._mb_nodes.cache_clear()
-    sp._stade3_grid.cache_clear()
     rng = np.random.default_rng(4)
     s_values = (1.0, 1.5)
     for i in range(20):
@@ -330,38 +329,29 @@ def test_mb_caches_keyed_by_what_they_depend_on():
         mu = sp.spectral_params(3, 1j * rng.uniform(-1, 1, 2))
         r = sp.stade_check(nu, mu, s_values[i % 2])
         assert r["rel_err"] <= 1e-4
+    assert sp._mb_nodes.cache_info().misses == 0
+    for nu in ([0.21j, 0.37j], [-0.9j, 0.4j]):
+        sp.whittaker(sp.spectral_params(3, nu), [0.5, 2.0])
     assert sp._mb_nodes.cache_info().misses == 1
-    assert sp._stade3_grid.cache_info()[:2] == (18, len(s_values))  # hits, misses
-    # whittaker's 1x1 path shares the nodes and adds no entry
-    sp.whittaker(sp.spectral_params(3, [0.21j, 0.37j]), [0.5, 2.0])
-    assert sp._mb_nodes.cache_info().misses == 1
-    assert sp._stade3_grid.cache_info().currsize == len(s_values)
-    for a in sp._mb_nodes() + sp._stade3_grid(1.0):
+    for a in sp._mb_nodes():
         assert not a.flags.writeable
 
 
 def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     # stade_check reads the Gamma_R(1 +- n ...) products at every s: each
-    # (params, sign) is computed once, and a mu == nu pair at n = 3
-    # factors one Mellin-Barnes kernel and never the dense one.  The
-    # float64 products stay within 1e-13 of the 30-digit ones
+    # (params, sign) is computed once, and n = 3 never forms a Mellin-Barnes
+    # kernel.  The float64 products stay within 1e-13 of the 30-digit ones
     normalizer = sp._gamma_normalizer
     normalizer.cache_clear()
-    factored = []
-    real_factors = sp._mb_kernel_factors
-    monkeypatch.setattr(sp, "_mb_kernel_factors",
-                        lambda alphas: factored.extend(alphas) or real_factors(alphas))
-    for dense in ("_mb_kernel", "_whittaker3_completed_grid"):
-        monkeypatch.setattr(sp, dense, lambda *a: pytest.fail("dense kernel formed"))
+    for oracle in ("_mb_nodes", "_mb_kernel", "_whittaker3_completed_grid"):
+        monkeypatch.setattr(sp, oracle, lambda *a: pytest.fail("y-side kernel formed"))
     nu, mu = sp.spectral_params(2, [0.7j]), sp.spectral_params(2, [-1.1j])
     for s in (0.5, 1.0, 1.5):
         sp.stade_check(nu, mu, s)
         sp.stade_check(nu, nu, s)
     p3, q3 = sp.spectral_params(3, [0.5j, 0.5j]), sp.spectral_params(3, [0.2j, 0.4j])
     sp.stade_check(p3, p3, 1.0)
-    assert factored == [p3.alpha]
     sp.stade_check(p3, q3, 1.0)
-    assert factored == [p3.alpha, p3.alpha, q3.alpha]
     keys = {(nu, 1), (mu, -1), (nu, -1), (p3, 1), (p3, -1), (q3, -1)}
     assert normalizer.cache_info().misses == normalizer.cache_info().currsize == len(keys)
     with mp.workdps(30):
@@ -373,198 +363,100 @@ def test_stade_normalizers_once_per_params_and_sign(monkeypatch):
     assert normalizer.cache_info().misses == len(keys)  # every key was held
 
 
-def _full_gemm_lhs(nu, mu, s):
-    """The completed n=3 Stade integral through the oracle tier: the dense
-    kernel contracted as e1 C e2 on each grid, then the weighted sum."""
-    l1, l2 = sp._stade3_axes(s)
+def _params3(t):
+    return sp.spectral_params(3, [1j * v for v in t])
+
+
+def test_stade2_mellin_side_matches_y_side_besselk():
+    # the y-side integral 4 int K_nu(2 pi y) K_mu(2 pi y) y^s dy/y as a
+    # trapezoid sum on the log-grid l = log y in [-70, 2.6], step 0.045 (the
+    # grid of the deleted float64 K_{it} route at s = 1/2, which holds the
+    # integrand's mass at every s in [1/2, 3/2]), here from mpmath's besselk.
+    # The two routes share no code; the grid's own error, about 4e-14 of
+    # Stade's value, bounds their agreement
+    l = np.arange(-70.0, 2.6 + 0.045 / 2, 0.045)
+    x = 2 * np.pi * np.exp(l)
+    tn, tm = 1.3, -0.4
+    with mp.workdps(20):
+        kk = [np.array([float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(v)))) for v in x])
+              for t in (tn, tm)]
+    nu, mu = sp.spectral_params(2, [1j * tn]), sp.spectral_params(2, [1j * tm])
+    for s in (0.5, 1.0, 1.5):
+        want = np.sum(4 * kk[0] * kk[1] * np.exp(s * l)) * 0.045
+        r = sp.stade_check(nu, mu, s)
+        got = r["lhs_completed"]
+        assert abs(got - want) <= 1e-13 * abs(want), (s, got, want)
+        assert r["rel_err"] <= 1e-14, (s, r["rel_err"])
+
+
+def _dense_y_side_lhs(nu, mu, s):
+    """The completed n=3 Stade integral on the y-side: the oracle tier's
+    dense kernel contracted as e1 C e2 on the log-grid l_i = log y_i of step
+    0.05 from -max(20, 20/s) (l1) and -max(20, 40/s) (l2) up to 2 (the grid
+    of the deleted low-rank route), then summed with y1^(2s-2) y2^(s-2)."""
+    h = 0.05
+    l1 = np.arange(-max(20.0, 20.0 / s), 2.0 + h / 2, h)
+    l2 = np.arange(-max(20.0, 40.0 / s), 2.0 + h / 2, h)
     y1, y2 = np.exp(l1), np.exp(l2)
     e1, e2 = sp._mb_exponentials(y1, y2)
     wn = sp._whittaker3_completed_grid(nu, y1, y2, e1, e2)
     wm = wn if mu == nu else sp._whittaker3_completed_grid(mu, y1, y2, e1, e2)
     w1 = np.exp((2 * s - 2) * l1)
     w2 = np.exp((s - 2) * l2)
-    return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * sp.STADE3_H**2)
+    return complex(w1 @ (wn * np.conjugate(wm)) @ w2 * h**2)
 
 
-def test_mb_kernel_factors_range_finder():
-    # Q has orthonormal columns and Q B reproduces the dense kernel to the
-    # residual bound, at the first width and (at (3i, 3i)) after doubling
-    for t in ((0.5, 0.5), (-0.9, 0.4), (3.0, 3.0)):
-        alpha = sp.spectral_params(3, [1j * v for v in t]).alpha
-        [(q, b)] = sp._mb_kernel_factors([alpha])
-        rank = q.shape[1]
-        assert b.shape == (rank, len(sp._mb_nodes()[0]))
-        assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) <= 1e-14
-        _, kernel = sp._mb_kernel(alpha)
-        # the test columns estimate this ratio; allow for their spread
-        assert np.linalg.norm(kernel - q @ b) <= 4 * sp.MB_TOL * np.linalg.norm(kernel)
+def test_stade3_mellin_side_matches_dense_y_grid():
+    # the CLI's grid pairs at s = 1: the convolution in t against the
+    # Whittaker grids of the dense Mellin-Barnes kernel, whose sum sits up
+    # to 1.8e-12 from Stade's value there
+    for nu_t, mu_t in cli.STADE3_GRID:
+        nu, mu = _params3(nu_t), _params3(mu_t)
+        want = _dense_y_side_lhs(nu, mu, 1.0)
+        r = sp.stade_check(nu, mu, 1.0)
+        assert abs(r["lhs_completed"] - want) <= 5e-12 * abs(want), (nu_t, mu_t)
+        assert r["rel_err"] <= 1e-13, (nu_t, mu_t, r["rel_err"])
 
 
-def test_stade3_lowrank_matches_full_gemm():
-    def params(t):
-        return sp.spectral_params(3, [1j * v for v in t])
-
-    def rel(nu, mu, s):
-        [[got]], [ranks], _ = sp._stade_lhs_3([(nu, mu)], [s])
-        want = _full_gemm_lhs(nu, mu, s)
-        return abs(got - want) / abs(want), ranks
-
-    # the CLI's grid pairs at every s, and its 20 seed-0 pairs at s = 1
-    cases = [(nu, mu, s) for nu, mu in cli.STADE3_GRID for s in (0.5, 1.0, 1.5)]
-    pairs = cli.stade3_pairs(20, np.random.default_rng(0))
-    cases += [(nu, mu, 1.0) for nu, mu in pairs[len(cli.STADE3_GRID):]]
-    for nu, mu, s in cases:
-        err, _ = rel(params(nu), params(mu), s)
-        assert err <= 1e-13, (nu, mu, s, err)
-    # the |nu_j| = 3 corners: round-off under cancellation (the gap does
-    # not shrink as the rank grows), not truncation
-    corner_ranks = {}
+def test_stade3_corners_of_the_guard():
+    # at the |nu_j| = 3 corners the shifts reach |alpha_j| = 9, the largest
+    # the window is sized for (7.4e-15 measured); the y-side grids missed
+    # Stade's value by 1.8e-6 at nu = mu = (3i, 3i), s = 1/2
     for t in ((3, 3), (3, -3), (-3, 3), (-3, -3)):
         for s in (0.5, 1.0, 1.5):
-            err, corner_ranks[t] = rel(params(t), params(t), s)
-            assert err <= 1e-10, (t, s, err)
-    # (3i, 3i) misses the residual bound at the first width and doubles
-    assert min(corner_ranks[(3, 3)]) > 16
-    # at nu = mu = (3i, 3i), s = 1/2 both routes miss Stade's value by the
-    # same 1.8e-6, inside the CLI's tolerance
-    p = params((3, 3))
-    r = sp.stade_check(p, p, 0.5)
-    full = abs(_full_gemm_lhs(p, p, 0.5) - r["rhs_completed"]) / abs(r["rhs_completed"])
-    for err in (r["rel_err"], full):
-        assert err == pytest.approx(1.8e-6, rel=0.02) and err <= cli.STADE3_TOL
+            r = sp.stade_check(_params3(t), _params3(t), s)
+            assert r["rel_err"] <= 1e-13, (t, s, r["rel_err"])
 
 
-def _params3(t):
-    return sp.spectral_params(3, [1j * v for v in t])
+def test_stade_nodes_follow_n_and_s():
+    # the step is MB_H s, the window reaches STADE_TAIL past the largest
+    # shift the guard admits (3 at n = 2, 9 at n = 3), and a check reports
+    # the nodes it summed on
+    for n, shift in ((2, 3.0), (3, 9.0)):
+        for s in (0.5, 1.0, 1.5):
+            t, h = sp._stade_nodes(n, s)
+            assert h == sp.MB_H * s and np.allclose(np.diff(t), h, rtol=0, atol=1e-12)
+            assert t[0] == -t[-1] and t[-1] - h < shift + sp.STADE_TAIL <= t[-1]
+            p = sp.spectral_params(n, [1j] * (n - 1))
+            r = sp.stade_check(p, p, s)
+            assert (r["nodes"], r["step"]) == (len(t), h)
 
 
-def _grid_sum_lhs(nu, mu, s):
-    """The n=3 Stade integral from the same low-rank factors as
-    _stade_lhs_3, but summed over the explicit Whittaker grids
-    W = (f1 Q)(B f2) elementwise; also that sum of |W_nu| |W_mu|, the
-    scale of its round-off."""
-    f1, f2 = sp._stade3_grid(s)
-
-    def grid(params):
-        [(q, b)] = sp._mb_kernel_factors([params.alpha])
-        return (f1 @ q) @ (b @ f2)
-
-    wn = grid(nu)
-    wm = wn if mu == nu else grid(mu)
-    h2 = sp.STADE3_H**2
-    return complex(np.sum(wn * np.conjugate(wm)) * h2), float(np.sum(abs(wn) * abs(wm)) * h2)
-
-
-def test_stade3_trace_equals_grid_sum():
-    # trace((A1_mu^H A1_nu)(A2_nu A2_mu^H)) is the elementwise grid sum,
-    # reordered: the CLI's 20 seed-0 pairs at s = 1, its grid pairs at
-    # every s, and a pair of unequal ranks, (3i, 3i) against rank 16
-    cases = [(nu, mu, 1.0) for nu, mu in cli.stade3_pairs(20, np.random.default_rng(0))]
-    cases += [(nu, mu, s) for nu, mu in cli.STADE3_GRID for s in (0.5, 1.0, 1.5)]
-    cases.append(((3.0, 3.0), (2.5, 2.5), 1.0))
-    for nu, mu, s in cases:
-        [[got]], [ranks], _ = sp._stade_lhs_3([(_params3(nu), _params3(mu))], [s])
-        want, _ = _grid_sum_lhs(_params3(nu), _params3(mu), s)
-        assert abs(got - want) <= 1e-14 * abs(want), (nu, mu, s, got, want)
-    assert ranks == (32, 16)
-    # against (0.5i, 0.5i) the sum cancels 6,400-fold (1.8e-18 of a
-    # 1.1e-14 scale): both orders then agree to round-off of the scale
-    nu, mu = _params3((3.0, 3.0)), _params3((0.5, 0.5))
-    [[got]], [ranks], _ = sp._stade_lhs_3([(nu, mu)], [1.0])
-    want, scale = _grid_sum_lhs(nu, mu, 1.0)
-    assert ranks == (32, 16) and scale > 1000 * abs(want)
-    assert abs(got - want) <= 1e-14 * scale, (got, want, scale)
-
-
-def test_stade3_trace_forms_no_grid():
-    # one _stade_lhs_3 call, kernel factoring included, peaks below half
-    # of one 441 x 841 complex grid at s = 1 (the elementwise sum held two
-    # or three); the bound keeps a 2x margin over the measured peak
-    grid_bytes = np.prod(sp.stade3_sizes(1.0)[0]) * np.dtype(complex).itemsize
-    sp._stade3_grid(1.0)
-    sp._mb_sketch(sp.MB_RANK0)
+def test_stade3_forms_no_grid():
+    # one n=3 check holds a few node vectors and their 2m - 1 sums, no
+    # m x m array and no y-grid: at s = 1/2 (m = 1367, the most nodes) it
+    # peaks at 1.6 MB, below a tenth of one m x m complex array (30 MB)
     nu, mu = _params3((0.7, -0.3)), _params3((0.2, 0.4))
+    sp.stade_check(nu, mu, 0.5)  # the normalizers are cached
+    m = len(sp._stade_nodes(3, 0.5)[0])
     for pair in ((nu, nu), (nu, mu)):
         tracemalloc.start()
         try:
-            sp._stade_lhs_3([pair], [1.0])
+            sp.stade_check(*pair, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < grid_bytes / 2, (pair, peak, grid_bytes)
-
-
-class _CountingArray(np.ndarray):
-    """An ndarray view that records in .calls the name of every ufunc,
-    np.matmul included, that takes it as an operand; results are plain
-    ndarrays."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        self.calls.append(ufunc.__name__)
-        plain = [x.view(np.ndarray) if isinstance(x, _CountingArray) else x for x in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
-def test_mb_kernel_factors_stream_hankel_once_per_product(monkeypatch):
-    # one product applies every kernel of a call to the sketch and the test
-    # columns, one more forms every B: two passes over H for the whole call
-    # while each kernel stops at the first width (the 8 kernels of the
-    # CLI's second seed-0 block).  (3i, 3i) doubles once on its own: it
-    # applies its C to its new sketch only, then forms its B again
-    u, hankel = sp._mb_nodes()
-    counted = hankel.view(_CountingArray)
-    monkeypatch.setattr(sp, "_mb_nodes", lambda: (u, counted))
-    block = cli.stade3_pairs(20, np.random.default_rng(0))[sp.STADE3_BLOCK:2 * sp.STADE3_BLOCK]
-    cli_kernels = [t for pair in block for t in pair]
-    for ts, passes in ((cli_kernels, 2), (((0.5, 0.5), (3.0, 3.0), (-0.9, 0.4)), 4)):
-        counted.calls = []
-        factors = sp._mb_kernel_factors([_params3(t).alpha for t in ts])
-        assert counted.calls == ["matmul"] * passes, (ts, counted.calls)
-        assert len(factors) == len(ts)
-        for t, (q, b) in zip(ts, factors):
-            assert type(q) is np.ndarray and type(b) is np.ndarray
-            assert q.shape[1] == (32 if t == (3.0, 3.0) else 16)
-
-
-def test_stade3_blocks_match_one_pair_bit_for_bit():
-    # on the CLI's 20 seed-0 pairs each block's Q and B are those of a call
-    # for the kernel alone, and stade3_checks returns stade_check's values
-    # at every s: a kernel is factored once per block, not once per s
-    pairs = [tuple(map(_params3, pair)) for pair in cli.stade3_pairs(20, np.random.default_rng(0))]
-    for start in range(0, len(pairs), sp.STADE3_BLOCK):
-        block = pairs[start:start + sp.STADE3_BLOCK]
-        alphas = list(dict.fromkeys(p.alpha for pair in block for p in pair))
-        for alpha, (q, b) in zip(alphas, sp._mb_kernel_factors(alphas)):
-            [(q1, b1)] = sp._mb_kernel_factors([alpha])
-            assert np.array_equal(q, q1) and np.array_equal(b, b1), (start, alpha)
-    s_values = (0.5, 1.0, 1.5)
-    results, kernels = sp.stade3_checks(pairs, s_values)
-    assert kernels == [7, 8, 8, 8, 8]  # the first grid pair is diagonal
-    assert len(results) == len(pairs)
-    for pair, row in zip(pairs, results):
-        assert [r["s"] for r in row] == list(s_values)
-        for r in row:
-            want = sp.stade_check(*pair, r["s"])
-            assert r == want, (pair, r, want)
-
-
-def test_stade3_block_peak_memory():
-    # one block of 4 seed-0 pairs (8 kernels), factoring included, at s = 1
-    # and s = 1/2: the bound keeps a 2x margin over the measured peaks of
-    # 6.7 and 8.5 MB, which the kernels' log-gamma diagonals and the
-    # stacked factors set
-    block = [tuple(map(_params3, pair)) for pair in
-             cli.stade3_pairs(20, np.random.default_rng(0))[sp.STADE3_BLOCK:2 * sp.STADE3_BLOCK]]
-    sp._mb_sketch(sp.MB_RANK0)
-    for s, bound in ((1.0, 13.4e6), (0.5, 17.0e6)):
-        sp._stade3_grid(s)
-        tracemalloc.start()
-        try:
-            sp._stade_lhs_3(block, [s])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (s, peak)
+        assert peak < m * m * 16 / 10, (pair, peak)
 
 
 def test_mb_nodes_build_holds_one_matrix():
@@ -584,54 +476,6 @@ def test_mb_nodes_build_holds_one_matrix():
     tsum = np.arange(-2 * sp.MB_T, 2 * sp.MB_T + sp.MB_H / 2, sp.MB_H)
     lgh = sp.special.log_gamma_r_f64(1 + 1j * tsum)
     assert np.array_equal(hankel, np.exp(-lgh[np.add.outer(np.arange(m), np.arange(m))]))
-
-
-def test_stade3_grid_build_holds_what_it_keeps():
-    # each exponential is exponentiated in place, so a cold grid build
-    # holds no second array of f1's or f2's size (one such array puts the
-    # peak at 1.65 times what the grid keeps)
-    sp._mb_nodes()
-    sp._stade3_grid.cache_clear()
-    tracemalloc.start()
-    try:
-        f1, f2 = sp._stade3_grid(1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = f1.nbytes + f2.nbytes
-    assert peak < 1.2 * kept, (peak, kept)
-
-
-def _per_s_lhs_2(nu, mu, s):
-    """The n=2 Stade integral on its own log-grid from -(32/s + 6): the
-    reference of the shared s = 1/2 grid."""
-    l = np.arange(-(32.0 / s + 6.0), sp.STADE2_UPPER + sp.STADE2_H / 2, sp.STADE2_H)
-    yy = np.exp(l)
-    vals = (4.0 * special.kit_f64(nu.nu[0].imag, 2 * math.pi * yy)
-            * special.kit_f64(mu.nu[0].imag, 2 * math.pi * yy) * np.exp(s * l))
-    return float(np.sum(vals) * sp.STADE2_H)
-
-
-def test_stade2_shared_grid_matches_per_s_grids():
-    # every s reads a suffix of the s = 1/2 grid: bit-identical there; at
-    # s = 1 and 3/2 the nodes shift by less than a step, which moves the
-    # sum by at most 5.6e-15 relative over |t| <= 3 (both grids sit about
-    # 4e-14 from Stade's value)
-    sp._stade2_kernel.cache_clear()
-    rng = np.random.default_rng(23)
-    pairs = [(0.0, 0.0), (0.05, -0.02), (3.0, -3.0), (3.0, 3.0)]
-    pairs += [tuple(rng.uniform(-3, 3, 2)) for _ in range(8)]
-    for tn, tm in pairs:
-        nu, mu = sp.spectral_params(2, [1j * tn]), sp.spectral_params(2, [1j * tm])
-        assert sp._stade_lhs_2(nu, mu, 0.5) == _per_s_lhs_2(nu, mu, 0.5)
-        for s in (1.0, 1.5):
-            want = _per_s_lhs_2(nu, mu, s)
-            assert abs(sp._stade_lhs_2(nu, mu, s) - want) <= 1e-14 * abs(want), (tn, tm, s)
-    # one K grid per pair, shared by its three s, and only the last held
-    info = sp._stade2_kernel.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2 * len(pairs), len(pairs), 1)
-    l, kk = sp._stade2_kernel(*pairs[-1])
-    assert l[0] == -70.0 and not l.flags.writeable and not kk.flags.writeable
 
 
 def test_stade_rhs_float64_matches_30_digit_product():
