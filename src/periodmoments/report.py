@@ -2,10 +2,11 @@
 
 Determinism contract: identical parameters and seed must reproduce the
 CSV byte for byte, so the CSV carries no timing, no environment echo, and
-all floats are rendered with %.17g ('.' decimal, no locale).  The `_str`
-twin columns that some tables carry repeat the float64 (or complex) cell
-next to them, text for text.  Wall-clock time lives only in the JSON
-summary.
+all floats are rendered with %.17g ('.' decimal, no locale).  A cell is
+empty, an int, a float or a complex, so none holds the separator and no
+cell needs quoting.  The `_str` twin columns that some tables carry
+repeat the float64 (or complex) cell next to them, text for text.
+Wall-clock time lives only in the JSON summary.
 """
 
 import json
@@ -16,10 +17,6 @@ __all__ = ["fmt_cell", "write_csv", "check", "all_pass", "write_json"]
 def fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int,)):
         return str(v)
     if isinstance(v, complex):
@@ -30,11 +27,7 @@ def fmt_cell(v) -> str:
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        cells = [fmt_cell(v) for v in row]
-        for c in cells:
-            if "," in c or "\n" in c:
-                raise ValueError("cell %r needs quoting; use a separator-free format" % c)
-        lines.append(",".join(cells))
+        lines.append(",".join(fmt_cell(v) for v in row))
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)

@@ -14,7 +14,7 @@ The float64 kernels of real argument and order:
 * kve_f64(nu, x) = e^x K_nu(x) for real nu and x >= 2: a generalized
   Gauss-Laguerre rule gives K_mu and K_{mu+1}, mu = nu - floor(nu), and
   the upward recurrence (stable in that direction) the higher orders.
-* log_gamma_f64(z): principal log Gamma of complex z, by shifting to
+* log_gamma_f64(z): log Gamma modulo 2 pi i on Re z >= 0, by shifting to
   Re z >= 7 and an 11-term Stirling sum; a cmath loop for a few points.
 * upper_gamma_f64(a, x) = Gamma(a, x): the series of gamma(a, x) below
   x = a + 1, Gauss-Legendre up to a + 8, and the Legendre continued
@@ -137,7 +137,6 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 _STIRLING_FROM = 7.0
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _SCALAR_POINTS = 8  # log_gamma_f64 takes its cmath loop up to this size
-_SHIFT_CHUNK = 8  # factors of the shift product per log (no overflow)
 
 
 def _stirling_tail(w):
@@ -154,8 +153,6 @@ def _stirling_tail(w):
 
 
 def _log_gamma_scalar(z: complex) -> complex:
-    # log Gamma(z) = log Gamma(z + m) - sum_{j<m} log(z + j): a sum of
-    # principal logs keeps the principal branch of log Gamma
     shift = 0j
     while z.real < _STIRLING_FROM:
         shift += cmath.log(z)
@@ -171,22 +168,17 @@ def _log_parts(z):
 
 
 def log_gamma_f64(z):
-    """Principal log Gamma(z) for complex z off the poles 0, -1, -2, ...:
-    continuous in the plane cut along the negative real axis, the branch
-    of mp.loggamma.  Arrays of any shape; a complex array back.
-
-    Each point shifts by m = ceil(_STIRLING_FROM - Re z) (none if that is
-    negative) into Stirling's series, and log prod_{j<m} (z + j) comes off
-    again.  That log is a sum of principal logs of chunks of the product,
-    off the sum of arg(z + j) by 2 pi k for an integer k.  arg(z + t) is
-    monotone in t, so the trapezoid estimate Im[(w - 1/2) log w -
-    (z - 1/2) log z], w = z + m, lies within pi/2 of that sum, and the
-    nearest integer to its distance from the chunked logs, over 2 pi, is k.
-    Up to _SCALAR_POINTS points loop in cmath instead, summing one
-    principal log per shift.  Accuracy about 1e-14 relative to
-    max(1, |log Gamma|).
+    """log Gamma(z) modulo 2 pi i for complex z with Re z >= 0, z != 0 and
+    |z| <= 1e22 (RangeError elsewhere), arrays of any shape.  Each point
+    shifts by m = ceil(_STIRLING_FROM - Re z) <= 7 (none if negative) into
+    Stirling's series; one principal log of prod_{j<m} (z + j), whose |.|^2
+    overflows past |z| = 1e22, comes off again.  Up to _SCALAR_POINTS points
+    loop in cmath.  Real part and phase mod 2 pi within 3e-15 of mpmath,
+    relative to max(1, |log Gamma|).
     """
     z = np.asarray(z, dtype=complex)
+    if not np.all((z.real >= 0) & (z != 0) & (abs(z) <= 1e22)):
+        raise RangeError("log_gamma_f64 needs Re z >= 0 and 0 < |z| <= 1e22")
     if z.size <= _SCALAR_POINTS:
         flat = [_log_gamma_scalar(v) for v in z.ravel().tolist()]
         return np.array(flat, dtype=complex).reshape(z.shape)
@@ -194,38 +186,28 @@ def log_gamma_f64(z):
     steps = int(m.max())
     w = z + m
     log_abs, arg = _log_parts(w)
-    lead = w - 0.5
-    lead *= log_abs + 1j * arg
-    out = _stirling_tail(w)
-    out += lead
+    out = w - 0.5
+    out *= log_abs + 1j * arg
+    out += _stirling_tail(w)
     out -= w
     out.real += _HALF_LOG_2PI
-    if steps == 0:
-        return out
     ragged = m.min() < steps
     prod = np.ones_like(z)
-    args = np.zeros(z.shape)  # sum of the principal args of the chunks
     for j in range(steps):
         factor = z + j
         if ragged:
             factor[m <= j] = 1.0
         prod *= factor
-        if (j + 1) % _SHIFT_CHUNK == 0 or j + 1 == steps:
-            log_abs, arg = _log_parts(prod)
-            out.real -= log_abs
-            args += arg
-            prod[...] = 1.0
-    log_abs, arg = _log_parts(z)
-    estimate = lead.imag - (z.real - 0.5) * arg - z.imag * log_abs
-    args += 2 * math.pi * np.round((estimate - args) / (2 * math.pi))
-    out.imag -= args
+    log_abs, arg = _log_parts(prod)
+    out.real -= log_abs
+    out.imag -= arg
     return out
 
 
 def log_gamma_r_f64(z):
-    """log gamma_r(z) for complex numpy input (principal branch)."""
-    z = np.asarray(z, dtype=complex)
-    return -(z / 2) * math.log(math.pi) + log_gamma_f64(z / 2)
+    """log gamma_r(z) modulo 2 pi i for complex numpy input, Re z >= 0."""
+    half = np.asarray(z, dtype=complex) / 2
+    return log_gamma_f64(half) - half * math.log(math.pi)
 
 
 @cache
@@ -364,8 +346,6 @@ def _upper_gamma_pos(a: float, x):
     above.  Each part costs a fixed number of array operations per call."""
     gamma_a, x0, depth, recip = _upper_gamma_plan(a)
     far = x >= x0
-    if far.all():
-        return _gamma_fraction(a, x, depth)
     out = np.empty_like(x)
     mid = x >= a + 1.0
     mid &= ~far
@@ -389,6 +369,9 @@ def _upper_gamma_pos(a: float, x):
 # the walk-down of upper_gamma_f64 divides by a + j: this close to a
 # non-positive integer it would lose more than its documented digits
 _WALK_MIN_DISTANCE = 0.05
+# below this positive a the series' cancellation Gamma(a) - gamma(a, x),
+# with Gamma(a) near 1/a, costs more than the documented digits near x = 1
+_MIN_ORDER = 0.25
 
 
 def upper_gamma_f64(a, x):
@@ -396,9 +379,9 @@ def upper_gamma_f64(a, x):
 
     a = 1 is Gamma(1, x) = e^-x, taken in place (one array, not two: the
     rank-4 Epstein sums at rho = 1 pass millions of lattice terms).  Other
-    a > 0 go to _upper_gamma_pos (about 1e-14 relative against mpmath for
-    a in [0.3, 2.5]).  Non-positive a climbs to a positive shift and walks
-    back down with
+    a >= _MIN_ORDER go to _upper_gamma_pos (about 1e-14 relative against
+    mpmath for a in [0.25, 2.5]); a positive a below it raises RangeError.
+    Non-positive a climbs to a positive shift and walks back down with
         Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,
     which costs about one digit per unit of |a|: within 1e-11 * 10^|a|
     relative on x in [1e-6, 30] at |a| <= 3.5 (3.1e-12 * 10^|a| measured),
@@ -410,6 +393,8 @@ def upper_gamma_f64(a, x):
     N included, RangeError.
     """
     x = np.asarray(x, dtype=float)
+    if 0 < a < _MIN_ORDER:
+        raise RangeError("upper_gamma_f64 needs a <= 0 or a >= %g, not a = %r" % (_MIN_ORDER, a))
     if a <= 0 and abs(a - round(a)) < _WALK_MIN_DISTANCE:
         raise RangeError("upper_gamma_f64 cannot walk down to a = %r, within %g of the "
                          "non-positive integer %d" % (a, _WALK_MIN_DISTANCE, round(a)))

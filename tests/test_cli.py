@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from periodmoments import cli, modforms, moment, spectral
+from periodmoments import cli, modforms, moment, report, spectral
 from periodmoments.eisenstein_gl2 import residue_at_one
 
 SUBCOMMANDS = [
@@ -730,6 +730,18 @@ def test_report_loads_no_mpmath(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_write_csv_cell_formats(tmp_path):
+    # a cell is empty, an int, a float or a complex, floats at %.17g: none
+    # holds the separator, and a text cell is refused before any byte is
+    # written
+    path = tmp_path / "t.csv"
+    report.write_csv(path, ["a", "b", "c", "d"], [[None, 3, 0.1, 1 - 2j]])
+    assert path.read_bytes() == b"a,b,c,d\n,3,0.10000000000000001,1-2j\n"
+    with pytest.raises(ValueError, match="x,y"):
+        report.write_csv(tmp_path / "text.csv", ["a"], [["x,y"]])
+    assert not (tmp_path / "text.csv").exists()
 
 
 def test_production_loads_no_scipy(tmp_path):

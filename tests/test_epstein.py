@@ -161,6 +161,25 @@ def test_poles_and_domain():
         epstein_xi_f64(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         epstein_xi_f64(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.7)  # indefinite
+    with pytest.raises(ValueError, match="positive definite"):
+        epstein_xi(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.7)
+    for split in (0.0, -1.0):
+        with pytest.raises(ValueError, match="split point must be positive"):
+            epstein_xi(np.eye(2), 0.7, split=split)
+    for s in (0.0, -0.5):
+        with pytest.raises(ValueError, match="s > 0"):
+            gln_completed_eisenstein_f64([1.3], s)
+
+
+def test_f64_split_past_the_box_matches_mp():
+    # at split = 1e3 the theta half sum's box holds no lattice point but the
+    # origin: _half_box_forms returns no form, and xi is the dual sum and
+    # the polar part alone
+    assert list(_box_limits(np.ones(2), 42.0 / (math.pi * 1e3))) == [0, 0]
+    got = epstein_xi_f64(np.eye(2), 0.7, split=1e3)
+    with mp.workdps(30):
+        want = float(epstein_xi(np.eye(2), mpf("0.7")))
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_f64_order_at_a_non_positive_integer_raises(recwarn):

@@ -202,6 +202,11 @@ def test_weight_mismatch_rejected(delta, forms24):
         inner_product(delta, forms24[0])
 
 
+def test_unfold_rows_need_forms():
+    with pytest.raises(ValueError, match="no cusp forms"):
+        unfold_rows([], [0.5])
+
+
 def test_engine_weight_overflow_guard():
     # y^(k-2) at Ymax = (k+40)/2pi leaves float64 near k ~ 190
     with pytest.raises(RangeError):

@@ -86,6 +86,8 @@ def test_plancherel_density_routes_and_walls():
     # nu_1 + nu_2 = 0 kills the G(3(nu_1+nu_2)) factor
     wall = sp.spectral_params(3, [0.9j, -0.9j])
     assert sp.plancherel_density(wall) == 0.0
+    with pytest.raises(ValueError, match="route must be"):
+        sp.plancherel_density(wall, route="beta")
 
 
 def test_plancherel_ball_two_schemes():
@@ -190,6 +192,10 @@ def test_plancherel_ball_validation():
         sp.plancherel_ball(p, radius=2.5)
     with pytest.raises(ValueError):
         sp.plancherel_ball(p, scheme="midpoint")
+    with pytest.raises(ValueError, match="scheme must be"):
+        sp.plancherel_ball(sp.spectral_params(3, [0.3j, -0.7j]), scheme="midpoint")
+    with pytest.raises(RangeError, match="n = 2, 3"):
+        sp.plancherel_ball(sp.spectral_params(4, [0.1j, 0.2j, 0.3j]))
 
 
 def test_whittaker_gl2_origin_frozen():
@@ -265,6 +271,11 @@ def test_whittaker_y_range():
         sp.whittaker(p3, [1.0, 2e3])
     with pytest.raises(RangeError):
         sp.whittaker(p3, [1.0])
+    with pytest.raises(ValueError, match="normalization must be"):
+        sp.whittaker(p3, [1.0, 2.0], normalization="raw")
+    p4 = sp.spectral_params(4, [0.1j, 0.2j, 0.3j])
+    with pytest.raises(RangeError, match="n = 2, 3"):
+        sp.whittaker(p4, [1.0, 2.0, 3.0])
 
 
 def test_whittaker3_selfdual_symmetry():
@@ -554,6 +565,9 @@ def test_stade_validation():
     big = sp.spectral_params(2, [3.5j])
     with pytest.raises(RangeError):
         sp.stade_check(big, p2, 1.0)
+    p4 = sp.spectral_params(4, [0.1j, 0.2j, 0.3j])
+    with pytest.raises(RangeError, match="n = 2, 3"):
+        sp.stade_check(p4, p4, 1.0)
 
 
 def test_simple_gamma_quotient_squared_reading():
