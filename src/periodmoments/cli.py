@@ -35,7 +35,7 @@ from .epstein import (
     gln_completed_eisenstein_f64,
 )
 from .modforms import cusp_dim, eigenform_horizon, hecke_eigenforms
-from .moment import moment_sweep, norm_quadrature, petersson_engine, unfold_rows
+from .moment import inner_product, moment_sweep, petersson_engine, unfold_rows
 from .precision import NonConvergenceError, PoleError, RangeError
 from .rankin_selberg import RankinSelbergPair
 from .special import dirichlet_beta, zeta
@@ -332,7 +332,7 @@ def run_norm_crosscheck(args, rng):
     forms_by_k = _forms_by_weight(args.k)
     for k in args.k:
         for i, f in enumerate(forms_by_k[k]):
-            nq = norm_quadrature(f)
+            nq = inner_product(f)
             nt = RankinSelbergPair(f).norm_theta()
             rel = abs(nq - nt) / nt
             worst = np.maximum(worst, rel)

@@ -1,14 +1,13 @@
 """Exact holomorphic cusp forms for the full modular group.
 
-Everything up to the Hecke eigenbasis is exact: the q-expansions of E4,
-E6, Delta, the Miller (echelon) basis of S_k and the Hecke matrices are
-integer arithmetic.  The T_2 eigenvectors v come from one eigen-solve of
-the balanced T_2 matrix in high-precision floating point (the exact
-characteristic polynomial, charpoly, is the tests' oracle for the
-eigenvalues); the expansions stay exact: a(n) = sum_i v_i g_i(n) is an
-integer combination of the binary mantissas of v, up to the horizon that
-the readers of lam(n) need (eigenform_horizon).  Coefficients are
-Hecke-normalized:
+Everything is integer arithmetic: the q-expansions of E4, E6, Delta,
+the Miller (echelon) basis of S_k, the Hecke matrices, and the T_2
+eigenvectors v, held at HECKE_BITS fractional bits: the roots of the
+exact characteristic polynomial (charpoly) are isolated and bisected
+exactly, and each v is a column of the adjugate at its root
+(_t2_eigenbasis).  So 2^HECKE_BITS a(n) = sum_i v_i g_i(n) is an exact
+integer, up to the horizon that the readers of lam(n) need
+(eigenform_horizon).  Coefficients are Hecke-normalized:
 
     lam(n) = a(n) / n^{(k-1)/2},   a(1) = 1,
 
@@ -52,7 +51,9 @@ __all__ = [
 # even weights with dim S_k >= 1 up to 40; 14 enters nothing (dim 0)
 DEFAULT_WEIGHTS = (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
 
-# decimal digits of the T_2 eigen-solve in hecke_eigenforms
+# fractional bits of the T_2 eigen-solve, and of its separators (_real_roots)
+HECKE_BITS, SEPARATOR_BITS = 200, 24
+# decimal digits of the lazy mp oracle Eigenform.a and .lam
 HECKE_DPS = 60
 
 
@@ -255,18 +256,16 @@ def charpoly(mat):
 @dataclass
 class Eigenform:
     """Hecke eigenform f = sum_i v_i g_i at a(1) = 1, on the integer Miller
-    rows g_i of S_k (miller_basis) truncated at the horizon.
-
-    The v_i are binary mpf numbers, so a(n) = sum_i v_i g_i(n) is an exact
-    integer on a common power of two.  Two tiers read it: lam_f64 (the
-    production tier) rounds lam(n) = a(n) / n^{(k-1)/2} once to float64
-    from that exact value; a and lam (the HECKE_DPS-digit oracle) are built
-    on first access, which production never makes.
+    rows g_i of S_k (miller_basis) truncated at the horizon, with v held as
+    the integers 2^HECKE_BITS v_i.  lam_f64 (the production tier) rounds
+    lam(n) = a(n) / n^{(k-1)/2} once to float64 from the exact integer
+    2^HECKE_BITS a(n); a and lam (the HECKE_DPS-digit oracle) are built on
+    first access, which production never makes.
     """
 
     weight: int
     index: int
-    v: list = field(repr=False)  # mpf coordinates on the Miller basis, v[0] = 1
+    v: list = field(repr=False)  # 2^HECKE_BITS v_i on the Miller basis, v[0] = 2^HECKE_BITS
     rows: list = field(repr=False)  # rows[i][n] = g_i(n), n = 0..horizon, int
 
     @property
@@ -277,13 +276,10 @@ class Eigenform:
     def lam_f64(self) -> np.ndarray:
         """lam[n] as float64, each correctly rounded from the exact a(n),
         converted once per form (read-only)."""
-        # v_i = V_i 2^e with integer V_i, on the smallest exponent e of a nonzero v_i
-        parts = [x._mpf_[:3] for x in self.v]  # (sign, mantissa, exponent)
-        e = min((exp for _, man, exp in parts if man), default=0)
-        scaled = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp in parts]
+        e = 1 - self.v[0].bit_length()  # v[0] = 2^-e
         out = np.zeros(self.horizon + 1)
         for n in range(1, self.horizon + 1):
-            a_n = sum(c * row[n] for c, row in zip(scaled, self.rows))
+            a_n = sum(c * row[n] for c, row in zip(self.v, self.rows))
             out[n] = _rounded_lam(a_n, e, n, self.weight)
         out.flags.writeable = False
         return out
@@ -292,8 +288,9 @@ class Eigenform:
     def a(self) -> list:
         """Oracle: a[n] = sum_i v_i g_i(n) in HECKE_DPS-digit mpf, n = 0..horizon."""
         with mp.workdps(HECKE_DPS):
+            v = [mpf(c) / self.v[0] for c in self.v]
             return [mpf(0)] + [
-                sum(vi * mpf(row[n]) for vi, row in zip(self.v, self.rows))
+                sum(vi * mpf(row[n]) for vi, row in zip(v, self.rows))
                 for n in range(1, self.horizon + 1)
             ]
 
@@ -328,48 +325,60 @@ def _rounded_lam(a_n: int, e: int, n: int, k: int) -> float:
     return -mag if a_n < 0 else mag
 
 
-def _t2_eigenbasis(cmat, k: int):
-    """Eigenvectors v of C^T, v_1 = 1, for the T_2 matrix C on the Miller
-    basis, sorted by their real, distinct eigenvalues: one mp.eig in
-    HECKE_DPS digits of B = D^-1 C^T D, D = diag(2^e_i), and v = D w.
+def _horner(coeffs, x: int, bits: int) -> int:
+    """2^{bits deg} p(x 2^-bits) for p = coeffs (leading first), exact."""
+    acc = 0
+    for m, c in enumerate(coeffs):
+        acc = acc * x + (c << (bits * m))
+    return acc
 
-    By Deligne the entries of C span hundreds of orders of magnitude; D
-    balances B (Parlett and Reinsch, Numer. Math. 13, 1969), without which
-    the eigenvectors lose every digit from k = 120 on.  Each index is
-    rescaled while that cuts its off-diagonal row plus column sum by 5%.
+
+def _real_roots(coeffs, bound: int, bits: int):
+    """floor(x 2^bits), ascending, for each root x of the integer polynomial
+    coeffs (leading first) that a sign change isolates in (-bound, bound).
+
+    The derivative's roots, found the same way to SEPARATOR_BITS, cut the
+    interval into gaps of at most one root (Rolle); exact bisection finds
+    the root of each gap whose ends differ in sign.  A multiple, nonreal or
+    outside root gives fewer integers than the degree.
+    """
+    d = len(coeffs) - 1
+    deriv = [c * (d - m) for m, c in enumerate(coeffs[:-1])]
+    seps = _real_roots(deriv, bound, SEPARATOR_BITS) if d > 1 else []
+    ends = [-bound << bits] + [s << (bits - SEPARATOR_BITS) for s in seps] + [bound << bits]
+    signs = [(v > 0) - (v < 0) for v in (_horner(coeffs, x, bits) for x in ends)]
+    roots = []
+    for lo, hi, s_lo, s_hi in zip(ends, ends[1:], signs, signs[1:]):
+        if s_lo * s_hi < 0:
+            while hi - lo > 1:  # a root hit at mid stays at lo
+                mid = (lo + hi) >> 1
+                lo, hi = (mid, hi) if s_lo * _horner(coeffs, mid, bits) >= 0 else (lo, mid)
+            roots.append(lo)
+    return roots
+
+
+def _t2_eigenbasis(cmat, k: int):
+    """Eigenvectors of C^T for the T_2 matrix C on the Miller basis, as the
+    integers 2^HECKE_BITS v_i with v_1 = 1, sorted by eigenvalue lam: the
+    roots of p = charpoly(C) inside Deligne's bound 2^{(k+1)/2}; a multiple
+    root, or one past the bound, raises NonConvergenceError.
+
+    u_0 = e_1 and u_m = C^T u_{m-1} + c_m e_1 give sum_m u_m lam^{d-1-m},
+    the first column of adj(lam - C^T), nonzero in entry 1 if p is irreducible.
     """
     d = len(cmat)
-    with mp.workdps(HECKE_DPS):
-        b = [[mpf(cmat[j][i]) for j in range(d)] for i in range(d)]
-        e = [0] * d
-        moved = True
-        while moved:
-            moved = False
-            for i in range(d):
-                col = sum(abs(b[j][i]) for j in range(d) if j != i)
-                row = sum(abs(b[i][j]) for j in range(d) if j != i)
-                m = (mp.mag(row) - mp.mag(col)) // 2 if col and row else 0
-                if m and mp.ldexp(col, m) + mp.ldexp(row, -m) < mpf(0.95) * (col + row):
-                    moved = True
-                    e[i] += m
-                    for j in range(d):
-                        b[j][i] = mp.ldexp(b[j][i], m)
-                        b[i][j] = mp.ldexp(b[i][j], -m)
-        try:
-            lams, w = mp.eig(mp.matrix(b))
-        except RuntimeError as exc:
-            # mpmath keeps neither the last iterate nor its step
-            raise NonConvergenceError("T_2 eigen-solve of size %d: %s" % (d, exc)) from exc
-        for lam in lams:
-            if abs(mp.im(lam)) > mpf(10) ** (-HECKE_DPS // 2) * (1 + abs(lam)):
-                raise NonConvergenceError("nonreal T_2 eigenvalue %s" % lam)
-        order = sorted(range(d), key=lambda c: mp.re(lams[c]))
-        spectrum = [mp.re(lams[c]) for c in order]
-        sep = min((y - x for x, y in zip(spectrum, spectrum[1:])), default=mpf(1))
-        if sep < (1 + max(abs(x) for x in spectrum)) * mpf(10) ** (-HECKE_DPS // 3):
-            raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
-        dw = [[w[i, c] * mp.ldexp(1, e[i]) for i in range(d)] for c in order]
-        return [[mpf(1)] + [mp.re(x / v[0]) for x in v[1:]] for v in dw]
+    p = charpoly(cmat)
+    roots = _real_roots(p, 1 << (k // 2 + 1), HECKE_BITS)
+    if len(roots) < d:
+        raise NonConvergenceError("T_2 spectrum degenerate at k=%d" % k)
+    us = [[1] + [0] * (d - 1)]
+    for c in p[1:d]:
+        us.append([sum(x * u for x, u in zip(col, us[-1])) for col in zip(*cmat)])
+        us[-1][0] += c
+    qs = [[_horner(col, r, HECKE_BITS) for col in zip(*us)] for r in roots]
+    if any(q[0] == 0 for q in qs):
+        raise NonConvergenceError("T_2 eigenvector at k=%d has first entry 0" % k)
+    return [[(x << HECKE_BITS) // q[0] for x in q] for q in qs]
 
 
 # The production readers of lam(n) and the last index each reads.  The
@@ -419,17 +428,14 @@ def eigenform_horizon(k: int) -> int:
 def hecke_eigenforms(k: int, horizon: int = None):
     """All normalized Hecke eigenforms of weight k, sorted by T_2 eigenvalue,
     with coefficients for n <= horizon (default eigenform_horizon(k)).
-    Only the T_2 eigenvectors come from floating point, one balanced
-    eigen-solve in HECKE_DPS digits (_t2_eigenbasis); lam(n) is read from
-    the exact expansion (Eigenform).
+    The T_2 eigenvectors are exact integers at HECKE_BITS fractional bits
+    (_t2_eigenbasis); lam(n) is read from the exact expansion (Eigenform).
 
     Each coefficient is the same at any horizon that includes it: the
     echelon basis is unique and the eigenvectors come from the T_2 matrix
     alone.  T_2 alone separates the forms: its characteristic polynomial is
     irreducible over Q, so its roots are simple (Maeda's conjecture,
-    verified far beyond these weights).  Eigenvalues too close to tell
-    apart, and an eigen-solve that does not converge, raise
-    NonConvergenceError.
+    verified far beyond these weights); a multiple root raises.
     """
     d = cusp_dim(k)
     if d == 0:

@@ -84,7 +84,6 @@ __all__ = [
     "PeterssonEngine",
     "petersson_engine",
     "inner_product",
-    "norm_quadrature",
     "unfold_rows",
     "regularized_bound",
     "moment_row",
@@ -265,11 +264,6 @@ def inner_product(f: Eigenform, g: Eigenform = None, refine: int = 1) -> float:
     fv = eng.form_values(f)
     gv = fv if g is f else eng.form_values(g)
     return _pairing(eng, fv, gv)
-
-
-def norm_quadrature(f: Eigenform) -> float:
-    """<f, f>_k over the fundamental domain."""
-    return inner_product(f)
 
 
 def _gamma_k_over_gamma_half(k: int) -> float:

@@ -379,7 +379,7 @@ def upper_gamma_f64(a, x):
 
     a = 1 is Gamma(1, x) = e^-x, taken in place (one array, not two: the
     rank-4 Epstein sums at rho = 1 pass millions of lattice terms).  Other
-    a >= _MIN_ORDER go to _upper_gamma_pos (about 1e-14 relative against
+    a >= _MIN_ORDER go to _upper_gamma_pos (within 1.6e-14 relative of
     mpmath for a in [0.25, 2.5]); a positive a below it raises RangeError.
     Non-positive a climbs to a positive shift and walks back down with
         Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,

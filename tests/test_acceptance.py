@@ -44,7 +44,7 @@ from periodmoments.eisenstein_gl2 import (
 )
 from periodmoments.epstein import gln_completed_eisenstein_f64
 from periodmoments.modforms import cusp_dim, eigenform_horizon, hecke_eigenforms
-from periodmoments.moment import moment_sweep, norm_quadrature, regularized_bound, unfold_rows
+from periodmoments.moment import inner_product, moment_sweep, regularized_bound, unfold_rows
 from periodmoments.rankin_selberg import RankinSelbergPair
 from periodmoments.special import gamma_r, zeta
 
@@ -153,7 +153,7 @@ def test_norm_residue_crosscheck():
     worst = 0.0
     for k in (12, 16, 18, 20, 22, 26):
         for f in hecke_eigenforms(k):
-            nq = norm_quadrature(f)
+            nq = inner_product(f)
             nt = RankinSelbergPair(f).norm_theta()
             worst = np.maximum(worst, abs(nq - nt) / nt)
     wall = time.perf_counter() - t0

@@ -370,19 +370,16 @@ def test_poles_exit_2(tmp_path, capsys, argv):
 
 
 def test_hecke_nonconvergence_exits_1(tmp_path, capsys, monkeypatch, cold_forms):
-    # mpmath's RuntimeError from the T_2 eigen-solve reaches the CLI as
-    # NonConvergenceError: exit 1 and one stderr line, no traceback
-    def stuck(*args, **kwargs):
-        raise RuntimeError("qr: failed to converge after 31 steps")
-
-    monkeypatch.setattr(modforms.mp, "eig", stuck)
+    # a double T_2 eigenvalue reaches the CLI as NonConvergenceError: exit 1
+    # and one stderr line, no traceback, no CSV
+    monkeypatch.setattr(modforms, "hecke_matrix", lambda k, p, basis: [[540, 0], [0, 540]])
     out = tmp_path / "n.csv"
-    rc = run(["norm-crosscheck", "--k", "12",
+    rc = run(["norm-crosscheck", "--k", "24",
               "--output", str(out), "--summary", str(tmp_path / "n.json")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert "failed to converge after 31 steps" in err[0]
+    assert "T_2 spectrum degenerate at k=24" in err[0]
     assert "best=" in err[0] and "last_delta=" in err[0]
     assert not out.exists()
 
@@ -766,3 +763,38 @@ def test_production_loads_no_scipy(tmp_path):
     codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert all(c in (0, 1) for c in codes), codes
     assert loaded == []
+
+
+def test_form_runs_call_no_mpmath(tmp_path):
+    # the runs that build Hecke eigenforms (and, at s = 1/2, nothing else of
+    # the mp tier) make no call into mpmath: a profile hook in a fresh
+    # interpreter, so every cache starts cold, records each Python frame
+    # that starts in mpmath's package directory
+    script = (
+        "import json, os, sys\n"
+        "import mpmath\n"
+        "import periodmoments.cli as cli\n"
+        "root = os.path.dirname(mpmath.__file__) + os.sep\n"
+        "calls = set()\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_filename.startswith(root):\n"
+        "        calls.add(frame.f_code.co_name)\n"
+        "sys.setprofile(hook)\n"
+        "codes = [cli.main(a + ['--output', 'r%d.csv' % i, '--summary', 'r%d.json' % i])\n"
+        "         for i, a in enumerate(json.loads(sys.argv[1]))]\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps([codes, sorted(calls)]))\n"
+    )
+    runs = [
+        ["moment", "--k-min", "12", "--k-max", "40"],
+        ["norm-crosscheck", "--k", "12", "24"],
+        ["unfold-check", "--k", "12", "--s", "0.5"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    codes, calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(c in (0, 1) for c in codes), codes
+    assert calls == []

@@ -18,7 +18,6 @@ TEST_ONLY_PUBLIC_NAMES = {
     "eisenstein_gl2.residue_at_one",
     "epstein.gln_completed_eisenstein",
     "epstein.iwasawa_y",
-    "modforms.charpoly",
     "modforms.delta_qexp",
     "moment.regularized_bound",
     "rankin_selberg.RankinSelbergPair.l_direct",

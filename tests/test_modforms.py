@@ -186,13 +186,44 @@ def test_charpoly_integer_cayley_hamilton():
 
 
 def test_degenerate_t2_spectrum_raises(monkeypatch):
-    # a double T_2 eigenvalue leaves no eigenvector to choose: NonConvergenceError
-    def double_root(a, *args, **kwargs):
-        return [mpf(540), mpf(540)], mp.eye(2)
+    # a double T_2 eigenvalue leaves no eigenvector to choose: no gap of the
+    # root isolation changes sign, whether the double root is dyadic (540,
+    # where p vanishes on the separator) or not (sqrt 2, where p > 0 around
+    # it); an eigenvalue past Deligne's bound (2^13 at k = 24) is not
+    # isolated either, though the other one is
+    companion = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]
+    assert charpoly(companion) == [1, 0, -4, 0, 4]  # (x^2 - 2)^2
+    for mat in ([[540, 0], [0, 540]], companion, [[540, 0], [0, 1 << 20]]):
+        monkeypatch.setattr(modforms, "hecke_matrix", lambda k, p, basis: mat)
+        with pytest.raises(NonConvergenceError, match="T_2 spectrum degenerate at k=24"):
+            hecke_eigenforms(24, horizon=60)
 
-    monkeypatch.setattr(modforms.mp, "eig", double_root)
-    with pytest.raises(NonConvergenceError, match="T_2 spectrum degenerate at k=24"):
+
+def test_t2_eigenvector_with_zero_first_entry_raises(monkeypatch):
+    # the adjugate's first column vanishes at lam = 2 of diag(1, 2): the
+    # eigenvector e_2 has a(1) = 0 and cannot be normalized
+    monkeypatch.setattr(modforms, "hecke_matrix", lambda k, p, basis: [[1, 0], [0, 2]])
+    with pytest.raises(NonConvergenceError, match="T_2 eigenvector at k=24 has first entry 0"):
         hecke_eigenforms(24, horizon=60)
+
+
+def test_real_roots_brackets_known_roots():
+    bits = 40
+    # floor(x 2^bits) for the irrational roots +-sqrt 2 and 1/1000, 2/1000
+    # (two roots 1e-3 apart) beside 5
+    s = math.isqrt(2 << (2 * bits))
+    assert modforms._real_roots([1, 0, -2], 4, bits) == [-s - 1, s]
+    assert modforms._real_roots([10**6, -5003 * 10**3, 15002, -10], 8, bits) == [
+        (1 << bits) // 1000, (2 << bits) // 1000, 5 << bits]
+    # a dyadic root is hit exactly by a bisection point: (4x - 1)(x - 3)
+    p = [4, -13, 3]
+    roots = modforms._real_roots(p, 8, bits)
+    assert roots == [1 << (bits - 2), 3 << bits]
+    assert all(modforms._horner(p, r, bits) == 0 for r in roots)
+    # a double root, a nonreal pair and a root outside the bound are not isolated
+    assert modforms._real_roots([1, -2, 1], 4, bits) == []
+    assert modforms._real_roots([1, 0, 1], 4, bits) == []
+    assert modforms._real_roots([1, -5], 4, bits) == []
 
 
 def test_k12_eigenform_is_delta():
@@ -320,7 +351,7 @@ def test_eigenform_horizon_covers_every_reader():
         assert h >= theta_cutoff(k, 1.0)  # the AFE table's largest cutoff
         assert h >= modforms._cusp_n_eval(k, eng.y_min)
         # the production readers themselves on a form of exactly that horizon
-        form = Eigenform(weight=k, index=0, v=[mpf(0)], rows=[[0] * (h + 1)])
+        form = Eigenform(weight=k, index=0, v=[0], rows=[[0] * (h + 1)])
         pair = RankinSelbergPair(form)
         assert pair.norm_theta() == 0.0
         assert pair.completed_l(0.5) == 0.0
@@ -435,7 +466,7 @@ def _primes(n):
 
 @pytest.mark.parametrize("k", [132, 144, 176, 196])
 def test_hecke_basis_at_dimension_11_and_up(k):
-    # d = 11..16: the balanced T_2 eigen-solve gives the whole basis, each
+    # d = 11..16: the exact T_2 eigen-solve gives the whole basis, each
     # T_2 eigenvalue a(2) a root of the exact characteristic polynomial
     forms = hecke_eigenforms(k, horizon=60)
     d = cusp_dim(k)
@@ -443,7 +474,7 @@ def test_hecke_basis_at_dimension_11_and_up(k):
     cp = charpoly(hecke_matrix(k, 2, forms[0].rows))
     with mp.workdps(modforms.HECKE_DPS):
         a2 = [f.a[2] for f in forms]
-        assert all(isinstance(x, mpf) for f in forms for x in f.v)  # real
+        assert all(type(x) is int for f in forms for x in f.v)  # real, exact
         assert all(x < y for x, y in zip(a2, a2[1:]))  # sorted and distinct
         for x in a2:
             terms = [c * x ** (d - i) for i, c in enumerate(cp)]
@@ -467,15 +498,14 @@ def test_miller_basis_guards():
     assert miller_basis(14, 30) == []
 
 
-def test_polyroots_nonconvergence_is_wrapped(monkeypatch):
-    # mpmath's QR iteration reports non-convergence as a RuntimeError
-    stuck_error = RuntimeError("qr: failed to converge after 31 steps")
-
-    def stuck(*args, **kwargs):
-        raise stuck_error
-
-    monkeypatch.setattr(modforms.mp, "eig", stuck)
-    with pytest.raises(NonConvergenceError) as exc:
-        hecke_eigenforms(24)
-    assert "size 2" in str(exc.value)
-    assert exc.value.__cause__ is stuck_error
+def test_lam_f64_stable_at_twice_the_bits(monkeypatch):
+    # doubling the fractional bits of the eigenvalues and eigenvectors
+    # moves no rounding of lam_f64, at the default weights and horizons and
+    # at dimensions 8 to 16 (horizon 60)
+    cases = [(k, None) for k in DEFAULT_WEIGHTS] + [(k, 60) for k in (100, 172, 196)]
+    base = [[f.lam_f64 for f in hecke_eigenforms(k, h)] for k, h in cases]
+    monkeypatch.setattr(modforms, "HECKE_BITS", 2 * modforms.HECKE_BITS)
+    for (k, h), lams in zip(cases, base):
+        forms = hecke_eigenforms(k, h)
+        assert forms[0].v[0] == 1 << modforms.HECKE_BITS
+        assert [f.lam_f64.tobytes() for f in forms] == [x.tobytes() for x in lams], k

@@ -21,7 +21,6 @@ from periodmoments.moment import (
     inner_product,
     moment_row,
     moment_sweep,
-    norm_quadrature,
     petersson_engine,
     regularized_bound,
     unfold_rows,
@@ -54,7 +53,7 @@ def test_truncated_hyperbolic_area():
 
 
 def test_norm_quadrature_vs_residue_route(delta):
-    quad = norm_quadrature(delta)
+    quad = inner_product(delta)
     theta = RankinSelbergPair(delta).norm_theta()
     assert quad > 0
     assert abs(quad - theta) / theta < 1e-6
@@ -62,7 +61,7 @@ def test_norm_quadrature_vs_residue_route(delta):
 
 def test_norm_quadrature_vs_residue_route_k26():
     f = hecke_eigenforms(26)[0]
-    quad = norm_quadrature(f)
+    quad = inner_product(f)
     theta = RankinSelbergPair(f).norm_theta()
     assert abs(quad - theta) / theta < 1e-6
 
@@ -70,7 +69,7 @@ def test_norm_quadrature_vs_residue_route_k26():
 def test_hecke_orthogonality(forms24):
     f, g = forms24
     cross = abs(inner_product(f, g))
-    bound = 1e-6 * math.sqrt(norm_quadrature(f) * norm_quadrature(g))
+    bound = 1e-6 * math.sqrt(inner_product(f) * inner_product(g))
     assert cross <= bound
 
 
@@ -84,7 +83,7 @@ def f_estar_norm2(f, s, refine=1):
 
 def test_linearity(delta):
     # <f h, f> for the constant h = 2.5 is 2.5 <f, f>
-    base = norm_quadrature(delta)
+    base = inner_product(delta)
     eng = petersson_engine(12, 1)
     fv = eng.form_values(delta)
     scaled = moment._pairing(eng, fv, fv, 2.5 * np.ones_like(eng.x)).real

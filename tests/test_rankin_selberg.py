@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 from periodmoments import rankin_selberg
 from periodmoments.cli import NORM_TOL, UNFOLD_TOL
 from periodmoments.modforms import hecke_eigenforms, theta_cutoff
-from periodmoments.moment import norm_quadrature, unfold_rows
+from periodmoments.moment import inner_product, unfold_rows
 from periodmoments.precision import PoleError, RangeError
 from periodmoments.rankin_selberg import RankinSelbergPair, kappa_log
 
@@ -265,7 +265,7 @@ def test_theta_and_afe_past_k170_stay_in_float64(recwarn):
     # largest float64, and their sums may leave it
     forms = hecke_eigenforms(172)
     f = forms[0]
-    nq = norm_quadrature(f)
+    nq = inner_product(f)
     nt = RankinSelbergPair(f).norm_theta()
     assert 0 < nt < math.inf and abs(nq - nt) < NORM_TOL * nt
     (row,) = unfold_rows(forms[:1], [0.5])

@@ -349,6 +349,23 @@ def test_upper_gamma_f64_matches_mpmath():
         assert np.max(np.abs(upper_gamma_f64(a, far) - ref) / ref) <= 1e-15, a
 
 
+
+def test_upper_gamma_f64_dense_grid():
+    # the documented 1.6e-14 on [0.25, 2.5]: a dense scan (a in steps of
+    # 0.001 up to 0.45 and 0.01 beyond, 1,500 x in [0.5, 2.5] and 600 in
+    # [1e-6, 42]) read 1.52e-14 at most, at a = 0.268, and every reading
+    # above 8e-15 lay at x in [1.13, 1.53], the series branch just below
+    # a + 1 where Gamma(a) - gamma(a, x) cancels most; here the scan's
+    # worst a on its x in [1.1, 1.6]
+    x = np.linspace(0.5, 2.5, 1500)
+    x = x[(x >= 1.1) & (x <= 1.6)]
+    worst = 0.0
+    for a in (0.251, 0.256, 0.265, 0.268, 0.285, 0.31, 0.361):
+        with mp.workdps(40):
+            ref = np.array([float(mp.gammainc(mpf(a), mpf(v))) for v in x])
+        worst = max(worst, np.max(np.abs(upper_gamma_f64(a, x) - ref) / ref))
+    assert worst <= 1.6e-14
+
 @pytest.mark.parametrize("a", [-0.5, -0.75, -1.5, -2.25])
 def test_upper_gamma_f64_walk_down(a):
     # a <= 0 climbs to a + m in (0, 1] and walks back down; each step can
